@@ -262,18 +262,23 @@ class SparseBitvector:
     def bit(self, p: int) -> int:
         if not 0 <= p < self.length:
             raise IndexError(f"bit position {p} out of range for length {self.length}")
-        k = int(np.searchsorted(self._ones, p, side="left"))
+        k = int(self._ones.searchsorted(self._key(p)))
         return 1 if k < self._ones.size and int(self._ones[k]) == p else 0
 
     def positions(self) -> np.ndarray:
         return self._ones.astype(np.int64)
+
+    def _key(self, i: int):
+        # A search key of another dtype makes numpy cast the whole position
+        # array on every call; any checked i <= length fits the stored dtype.
+        return self._ones.dtype.type(i)
 
     def rank(self, i: int, b: int = 1) -> int:
         _check_bit_value(b)
         i = int(i)
         if not 0 <= i <= self.length:
             raise IndexError(f"rank prefix {i} out of range for length {self.length}")
-        r1 = int(np.searchsorted(self._ones, i, side="left"))
+        r1 = int(self._ones.searchsorted(self._key(i)))
         return r1 if b else i - r1
 
     def rank_many(self, i, b: int = 1) -> np.ndarray:
@@ -281,7 +286,7 @@ class SparseBitvector:
         i = np.asarray(i, dtype=np.int64)
         if i.size and (i.min() < 0 or i.max() > self.length):
             raise IndexError("rank prefix out of range")
-        r1 = np.searchsorted(self._ones, i, side="left").astype(np.int64)
+        r1 = self._ones.searchsorted(i.astype(self._ones.dtype)).astype(np.int64)
         return r1 if b else i - r1
 
     def select(self, j: int, b: int = 1) -> int:

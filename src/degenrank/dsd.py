@@ -7,9 +7,14 @@ position in a per-symbol sparse bitvector. Together with the empty-position
 bitvector E, a subset-rank query is three ranks: one on E to skip empties,
 one on the base string, one on the overflow vector of the queried symbol.
 
-Select has no direct analog here; it binary-searches the monotone rank,
-costing O(log n) rank calls, which keeps the structure at its headline
-space instead of adding a merged select index.
+Select merges two disjoint sorted lists: A_c, the sets whose kept symbol is
+c (rank base.rank(p - E.rank(p), c), select E.select0(base.select(k, c) + 1)),
+and B_c, the positions of overflow[c]. The number t of B_c elements among
+the first j - 1 sets containing c is found by binary search on
+g(t) = t + rank_A(B_c[t]), which is strictly increasing, over a range of at
+most |A_c| + 1 values. Each step is one E rank, one base rank and one
+overflow lookup; the answer is B_c[t] when g(t) = j - 1, and otherwise the
+(j - t)-th element of A_c. No index beyond the decomposition is stored.
 """
 
 from __future__ import annotations
@@ -93,28 +98,37 @@ class DsdStructure:
             raise IndexError("symbol out of range")
         dense = i - self._E.rank_many(i, 1)
         out = self._base.rank_many(dense, c)
-        for cc in range(self.sigma):
+        for cc in np.flatnonzero(np.bincount(c.ravel(), minlength=self.sigma)):
             m = c == cc
-            if m.any():
-                out[m] += self._overflow[cc].rank_many(i[m], 1)
+            out[m] += self._overflow[cc].rank_many(i[m], 1)
         return out
 
     def containing_count(self, c: int) -> int:
-        return self.subset_rank(self.n, c)
+        self._check(c)
+        return self._base.symbol_count(c) + self._overflow[c].ones_count
 
     def subset_select(self, j: int, c: int) -> int:
         self._check(c)
-        total = self.containing_count(c)
-        if not 1 <= j <= total:
-            raise ValueError(f"select({j}, {c}) out of range: only {total} containing sets")
-        lo, hi = 0, self.n  # smallest i with subset_rank(i+1) = j is hi-1 at loop end
-        while hi - lo > 1:
+        j = int(j)
+        ov = self._overflow[c]
+        n_a, n_b = self._base.symbol_count(c), ov.ones_count
+        if not 1 <= j <= n_a + n_b:
+            raise ValueError(f"select({j}, {c}) out of range: only {n_a + n_b} containing sets")
+        # Smallest t with g(t) >= j - 1; every t below the range has g(t) < j - 1
+        # and every t at or above it is past the end of B_c or has g(t) >= t >= j.
+        lo, hi = max(0, j - 1 - n_a), min(j, n_b)
+        hit = False
+        while lo < hi:
             mid = (lo + hi) // 2
-            if self.subset_rank(mid, c) >= j:
-                hi = mid
+            b = ov.select(mid + 1, 1)
+            g = mid + self._base.rank(b - self._E.rank(b, 1), c)
+            if g < j - 1:
+                lo = mid + 1
             else:
-                lo = mid
-        return hi - 1
+                hi, hit, found = mid, g == j - 1, b
+        if hit:
+            return found
+        return self._E.select(self._base.select(j - lo, c) + 1, 0)
 
     def subset_select_many(self, j, c) -> np.ndarray:
         j = np.asarray(j, dtype=np.int64)
@@ -123,24 +137,52 @@ class DsdStructure:
             c = np.full(j.shape, int(c), dtype=np.int64)
         if j.size == 0:
             return np.zeros(0, dtype=np.int64)
-        if c.size and (c.min() < 0 or c.max() >= self.sigma):
+        shape = j.shape
+        j, c = j.ravel(), c.ravel()
+        if c.min() < 0 or c.max() >= self.sigma:
             raise IndexError("symbol out of range")
-        totals = np.array([self.containing_count(cc) for cc in range(self.sigma)])
-        if j.min() < 1 or np.any(j > totals[c]):
+        kept = np.array([self._base.symbol_count(cc) for cc in range(self.sigma)])
+        n_a, n_b = kept[c], self.overflow_counts()[c]
+        if j.min() < 1 or np.any(j > n_a + n_b):
             raise ValueError("select batch out of range")
-        lo = np.zeros(j.size, dtype=np.int64)
-        hi = np.full(j.size, self.n, dtype=np.int64)
+        # The search of subset_select for every query at once. Queries are
+        # sorted by symbol, then by j, so each round reads each overflow list
+        # once and passes increasing keys to the E and base ranks.
+        order = np.lexsort((j, c))
+        j, c, n_a, n_b = j[order], c[order], n_a[order], n_b[order]
+        lo = np.maximum(0, j - 1 - n_a)
+        hi = np.minimum(j, n_b)
+        hit = np.zeros(j.size, dtype=bool)
+        out = np.empty(j.size, dtype=np.int64)
+        symbols = np.flatnonzero(np.bincount(c, minlength=self.sigma))
         while True:
-            open_ = hi - lo > 1
-            if not open_.any():
+            q = np.flatnonzero(lo < hi)
+            if q.size == 0:
                 break
-            mid = (lo + hi) // 2
-            r = self.subset_rank_many(np.where(open_, mid, 0), c)
-            ge = open_ & (r >= j)
-            lt = open_ & (r < j)
-            hi[ge] = mid[ge]
-            lo[lt] = mid[lt]
-        return hi - 1
+            mid = (lo[q] + hi[q]) >> 1
+            cq = c[q]
+            b = np.empty(q.size, dtype=np.int64)
+            ends = np.searchsorted(cq, symbols, side="right")
+            start = 0
+            for cc, end in zip(symbols.tolist(), ends.tolist()):
+                if end > start:
+                    b[start:end] = self._overflow[cc].select_many(mid[start:end] + 1, 1)
+                start = end
+            g = mid + self._base.rank_many(b - self._E.rank_many(b, 1), cq)
+            below = g < j[q] - 1
+            lo[q[below]] = mid[below] + 1
+            above = ~below
+            at = q[above]
+            hi[at] = mid[above]
+            hit[at] = g[above] == j[at] - 1
+            out[at] = b[above]
+        rest = np.flatnonzero(~hit)
+        if rest.size:
+            dense = self._base.select_many(j[rest] - lo[rest], c[rest])
+            out[rest] = self._E.select_many(dense + 1, 0)
+        result = np.empty_like(out)
+        result[order] = out
+        return result.reshape(shape)
 
     def size_breakdown(self) -> dict:
         out = {"E": self._E.size_bits(), "base": self._base.size_bits()}

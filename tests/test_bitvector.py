@@ -216,3 +216,27 @@ def test_numpy_scalar_arguments():
     sv = SparseBitvector(100, [7, 42])
     assert sv.rank(np.int64(50), 1) == 2
     assert sv.select(np.int64(2), 1) == 42
+
+
+@pytest.mark.parametrize("length", [255, 256, 65535, 65536])
+def test_sparse_rank_and_bit_at_dtype_edges(length):
+    # positions are stored in the narrowest dtype holding the length, and
+    # search keys are cast to it: prefix length and position length-1 must fit
+    ones = [0, length // 2, length - 1]
+    sv = SparseBitvector(length, ones)
+    assert sv.rank(length, 1) == 3
+    assert sv.rank(length, 0) == length - 3
+    assert sv.rank(length - 1, 1) == 2
+    assert sv.bit(length - 1) == 1
+    assert sv.bit(length - 2) == 0
+    i = np.array([0, 1, length - 1, length])
+    assert sv.rank_many(i, 1).tolist() == [0, 1, 2, 3]
+    assert sv.rank_many(i, 0).tolist() == (i - [0, 1, 2, 3]).tolist()
+    with pytest.raises(IndexError):
+        sv.rank(length + 1, 1)
+    with pytest.raises(IndexError):
+        sv.rank_many([length + 1], 1)
+    with pytest.raises(IndexError):
+        sv.bit(length)
+    empty = SparseBitvector(length, [])
+    assert empty.rank(length, 1) == 0 and empty.bit(length - 1) == 0

@@ -20,6 +20,7 @@ def check_against_oracle(x, d):
         if pos.size:
             js = np.arange(1, pos.size + 1)
             assert np.array_equal(d.subset_select_many(js, np.full(js.size, c)), pos)
+            assert [d.subset_select(int(j), c) for j in js] == pos.tolist()
 
 
 def test_worked_example_layout():
@@ -59,6 +60,10 @@ def test_keep_choice_never_changes_answers():
         for c in range(4):
             assert np.array_equal(lo.subset_rank_many(idx, np.full(idx.size, c)),
                                   hi.subset_rank_many(idx, np.full(idx.size, c)))
+            # keep="max" splits the containing sets differently between the
+            # base string and the overflow lists, which select merges
+            js = np.arange(1, lo.containing_count(c) + 1)
+            assert np.array_equal(lo.subset_select_many(js, c), hi.subset_select_many(js, c))
         assert lo.decompose() == x == hi.decompose()
 
 
@@ -128,12 +133,22 @@ def test_select_identities_and_errors():
             i = d.subset_select(j, c)
             assert d.subset_rank(i + 1, c) == j
             assert d.subset_rank(i, c) == j - 1
-        with pytest.raises(ValueError):
-            d.subset_select(total + 1, c)
+        for bad in (0, total + 1):
+            with pytest.raises(ValueError):
+                d.subset_select(bad, c)
+            with pytest.raises(ValueError):
+                d.subset_select_many([1, bad], [c, c])
     with pytest.raises(IndexError):
         d.subset_rank(x.n + 1, 0)
-    with pytest.raises(IndexError):
-        d.subset_rank(0, 4)
+    for bad in (-1, 4):
+        with pytest.raises(IndexError):
+            d.subset_rank(0, bad)
+        with pytest.raises(IndexError):
+            d.subset_select(1, bad)
+        with pytest.raises(IndexError):
+            d.subset_select_many([1], [bad])
+        with pytest.raises(IndexError):
+            d.containing_count(bad)
     with pytest.raises(ValueError):
         build_dsd(x, keep="first")
 
@@ -145,6 +160,9 @@ def test_empty_and_all_empty():
         assert d.decompose() == x
         with pytest.raises(ValueError):
             d.subset_select(1, 0)
+        with pytest.raises(ValueError):
+            d.subset_select_many([1], [0])
+        assert d.subset_select_many([], []).size == 0
 
 
 def test_space_accounting():
@@ -174,3 +192,40 @@ def test_block_words_shrink_size_not_answers():
         else:
             assert np.array_equal(answers, got)
     assert sizes[0] > sizes[1] > sizes[2] > sizes[3]
+
+
+@pytest.mark.parametrize("keep", ["min", "max"])
+def test_select_when_a_list_is_empty(keep):
+    # Select merges the sets that keep c with overflow[c]. Under keep="min"
+    # symbol 0 is always kept, so overflow[0] is empty; in the second
+    # instance no set keeps symbol 3; the third is a single set.
+    instances = (
+        DegenerateString.from_sets(4, [[0, 3], [], [1, 3], [0, 2, 3], [3], [1, 2]]),
+        DegenerateString.from_sets(4, [[0, 3], [1, 3], [], [0, 2, 3]]),
+        DegenerateString.from_sets(4, [[0, 1, 3]]),
+    )
+    for x in instances:
+        d = build_dsd(x, keep=keep)
+        check_against_oracle(x, d)
+    if keep == "min":
+        _, base, overflow = build_dsd(instances[0]).components()
+        assert overflow[0].ones_count == 0 and base.symbol_count(0) == 2
+        assert build_dsd(instances[1]).components()[1].symbol_count(3) == 0
+
+
+@pytest.mark.parametrize("base", ["wavelet", "bitplane"])
+def test_select_batches_against_oracle(base):
+    x = generate(83, 400, 4, profile="genomic-like")
+    d = build_dsd(x, base, block_words=1)
+    check_against_oracle(x, d)
+    pos = [positions_of(x, c) for c in range(4)]
+    # a batch of one, then a shuffled batch mixing every symbol
+    assert d.subset_select_many([2], [1]).tolist() == [pos[1][1]]
+    rng = np.random.default_rng(5)
+    c = rng.integers(0, 4, size=300)
+    j = rng.integers(1, np.array([p.size for p in pos])[c] + 1)
+    want = np.array([pos[cc][jj - 1] for cc, jj in zip(c, j)])
+    assert np.array_equal(d.subset_select_many(j, c), want)
+    assert np.array_equal(d.subset_select_many(j.reshape(20, 15), c.reshape(20, 15)),
+                          want.reshape(20, 15))
+    assert np.array_equal(d.subset_select_many(j[c == 2], 2), want[c == 2])
