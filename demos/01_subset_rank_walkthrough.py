@@ -9,7 +9,7 @@ query kinds through their intermediate hops.
 
 import numpy as np
 
-from degenrank import DegenerateString, ReductionI
+from degenrank import DegenerateString, build_reduction
 
 A, C, G, T = 0, 1, 2, 3
 NAMES = "ACGT"
@@ -20,7 +20,7 @@ print("instance: n =", x.n, " N =", x.N, " sigma =", x.sigma)
 
 # the reduction concatenates set contents into one plain string S and marks
 # set starts in a bitvector R of length N + 1 (one extra 1 closes the end)
-red = ReductionI(x)
+red = build_reduction(x, "reduction-i")
 S = [red._S.access(p) for p in range(x.N)]
 print("S =", "".join(NAMES[s] for s in S))
 print("R =", "".join(str(b) for b in red._R.bits()))

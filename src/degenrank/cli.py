@@ -122,7 +122,11 @@ def _verify_symbol(x, st, c, idx, js) -> int:
 def cmd_verify(args) -> int:
     x = _load_data(args.input, args.format)
     if args.container:
-        st = container.load(args.container)
+        try:
+            st = container.load(args.container)
+        except ValueError as e:  # corrupt or inconsistent: a failed verification
+            print(f"MISMATCH container: {e}")
+            return 1
     else:
         st = _build(x, args.structure, args.base, args.block_words)
     label = args.container or f"fresh {st.structure_name}"

@@ -15,6 +15,9 @@ planes (length u64, block_words u64, low words, high words).
 Only payloads are stored; rank/select support structures are rebuilt on
 load, which keeps the format small and makes every loaded structure
 self-consistent. Padding bits beyond a declared length must be zero.
+Loading builds the structure with the constructors the builders use,
+which reject components that do not fit together, and then rejects a
+meta block that differs from what the components give.
 """
 
 from __future__ import annotations
@@ -52,9 +55,12 @@ def _comp(tag: int, payload: bytes) -> bytes:
     return struct.pack("<BQ", tag, len(payload)) + payload
 
 
-def _meta_comp(st) -> bytes:
-    bw = st.block_words or 0
-    return _comp(1, _u64(st.sigma, st.n, st.N, st.n0, bw))
+_META_FIELDS = ("sigma", "n", "N", "n0", "block_words")
+
+
+def _meta(st) -> tuple:
+    # block_words is None off the bitplane base and stored as 0
+    return tuple(getattr(st, f) or 0 for f in _META_FIELDS)
 
 
 def _plain_comp(bv: PlainBitvector) -> bytes:
@@ -67,7 +73,7 @@ def _sparse_comp(sv: SparseBitvector) -> bytes:
 
 
 def _base_comp(base) -> bytes:
-    if isinstance(base, WaveletTree):
+    if base.base_name == "wavelet":
         payload = _u64(base.sigma, base.length)
         payload += b"".join(_words_bytes(w) for (_, w) in base.level_payload())
         return _comp(4, payload)
@@ -82,7 +88,7 @@ def dumps(st) -> bytes:
         raise ValueError(f"cannot serialize {type(st).__name__}")
     head = MAGIC + struct.pack("<BBB", VERSION, _STRUCT_TAGS[name],
                                _BASE_TAGS[st.base_name])
-    parts = [head, _meta_comp(st)]
+    parts = [head, _comp(1, _u64(*_meta(st)))]
     if name == "dsd":
         e, base, overflow = st.components()
         parts.append(_base_comp(base))
@@ -196,26 +202,23 @@ def loads(blob: bytes):
     name = s_names[s_tag]
     base_name = b_names[b_tag]
     r = _Reader(blob, 7)
-    sigma, n, N, n0, bw = (int(v) for v in _read_meta(r))
-    bw = bw or None
+    meta = _read_meta(r)
+    sigma = meta[0]
     if name == "dsd":
         base = _read_base(r, base_name)
         e = _read_sparse(r)
-        overflow = [_read_sparse(r) for _ in range(sigma)]
-        r.done()
-        return DsdStructure._assemble(sigma, n, N, e, base, overflow, base_name, bw)
-    s = _read_base(r, base_name)
-    rv = _read_plain(r)
-    if name == "reduction-i":
-        r.done()
-        return ReductionI._assemble(sigma, n, s, rv, base_name, bw)
-    if name == "reduction-ii":
-        r.done()
-        return ReductionII._assemble_ii(sigma, n, n0, s, rv, base_name, bw)
-    e = _read_sparse(r)
+        st = DsdStructure(e, base, [_read_sparse(r) for _ in range(sigma)])
+    elif name == "reduction-iii":
+        st = ReductionIII(sigma, _read_base(r, base_name), _read_plain(r), _read_sparse(r))
+    else:
+        cls = ReductionI if name == "reduction-i" else ReductionII
+        st = cls(sigma, _read_base(r, base_name), _read_plain(r))
     r.done()
-    inner = ReductionI._assemble(sigma, n - n0, s, rv, base_name, bw)
-    return ReductionIII._assemble(sigma, n, e, inner, base_name, bw)
+    wrong = [f"{f} {a} (components give {b})"
+             for f, a, b in zip(_META_FIELDS, meta, _meta(st)) if a != b]
+    if wrong:
+        raise ValueError("meta block does not match the components: " + ", ".join(wrong))
+    return st
 
 
 def save(st, path) -> None:

@@ -29,6 +29,13 @@ GENOMIC_SIZE_PROBS = (0.01, 0.80, 0.12, 0.05, 0.02)
 _GEN_CHUNK = 1 << 16
 
 
+def _integers(values, what: str) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr
+
+
 def _min_uint(sigma: int):
     if sigma <= 1 << 8:
         return np.uint8
@@ -48,24 +55,29 @@ class DegenerateString:
 
     def __init__(self, sigma: int, symbols, offsets, *, validate: bool = True):
         self.sigma = int(sigma)
+        if validate:
+            # before the narrowing casts below, which wrap 256 to 0 and cut 2.7 to 2
+            symbols = _integers(symbols, "set members")
+            offsets = _integers(offsets, "offsets")
+            self._validate(symbols, offsets)
         self.symbols = np.asarray(symbols, dtype=_min_uint(self.sigma))
         self.offsets = np.asarray(offsets, dtype=np.int64)
-        if validate:
-            self._validate()
 
-    def _validate(self) -> None:
+    def _validate(self, syms: np.ndarray, off: np.ndarray) -> None:
         if self.sigma < 1:
             raise ValueError("sigma must be at least 1")
-        off = self.offsets
-        if off.ndim != 1 or off.size < 1 or off[0] != 0 or off[-1] != self.symbols.size:
+        if syms.ndim != 1:
+            raise ValueError("set members must be one-dimensional")
+        if off.ndim != 1 or off.size < 1 or off[0] != 0 or off[-1] != syms.size:
             raise ValueError("offsets must run from 0 to len(symbols)")
-        if np.any(np.diff(off) < 0):
+        if np.any(off[1:] < off[:-1]):
             raise ValueError("offsets must be nondecreasing")
-        syms = self.symbols.astype(np.int64)
+        off = off.astype(np.int64)  # now known to lie in [0, len(symbols)]
         if syms.size and (syms.min() < 0 or syms.max() >= self.sigma):
             raise ValueError(f"set members must lie in [0, {self.sigma})")
         if syms.size:
             # ascending inside each set, strict (no duplicate members)
+            syms = syms.astype(np.int64)
             inner = np.ones(syms.size, dtype=bool)
             inner[off[:-1][np.diff(off) > 0]] = False
             if np.any(np.diff(syms)[inner[1:]] <= 0):
@@ -76,12 +88,12 @@ class DegenerateString:
         flat = []
         offsets = [0]
         for s in sets:
-            members = sorted(int(v) for v in s)
+            members = sorted(s)
             if len(set(members)) != len(members):
                 raise ValueError(f"duplicate member in set {len(offsets) - 1}")
             flat.extend(members)
             offsets.append(len(flat))
-        return cls(sigma, np.array(flat, dtype=np.int64), np.array(offsets, dtype=np.int64))
+        return cls(sigma, flat, offsets)
 
     # -- derived quantities ---------------------------------------------------
 

@@ -1,7 +1,6 @@
 """Dense-sparse decomposition for subset rank-select.
 
-Keep one symbol per nonempty set (the minimum, so the choice is
-deterministic; any choice gives the same answers) in a regular base string
+Keep one symbol per nonempty set, its minimum, in a regular base string
 of length n - n0, and record every removed symbol c as a set bit at its set
 position in a per-symbol sparse bitvector. Together with the empty-position
 bitvector E, a subset-rank query is three ranks: one on E to skip empties,
@@ -23,58 +22,32 @@ import numpy as np
 
 from .bitvector import SparseBitvector
 from .degenerate import DegenerateString
-from .reductions import _build_base
-
-KEEP_CHOICES = ("min", "max")
+from .reductions import _build_base, _check_alphabet
 
 
 class DsdStructure:
+    """Built from E, the base string of kept symbols and one overflow vector
+    per symbol; sigma is the number of overflow vectors."""
+
     structure_name = "dsd"
 
-    def __init__(self, x: DegenerateString, base: str = "wavelet",
-                 block_words: int = 8, keep: str = "min"):
-        if keep not in KEEP_CHOICES:
-            raise ValueError(f"keep must be one of {KEEP_CHOICES}, got {keep!r}")
-        sizes = x.set_sizes()
-        nonempty = sizes > 0
-        self._E = SparseBitvector(x.n, np.flatnonzero(~nonempty))
-        if keep == "min":
-            kept_at = x.offsets[:-1][nonempty]
-        else:
-            kept_at = x.offsets[1:][nonempty] - 1
-        kept = x.symbols.astype(np.int64)[kept_at]
-        removed = np.ones(x.N, dtype=bool)
-        removed[kept_at] = False
-        rows = x.element_rows()
-        syms = x.symbols.astype(np.int64)
-        self._overflow = []
-        for c in range(x.sigma):
-            pos = rows[removed & (syms == c)]
-            self._overflow.append(SparseBitvector(x.n, pos))
-        self._base = _build_base(kept, x.sigma, base, block_words)
-        self.sigma = x.sigma
-        self.n = x.n
-        self.N = x.N
-        self.n0 = x.n - int(nonempty.sum())
-        self.base_name = base
-        self.block_words = block_words if base == "bitplane" else None
-        self.keep = keep
-
-    @classmethod
-    def _assemble(cls, sigma: int, n: int, N: int, E: SparseBitvector,
-                  base, overflow, base_name: str, block_words) -> "DsdStructure":
-        self = cls.__new__(cls)
-        self.sigma = sigma
-        self.n = n
-        self.N = N
-        self.n0 = E.ones_count
+    def __init__(self, E: SparseBitvector, base, overflow):
+        overflow = list(overflow)
+        if base.length != E.zeros_count:
+            raise ValueError(f"base string has {base.length} symbols, "
+                             f"E marks {E.zeros_count} nonempty sets")
+        if any(ov.length != E.length for ov in overflow):
+            raise ValueError(f"every overflow vector must have length {E.length}")
+        _check_alphabet(base, len(overflow))
         self._E = E
         self._base = base
-        self._overflow = list(overflow)
-        self.base_name = base_name
-        self.block_words = block_words
-        self.keep = "min"
-        return self
+        self._overflow = overflow
+        self.sigma = len(overflow)
+        self.n = E.length
+        self.N = base.length + sum(ov.ones_count for ov in overflow)
+        self.n0 = E.ones_count
+        self.base_name = base.base_name
+        self.block_words = base.block_words
 
     def _check(self, c: int) -> None:
         if not 0 <= c < self.sigma:
@@ -230,9 +203,24 @@ class DsdStructure:
 
     def __repr__(self) -> str:
         return (f"DsdStructure(sigma={self.sigma}, n={self.n}, N={self.N}, "
-                f"n0={self.n0}, base={self.base_name}, keep={self.keep})")
+                f"n0={self.n0}, base={self.base_name})")
 
 
-def build_dsd(x: DegenerateString, base: str = "wavelet", block_words: int = 8,
-              keep: str = "min") -> DsdStructure:
-    return DsdStructure(x, base, block_words, keep)
+def build_dsd(x: DegenerateString, base: str = "wavelet",
+              block_words: int = 8) -> DsdStructure:
+    """Keep the smallest member of every nonempty set in the base string and
+    move the other members to the overflow vectors of their symbols."""
+    nonempty = x.set_sizes() > 0
+    E = SparseBitvector(x.n, np.flatnonzero(~nonempty))
+    kept_at = x.offsets[:-1][nonempty]
+    removed = np.ones(x.N, dtype=bool)
+    removed[kept_at] = False
+    # one stable sort groups the removed members by symbol, rows ascending
+    syms = x.symbols[removed]
+    order = np.argsort(syms, kind="stable")
+    rows = x.element_rows()[removed][order]
+    bounds = np.zeros(x.sigma + 1, dtype=np.int64)
+    np.cumsum(np.bincount(syms, minlength=x.sigma), out=bounds[1:])
+    overflow = [SparseBitvector(x.n, rows[bounds[c]:bounds[c + 1]]) for c in range(x.sigma)]
+    return DsdStructure(E, _build_base(x.symbols[kept_at], x.sigma, base, block_words),
+                        overflow)

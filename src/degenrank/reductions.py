@@ -16,6 +16,10 @@ Three interchangeable constructions over a degenerate string X:
   Ranks shift i by the empties before it; selects map back through the
   zeroes of E.
 
+Each class is built from its components, S and R (and E for ReductionIII),
+and derives n, N and n0 from them; build_reduction and container.loads
+both end in these constructors.
+
 All queries are 0-indexed with half-open rank prefixes, like the rest of
 the package; the worked-example test pins the conversion from the common
 1-indexed formulation.
@@ -45,38 +49,32 @@ def _build_base(symbols: np.ndarray, sigma: int, base: str, block_words: int):
     raise ValueError(f"unknown base {base!r}, expected one of {BASES}")
 
 
+def _check_alphabet(S, sigma: int) -> None:
+    """Reject a base string with a symbol >= sigma or a wavelet tree over another alphabet."""
+    if ((S.base_name == "wavelet" and S.sigma != max(sigma, 1)) or sigma > S.sigma
+            or sum(S.symbol_count(c) for c in range(sigma)) != S.length):
+        raise ValueError(f"base string does not fit the alphabet of size {sigma}")
+
+
 class ReductionI:
     """Concatenation + boundary bitvector; requires every set nonempty."""
 
     structure_name = "reduction-i"
+    _sentinels = 0  # symbols of S past the public alphabet
 
-    def __init__(self, x: DegenerateString, base: str = "wavelet", block_words: int = 8):
-        if x.n0:
-            raise ValueError(f"reduction-i requires no empty sets, instance has {x.n0}")
-        self.sigma = x.sigma
-        self.n = x.n
-        self.N = x.N
-        self.n0 = 0
-        self._S = _build_base(x.symbols.astype(np.int64), x.sigma, base, block_words)
-        bits = np.zeros(x.N + 1, dtype=np.uint8)
-        bits[x.offsets] = 1
-        self._R = PlainBitvector(bits)
-        self.base_name = base
-        self.block_words = block_words if base == "bitplane" else None
-
-    @classmethod
-    def _assemble(cls, sigma: int, n: int, S, R: PlainBitvector,
-                  base_name: str, block_words) -> "ReductionI":
-        self = cls.__new__(cls)
-        self.sigma = sigma
-        self.n = n
-        self.N = R.length - 1
-        self.n0 = 0
+    def __init__(self, sigma: int, S, R: PlainBitvector):
+        if S.length != R.length - 1 or not (R.bit(0) and R.bit(R.length - 1)):
+            raise ValueError("R must hold one bit per symbol of S plus one, "
+                             "set at both ends")
+        _check_alphabet(S, sigma + self._sentinels)
+        self.sigma = int(sigma)
         self._S = S
         self._R = R
-        self.base_name = base_name
-        self.block_words = block_words
-        return self
+        self.n = R.ones_count - 1
+        self.n0 = S.symbol_count(self.sigma) if self._sentinels else 0
+        self.N = R.length - 1 - self.n0
+        self.base_name = S.base_name
+        self.block_words = S.block_words
 
     def _check(self, c: int) -> None:
         if not 0 <= c < self.sigma:
@@ -144,51 +142,18 @@ class ReductionII(ReductionI):
     """Sentinel transform: empty sets become singleton {sigma}, then ReductionI."""
 
     structure_name = "reduction-ii"
-
-    def __init__(self, x: DegenerateString, base: str = "wavelet", block_words: int = 8):
-        sizes = x.set_sizes()
-        empty = sizes == 0
-        n0 = int(empty.sum())
-        sizes2 = np.where(empty, 1, sizes)
-        offsets2 = np.zeros(x.n + 1, dtype=np.int64)
-        np.cumsum(sizes2, out=offsets2[1:])
-        symbols2 = np.empty(x.N + n0, dtype=np.int64)
-        if x.N:
-            empties_before = np.concatenate([[0], np.cumsum(empty)])
-            dest = np.arange(x.N, dtype=np.int64) + empties_before[x.element_rows()]
-            symbols2[dest] = x.symbols.astype(np.int64)
-        symbols2[offsets2[:-1][empty]] = x.sigma  # sentinel
-        inner = DegenerateString(x.sigma + 1, symbols2, offsets2, validate=False)
-        super().__init__(inner, base, block_words)
-        # public view: original alphabet, original size accounting
-        self.sigma = x.sigma
-        self.n0 = n0
-        self.N = x.N
-
-    @classmethod
-    def _assemble_ii(cls, sigma: int, n: int, n0: int, S, R: PlainBitvector,
-                     base_name: str, block_words) -> "ReductionII":
-        self = cls.__new__(cls)
-        self.sigma = sigma
-        self.n = n
-        self.N = R.length - 1 - n0
-        self.n0 = n0
-        self._S = S
-        self._R = R
-        self.base_name = base_name
-        self.block_words = block_words
-        return self
+    _sentinels = 1
 
     def decompose(self) -> DegenerateString:
         syms, starts = self._decompose_raw()
-        keep = syms != self.sigma  # drop the sentinel singletons
+        real = syms != self.sigma  # drop the sentinel singletons
         sizes = np.diff(starts)
         set_of = np.repeat(np.arange(self.n, dtype=np.int64), sizes)
         counts = np.zeros(self.n, dtype=np.int64)
-        np.add.at(counts, set_of[keep], 1)
+        np.add.at(counts, set_of[real], 1)
         offsets = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        return DegenerateString(self.sigma, syms[keep], offsets, validate=False)
+        return DegenerateString(self.sigma, syms[real], offsets, validate=False)
 
 
 class ReductionIII:
@@ -196,35 +161,18 @@ class ReductionIII:
 
     structure_name = "reduction-iii"
 
-    def __init__(self, x: DegenerateString, base: str = "wavelet", block_words: int = 8):
-        sizes = x.set_sizes()
-        empty_pos = np.flatnonzero(sizes == 0)
-        self._E = SparseBitvector(x.n, empty_pos)
-        nonempty_sizes = sizes[sizes > 0]
-        offsets2 = np.zeros(nonempty_sizes.size + 1, dtype=np.int64)
-        np.cumsum(nonempty_sizes, out=offsets2[1:])
-        inner = DegenerateString(x.sigma, x.symbols, offsets2, validate=False)
-        self._inner = ReductionI(inner, base, block_words)
-        self.sigma = x.sigma
-        self.n = x.n
-        self.N = x.N
-        self.n0 = int(empty_pos.size)
-        self.base_name = base
-        self.block_words = block_words if base == "bitplane" else None
-
-    @classmethod
-    def _assemble(cls, sigma: int, n: int, E: SparseBitvector, inner: ReductionI,
-                  base_name: str, block_words) -> "ReductionIII":
-        self = cls.__new__(cls)
-        self.sigma = sigma
-        self.n = n
-        self.N = inner.N
-        self.n0 = E.ones_count
+    def __init__(self, sigma: int, S, R: PlainBitvector, E: SparseBitvector):
+        inner = ReductionI(sigma, S, R)
+        if E.zeros_count != inner.n:
+            raise ValueError(f"E marks {E.zeros_count} nonempty sets, S and R hold {inner.n}")
         self._E = E
         self._inner = inner
-        self.base_name = base_name
-        self.block_words = block_words
-        return self
+        self.sigma = inner.sigma
+        self.n = E.length
+        self.N = inner.N
+        self.n0 = E.ones_count
+        self.base_name = inner.base_name
+        self.block_words = inner.block_words
 
     def subset_rank(self, i: int, c: int) -> int:
         if not 0 <= i <= self.n:
@@ -288,12 +236,27 @@ def normalize_variant(variant: str) -> str:
     return v
 
 
+def _concat(symbols: np.ndarray, offsets: np.ndarray, sigma: int, base: str,
+            block_words: int):
+    """S and R over the sets of (symbols, offsets); empty sets leave no trace."""
+    S = _build_base(symbols, sigma, base, block_words)
+    bits = np.zeros(symbols.size + 1, dtype=np.uint8)
+    bits[offsets] = 1
+    return S, PlainBitvector(bits)
+
+
 def build_reduction(x: DegenerateString, variant: str, base: str = "wavelet",
                     block_words: int = 8):
     """Build the requested reduction over x; see the class docstrings."""
     v = normalize_variant(variant)
+    if v == "reduction-ii":  # a sentinel sigma in place of every empty set
+        empty = x.set_sizes() == 0
+        symbols = np.insert(x.symbols.astype(np.int64), x.offsets[:-1][empty], x.sigma)
+        offsets = x.offsets + np.concatenate([[0], np.cumsum(empty)])
+        return ReductionII(x.sigma, *_concat(symbols, offsets, x.sigma + 1, base, block_words))
+    if v == "reduction-i" and x.n0:
+        raise ValueError(f"reduction-i requires no empty sets, instance has {x.n0}")
+    S, R = _concat(x.symbols, x.offsets, x.sigma, base, block_words)
     if v == "reduction-i":
-        return ReductionI(x, base, block_words)
-    if v == "reduction-ii":
-        return ReductionII(x, base, block_words)
-    return ReductionIII(x, base, block_words)
+        return ReductionI(x.sigma, S, R)
+    return ReductionIII(x.sigma, S, R, SparseBitvector(x.n, np.flatnonzero(x.set_sizes() == 0)))

@@ -40,6 +40,9 @@ class WaveletTree:
     level so a query costs one bitvector rank or select per level.
     """
 
+    base_name = "wavelet"
+    block_words = None  # no blocks: counts sit at the node boundaries
+
     def __init__(self, symbols, sigma: int):
         if sigma < 1:
             raise ValueError("sigma must be at least 1")
@@ -217,32 +220,35 @@ class BitPlaneRank:
     """
 
     SIGMA = 4
+    base_name = "bitplane"
 
-    def __init__(self, symbols, block_words: int = 8, *, _payload=None):
-        if _payload is not None:
-            length, bw, low, high = _payload
-            self.length = int(length)
-            self.block_words = int(bw)
-            self._low = np.asarray(low, dtype=np.uint64)
-            self._high = np.asarray(high, dtype=np.uint64)
-            expected = self.length // 64 + 1
-            if self._low.size != expected or self._high.size != expected:
-                raise ValueError("plane payload size does not match length")
-        else:
-            if not isinstance(block_words, (int, np.integer)) or block_words < 1:
-                raise ValueError("block_words must be a positive integer")
-            syms = _as_symbols(symbols, self.SIGMA)
-            self.length = int(syms.size)
-            self.block_words = int(block_words)
-            self._low = pack_bits((syms & 1).astype(np.uint8))
-            self._high = pack_bits(((syms >> 1) & 1).astype(np.uint8))
-        if self.block_words < 1:
+    def __init__(self, symbols, block_words: int = 8):
+        if not isinstance(block_words, (int, np.integer)) or block_words < 1:
             raise ValueError("block_words must be a positive integer")
+        syms = _as_symbols(symbols, self.SIGMA)
+        self.length = int(syms.size)
+        self.block_words = int(block_words)
+        self._low = pack_bits((syms & 1).astype(np.uint8))
+        self._high = pack_bits(((syms >> 1) & 1).astype(np.uint8))
         self._build_counts()
 
     @classmethod
     def from_planes(cls, length: int, block_words: int, low, high) -> "BitPlaneRank":
-        return cls(None, _payload=(length, block_words, low, high))
+        """Rebuild from the packed planes; rejects nonzero bits past length."""
+        if block_words < 1:
+            raise ValueError("block_words must be a positive integer")
+        self = cls.__new__(cls)
+        self.length = int(length)
+        self.block_words = int(block_words)
+        self._low = np.asarray(low, dtype=np.uint64)
+        self._high = np.asarray(high, dtype=np.uint64)
+        expected = self.length // 64 + 1
+        if self._low.size != expected or self._high.size != expected:
+            raise ValueError("plane payload size does not match length")
+        if (self._low[-1] | self._high[-1]) & ~MASK_LOW[self.length & 63]:
+            raise ValueError("padding bits beyond the declared length must be zero")
+        self._build_counts()
+        return self
 
     def _build_counts(self) -> None:
         wpb = 8 * self.block_words  # plane words per block

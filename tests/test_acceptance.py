@@ -20,7 +20,7 @@ from degenrank.cli import main
 from degenrank.degenerate import DegenerateString, generate, parse_degenerate
 from degenrank.dsd import build_dsd
 from degenrank.oracle import positions_of, rank_table
-from degenrank.reductions import ReductionI, build_reduction
+from degenrank.reductions import build_reduction
 from degenrank.strrank import BitPlaneRank, WaveletTree
 
 A, C, G, T = 0, 1, 2, 3
@@ -77,7 +77,7 @@ def supported_structures(x):
 
 
 def test_criterion_1_worked_example():
-    red = ReductionI(WORKED, "wavelet")
+    red = build_reduction(WORKED, "reduction-i", "wavelet")
     # indicator bitvector R is exactly 100101101
     assert red._R.bits().tolist() == [1, 0, 0, 1, 0, 1, 1, 0, 1]
     # end-to-end answers, exact integers
@@ -94,7 +94,7 @@ def test_criterion_1_worked_example():
     assert reordered.rank(5, A) == 2
     assert reordered.select(2, G) == 7
     assert red._R.rank(7 + 1, 1) - 1 == 3
-    for st in (red, ReductionI(WORKED, "bitplane")):
+    for st in (red, build_reduction(WORKED, "reduction-i", "bitplane")):
         assert st.subset_rank(2, A) == 2 and st.subset_select(2, G) == 3
     reps = 2000
     t0 = time.perf_counter()

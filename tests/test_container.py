@@ -44,6 +44,7 @@ def test_roundtrip_every_structure():
             blob = container.dumps(st)
             assert container.is_container(blob)
             st2 = container.loads(blob)
+            assert container.dumps(st2) == blob
             assert type(st2) is type(st)
             assert (st2.sigma, st2.n, st2.N, st2.n0) == (st.sigma, st.n, st.N, st.n0)
             assert st2.base_name == st.base_name
@@ -131,10 +132,44 @@ def test_rejects_malformed_blobs():
 
 def test_padding_bits_are_policed():
     # a corrupt final word with garbage past the declared length is refused
-    st = build_reduction(WORKED, "reduction-i")
-    blob = bytearray(container.dumps(st))
+    for base, comp in (("wavelet", "plain"), ("bitplane", "bitplane")):
+        st = build_reduction(WORKED, "reduction-i", base)
+        blob = bytearray(container.dumps(st))
+        comps = {name: (off, ln) for name, off, ln in container.scan_components(blob)}
+        off, ln = comps[comp]
+        blob[off + ln - 1] ^= 0x80  # top bit of the last word, far past length 9 or 8
+        with pytest.raises(ValueError, match="padding"):
+            container.loads(bytes(blob))
+
+
+def probe_build(seed, kind, base):
+    # sigma sits at the bitplane limit, so that sigma + 1 is refused there too:
+    # a bit plane string does not record its alphabet, and one over [0, 3) is
+    # also a valid string over [0, 4)
+    sigma = 3 if (kind, base) == ("reduction-ii", "bitplane") else 4
+    probs = [0.0 if kind == "reduction-i" else 0.2] + [0.8 / sigma] * sigma
+    x = generate(seed, 300, sigma, size_probs=probs)
+    if kind == "dsd":
+        return build_dsd(x, base, block_words=2)
+    return build_reduction(x, kind, base, block_words=2)
+
+
+@pytest.mark.parametrize("kind", ["reduction-i", "reduction-ii", "reduction-iii", "dsd"])
+@pytest.mark.parametrize("base", ["wavelet", "bitplane"])
+def test_meta_edits_and_foreign_components_are_rejected(kind, base):
+    blob = container.dumps(probe_build(3, kind, base))
     comps = {name: (off, ln) for name, off, ln in container.scan_components(blob)}
-    off, ln = comps["plain"]
-    blob[off + ln - 1] ^= 0x80  # top bit of the last word, far past length 9
+    meta_at, _ = comps["meta"]
+    for field in range(5):  # sigma, n, N, n0, block_words
+        at = meta_at + 8 * field
+        value = int.from_bytes(blob[at:at + 8], "little")
+        for delta in (1, -1):
+            edited = ((value + delta) % (1 << 64)).to_bytes(8, "little")
+            with pytest.raises(ValueError):
+                container.loads(blob[:at] + edited + blob[at + 8:])
+    # the base string of an instance of the same size but another shape
+    donor = container.dumps(probe_build(4, kind, base))
+    d_off, d_ln = {name: (off, ln) for name, off, ln in container.scan_components(donor)}[base]
+    off, ln = comps[base]
     with pytest.raises(ValueError):
-        container.loads(bytes(blob))
+        container.loads(blob[:off - 9] + donor[d_off - 9:d_off + d_ln] + blob[off + ln:])

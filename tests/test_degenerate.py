@@ -94,6 +94,22 @@ def test_from_sets_validation():
         DegenerateString.from_sets(4, [[1, 1]])
     with pytest.raises(ValueError, match="lie in"):
         DegenerateString.from_sets(2, [[0, 3]])
+    with pytest.raises(ValueError, match="lie in"):
+        DegenerateString.from_sets(4, [[256]])
+    with pytest.raises(ValueError, match="integers"):
+        DegenerateString.from_sets(4, [[2.7]])
+
+
+@pytest.mark.parametrize("symbols,offsets,msg", [
+    (np.array([256]), [0, 1], "lie in"),
+    (np.array([-256]), [0, 1], "lie in"),
+    ([256], [0, 1], "lie in"),
+    ([2.7], [0, 1], "integers"),
+    ([1], [0, 1.5], "integers"),
+], ids=["uint-256", "int-minus-256", "list-256", "member-2.7", "offset-1.5"])
+def test_rejects_values_a_narrowing_cast_would_change(symbols, offsets, msg):
+    with pytest.raises(ValueError, match=msg):
+        DegenerateString(4, symbols, offsets)
 
 
 def test_stats_worked_example():

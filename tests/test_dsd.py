@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from degenrank.bitvector import SparseBitvector
 from degenrank.degenerate import DegenerateString, generate, parse_degenerate
 from degenrank.dsd import DsdStructure, build_dsd
 from degenrank.oracle import positions_of, rank_table
-from degenrank.reductions import ReductionIII
+from degenrank.reductions import build_reduction
 
 WORKED = parse_degenerate("4 4\n0 1 2\n0 3\n1\n2 3\n")
 
@@ -48,25 +49,6 @@ def test_count_identity():
     assert d.overflow_counts().sum() == x.N - (x.n - x.n0)
 
 
-def test_keep_choice_never_changes_answers():
-    rng = np.random.default_rng(47)
-    for _ in range(6):
-        n = int(rng.integers(1, 150))
-        x = generate(int(rng.integers(1 << 30)), n, 4,
-                     size_probs=[0.15, 0.35, 0.25, 0.15, 0.1])
-        lo = build_dsd(x, keep="min")
-        hi = build_dsd(x, keep="max")
-        idx = np.arange(x.n + 1)
-        for c in range(4):
-            assert np.array_equal(lo.subset_rank_many(idx, np.full(idx.size, c)),
-                                  hi.subset_rank_many(idx, np.full(idx.size, c)))
-            # keep="max" splits the containing sets differently between the
-            # base string and the overflow lists, which select merges
-            js = np.arange(1, lo.containing_count(c) + 1)
-            assert np.array_equal(lo.subset_select_many(js, c), hi.subset_select_many(js, c))
-        assert lo.decompose() == x == hi.decompose()
-
-
 @pytest.mark.parametrize("base", ["wavelet", "bitplane"])
 def test_random_instances_match_oracle(base):
     rng = np.random.default_rng(61)
@@ -101,7 +83,7 @@ def test_all_singletons_degenerate_to_plain_string():
 def test_agrees_with_reduction():
     x = generate(8, 300, 4, profile="genomic-like")
     d = build_dsd(x)
-    r = ReductionIII(x)
+    r = build_reduction(x, "reduction-iii")
     idx = np.arange(x.n + 1)
     for c in range(4):
         assert np.array_equal(d.subset_rank_many(idx, np.full(idx.size, c)),
@@ -149,8 +131,6 @@ def test_select_identities_and_errors():
             d.subset_select_many([1], [bad])
         with pytest.raises(IndexError):
             d.containing_count(bad)
-    with pytest.raises(ValueError):
-        build_dsd(x, keep="first")
 
 
 def test_empty_and_all_empty():
@@ -194,23 +174,20 @@ def test_block_words_shrink_size_not_answers():
     assert sizes[0] > sizes[1] > sizes[2] > sizes[3]
 
 
-@pytest.mark.parametrize("keep", ["min", "max"])
-def test_select_when_a_list_is_empty(keep):
-    # Select merges the sets that keep c with overflow[c]. Under keep="min"
-    # symbol 0 is always kept, so overflow[0] is empty; in the second
-    # instance no set keeps symbol 3; the third is a single set.
+def test_select_when_a_list_is_empty():
+    # Select merges the sets that keep c with overflow[c]. Symbol 0 is
+    # always kept, so overflow[0] is empty; in the second instance no set
+    # keeps symbol 3; the third is a single set.
     instances = (
         DegenerateString.from_sets(4, [[0, 3], [], [1, 3], [0, 2, 3], [3], [1, 2]]),
         DegenerateString.from_sets(4, [[0, 3], [1, 3], [], [0, 2, 3]]),
         DegenerateString.from_sets(4, [[0, 1, 3]]),
     )
     for x in instances:
-        d = build_dsd(x, keep=keep)
-        check_against_oracle(x, d)
-    if keep == "min":
-        _, base, overflow = build_dsd(instances[0]).components()
-        assert overflow[0].ones_count == 0 and base.symbol_count(0) == 2
-        assert build_dsd(instances[1]).components()[1].symbol_count(3) == 0
+        check_against_oracle(x, build_dsd(x))
+    _, base, overflow = build_dsd(instances[0]).components()
+    assert overflow[0].ones_count == 0 and base.symbol_count(0) == 2
+    assert build_dsd(instances[1]).components()[1].symbol_count(3) == 0
 
 
 @pytest.mark.parametrize("base", ["wavelet", "bitplane"])
@@ -229,3 +206,15 @@ def test_select_batches_against_oracle(base):
     assert np.array_equal(d.subset_select_many(j.reshape(20, 15), c.reshape(20, 15)),
                           want.reshape(20, 15))
     assert np.array_equal(d.subset_select_many(j[c == 2], 2), want[c == 2])
+
+
+def test_constructor_rejects_parts_that_do_not_fit():
+    x = generate(5, 200, 4, size_probs=[0.2] * 5)
+    E, base, overflow = build_dsd(x).components()
+    assert DsdStructure(E, base, overflow).decompose() == x
+    with pytest.raises(ValueError):  # base length is not the nonempty count
+        DsdStructure(SparseBitvector(E.length, []), base, overflow)
+    with pytest.raises(ValueError):  # overflow vector of another length
+        DsdStructure(E, base, overflow[:3] + [SparseBitvector(E.length + 1, [])])
+    with pytest.raises(ValueError):  # the base is over 4 symbols, not 3
+        DsdStructure(E, base, overflow[:3])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from degenrank.bitvector import PlainBitvector
+from degenrank.bitvector import PlainBitvector, SparseBitvector
 from degenrank.degenerate import DegenerateString, generate, parse_degenerate
 from degenrank.oracle import positions_of, rank_table
 from degenrank.reductions import (
@@ -41,7 +41,7 @@ def check_against_oracle(x, st):
 
 
 def test_worked_example_structure():
-    red = ReductionI(WORKED, "wavelet")
+    red = build_reduction(WORKED, "reduction-i", "wavelet")
     assert red._R.bits().tolist() == [1, 0, 0, 1, 0, 1, 1, 0, 1]
     assert red._R.ones_count == WORKED.n + 1
     assert red._R.length == WORKED.N + 1
@@ -60,7 +60,7 @@ def test_within_set_order_is_immaterial():
     # concatenating {2,3} as "32" instead of "23" changes S but no
     # subset-level answer; the mapping through R absorbs the permutation
     reordered = WaveletTree([0, 1, 2, 0, 3, 1, 3, 2], 4)
-    canonical = ReductionI(WORKED, "wavelet")
+    canonical = build_reduction(WORKED, "reduction-i", "wavelet")
     r = PlainBitvector("100101101")
     assert reordered.rank(5, 0) == 2
     assert reordered.select(2, 2) == 7
@@ -75,7 +75,7 @@ def test_within_set_order_is_immaterial():
 
 def test_single_set_reduction():
     x = DegenerateString.from_sets(1, [[0]])
-    red = ReductionI(x)
+    red = build_reduction(x, "reduction-i")
     assert red._R.bits().tolist() == [1, 1]
     assert red.subset_rank(1, 0) == 1
     assert red.subset_select(1, 0) == 0
@@ -122,8 +122,8 @@ def test_variants_ii_and_iii_agree():
         n = int(rng.integers(1, 100))
         x = generate(int(rng.integers(1 << 30)), n, 4,
                      size_probs=[0.4, 0.3, 0.15, 0.1, 0.05])
-        a = ReductionII(x)
-        b = ReductionIII(x)
+        a = build_reduction(x, "reduction-ii")
+        b = build_reduction(x, "reduction-iii")
         idx = np.arange(x.n + 1)
         for c in range(4):
             assert np.array_equal(a.subset_rank_many(idx, np.full(idx.size, c)),
@@ -138,7 +138,7 @@ def test_variants_ii_and_iii_agree():
 
 def test_sentinel_not_queryable():
     x = DegenerateString.from_sets(3, [[0], [], [2]])
-    st = ReductionII(x)
+    st = build_reduction(x, "reduction-ii")
     assert st.sigma == 3
     with pytest.raises(IndexError):
         st.subset_rank(1, 3)
@@ -148,8 +148,8 @@ def test_sentinel_not_queryable():
 
 def test_component_accounting():
     x = generate(7, 500, 4, size_probs=[0.3, 0.4, 0.15, 0.1, 0.05])
-    ii = ReductionII(x)
-    iii = ReductionIII(x)
+    ii = build_reduction(x, "reduction-ii")
+    iii = build_reduction(x, "reduction-iii")
     assert set(ii.size_breakdown()) == {"S", "R"}
     assert set(iii.size_breakdown()) == {"S", "R", "E"}
     for st in (ii, iii):
@@ -228,3 +228,26 @@ def test_space_genomic_variant_iii_bitplane():
     # planes and counters dominate; E stays tiny because n0 is ~1% of n
     assert parts["E"] / x.N < 0.5
     assert parts["S"] / x.N < 2.2
+
+
+def test_constructors_reject_parts_that_do_not_fit():
+    x = generate(5, 200, 4, size_probs=[0.2] * 5)
+    iii = build_reduction(x, "reduction-iii")
+    S, R, E = iii._inner._S, iii._inner._R, iii._E
+    assert ReductionIII(4, S, R, E).decompose() == x
+    bits = R.bits()
+    for bad_R in (PlainBitvector(bits[:-1]),                  # one bit short of S
+                  PlainBitvector(np.r_[bits[:-1], 0]),        # no closing 1
+                  PlainBitvector(np.r_[0, bits[1:]])):        # set 0 does not start at 0
+        with pytest.raises(ValueError, match="R must"):
+            ReductionI(4, S, bad_R)
+    for sigma in (3, 5):  # symbol 3 occurs; the wavelet tree is over 4 symbols
+        with pytest.raises(ValueError, match="alphabet"):
+            ReductionI(sigma, S, R)
+    with pytest.raises(ValueError):
+        ReductionIII(4, S, R, SparseBitvector(E.length + 1, E.positions()))
+    # reduction-ii: S must hold the sentinel symbol sigma on top of the alphabet
+    ii = build_reduction(x, "reduction-ii")
+    assert ReductionII(4, ii._S, ii._R).n0 == x.n0
+    with pytest.raises(ValueError):
+        ReductionI(4, ii._S, ii._R)
