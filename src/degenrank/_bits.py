@@ -1,6 +1,16 @@
-"""Packed-word bit utilities shared by the rank-select structures."""
+"""Packed-word bit utilities and the query-argument checks shared by the
+rank-select structures.
+
+Every public query method checks its arguments once, with the helpers at
+the end of this module, and then calls an unchecked kernel (`_rank`,
+`_select`, `_rank_many`, `_select_many`). Kernels take Python ints, or flat
+int64 arrays of one length, that the checks have put in range, and call only
+the kernels of their components.
+"""
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -73,3 +83,72 @@ def select_in_words(words: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     r_in = ranks - (cum[rows, byte_idx] - cnt[rows, byte_idx])
     byte_vals = byte_mat[rows, byte_idx].astype(np.int64)
     return byte_idx * 8 + SELECT_IN_BYTE[byte_vals, r_in].astype(np.int64)
+
+
+# -- query arguments ---------------------------------------------------------
+
+
+def integers(values, what: str) -> np.ndarray:
+    """values as an array, ValueError unless its dtype is an integer type.
+
+    An empty list, which numpy makes float64, holds no non-integer and passes.
+    """
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr
+
+
+def index_arg(value, lo: int, hi: int, what: str, error=IndexError) -> int:
+    """One integer argument (an int, a numpy integer or a 0-d integer array)
+    as an int; ValueError for anything else, error unless lo <= value <= hi."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if not lo <= value <= hi:
+        raise error(f"{what} {value} out of range [{lo}, {hi}]")
+    return value
+
+
+def index_args(values, lo: int, hi, what: str, error=IndexError) -> np.ndarray:
+    """An integer argument of any shape as int64; error unless every value
+    lies in [lo, hi], where hi is an int or an array that broadcasts.
+
+    A uint64 value past the int64 range turns negative in the cast, so it
+    fails the check instead of wrapping into range.
+    """
+    arr = integers(values, what).astype(np.int64, copy=False)
+    if arr.size and (arr.min() < lo or (arr > hi).any()):
+        raise error(f"{what} out of range")
+    return arr
+
+
+def rank_arg(i, c, limit: int, sigma: int) -> tuple[int, int]:
+    """Scalar rank arguments: IndexError unless 0 <= i <= limit and 0 <= c < sigma."""
+    return index_arg(i, 0, limit, "prefix"), index_arg(c, 0, sigma - 1, "symbol")
+
+
+def select_arg(j, c, counts: np.ndarray) -> tuple[int, int]:
+    """Scalar select arguments: IndexError unless 0 <= c < len(counts),
+    ValueError unless 1 <= j <= counts[c]."""
+    c = index_arg(c, 0, counts.size - 1, "symbol")
+    return index_arg(j, 1, int(counts[c]), "select index", ValueError), c
+
+
+def rank_args(i, c, limit: int, sigma: int):
+    """rank_arg over arrays: c is broadcast against i and both are flattened;
+    the shape the answer takes comes third."""
+    return _flat(index_args(i, 0, limit, "prefix"), index_args(c, 0, sigma - 1, "symbol"))
+
+
+def select_args(j, c, counts: np.ndarray):
+    """select_arg over arrays, shaped as rank_args."""
+    c = index_args(c, 0, counts.size - 1, "symbol")
+    return _flat(index_args(j, 1, counts[c], "select index", ValueError), c)
+
+
+def _flat(a: np.ndarray, c: np.ndarray):
+    if a.shape != c.shape:
+        a, c = np.broadcast_arrays(a, c)  # ValueError when the shapes do not broadcast
+    return a.ravel(), c.ravel(), a.shape

@@ -4,13 +4,16 @@ Conventions used across the package: rank(i, b) counts occurrences of bit b
 in the half-open prefix [0, i), select(j, b) returns the 0-indexed position
 of the j-th occurrence (j >= 1). Out-of-range i raises IndexError, while a
 select argument beyond the number of occurrences raises ValueError.
+Both classes check arguments in the public methods of _BitQueries and
+answer in the unchecked kernels _rank, _select, _rank_many and _select_many.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._bits import MASK_LOW, pack_bits, popcount, select_in_word, select_in_words, unpack_bits
+from ._bits import (MASK_LOW, index_arg, index_args, pack_bits, popcount, select_in_word,
+                    select_in_words, unpack_bits)
 
 _SUPER_BITS = 512
 _WORDS_PER_SUPER = 8
@@ -32,7 +35,32 @@ def as_bit_array(bits) -> np.ndarray:
     return arr
 
 
-class PlainBitvector:
+class _BitQueries:
+    """Checked rank, select and bit over the kernels of a bitvector."""
+
+    def rank(self, i, b: int = 1) -> int:
+        _check_bit_value(b)
+        return self._rank(index_arg(i, 0, self.length, "rank prefix"), b)
+
+    def rank_many(self, i, b: int = 1) -> np.ndarray:
+        _check_bit_value(b)
+        i = index_args(i, 0, self.length, "rank prefix")
+        return self._rank_many(i.ravel(), b).reshape(i.shape)
+
+    def select(self, j, b: int = 1) -> int:
+        _check_bit_value(b)
+        return self._select(index_arg(j, 1, self.count(b), "select index", ValueError), b)
+
+    def select_many(self, j, b: int = 1) -> np.ndarray:
+        _check_bit_value(b)
+        j = index_args(j, 1, self.count(b), "select index", ValueError)
+        return self._select_many(j.ravel(), b).reshape(j.shape)
+
+    def bit(self, p) -> int:
+        return self._bit(index_arg(p, 0, self.length - 1, "bit position"))
+
+
+class PlainBitvector(_BitQueries):
     """Dense bitvector with two-level rank counts and sampled select.
 
     Every 512-bit superblock stores one absolute 64-bit count plus seven
@@ -94,10 +122,7 @@ class PlainBitvector:
     def count(self, b: int) -> int:
         return self._total_ones if b else self.length - self._total_ones
 
-    def bit(self, p: int) -> int:
-        p = int(p)
-        if not 0 <= p < self.length:
-            raise IndexError(f"bit position {p} out of range for length {self.length}")
+    def _bit(self, p: int) -> int:
         return (int(self._words[p >> 6]) >> (p & 63)) & 1
 
     def bits(self) -> np.ndarray:
@@ -105,27 +130,16 @@ class PlainBitvector:
 
     # -- rank --------------------------------------------------------------
 
-    def rank(self, i: int, b: int = 1) -> int:
-        _check_bit_value(b)
-        i = int(i)
-        if not 0 <= i <= self.length:
-            raise IndexError(f"rank prefix {i} out of range for length {self.length}")
-        r1 = self._rank1(i)
-        return r1 if b else i - r1
-
-    def _rank1(self, i: int) -> int:
+    def _rank(self, i: int, b: int = 1) -> int:
         w = i >> 6
         sb = i >> 9
         t = w & 7
         rel = (int(self._block9[sb]) >> (9 * t - 9)) & 511 if t else 0
         part = (int(self._words[w]) & ((1 << (i & 63)) - 1)).bit_count()
-        return int(self._superblocks[sb]) + rel + part
+        r1 = int(self._superblocks[sb]) + rel + part
+        return r1 if b else i - r1
 
-    def rank_many(self, i, b: int = 1) -> np.ndarray:
-        _check_bit_value(b)
-        i = np.asarray(i, dtype=np.int64)
-        if i.size and (i.min() < 0 or i.max() > self.length):
-            raise IndexError("rank prefix out of range")
+    def _rank_many(self, i: np.ndarray, b: int = 1) -> np.ndarray:
         w = i >> 6
         sb = i >> 9
         t = w & 7
@@ -137,12 +151,7 @@ class PlainBitvector:
 
     # -- select ------------------------------------------------------------
 
-    def select(self, j: int, b: int = 1) -> int:
-        _check_bit_value(b)
-        j = int(j)
-        total = self.count(b)
-        if not 1 <= j <= total:
-            raise ValueError(f"select({j}, {b}) out of range: only {total} occurrences")
+    def _select(self, j: int, b: int = 1) -> int:
         samples = self._samples1 if b else self._samples0
         k = (j - 1) // _SELECT_SAMPLE
         lo_sb = int(samples[k]) >> 9
@@ -176,14 +185,7 @@ class PlainBitvector:
         ones = int(self._superblocks[sb])
         return ones if b else sb * _SUPER_BITS - ones
 
-    def select_many(self, j, b: int = 1) -> np.ndarray:
-        _check_bit_value(b)
-        j = np.asarray(j, dtype=np.int64)
-        total = self.count(b)
-        if j.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if j.min() < 1 or j.max() > total:
-            raise ValueError(f"select batch out of range: only {total} occurrences")
+    def _select_many(self, j: np.ndarray, b: int = 1) -> np.ndarray:
         if b:
             counts = self._superblocks
         else:
@@ -215,7 +217,7 @@ class PlainBitvector:
         return f"PlainBitvector(length={self.length}, ones={self._total_ones})"
 
 
-class SparseBitvector:
+class SparseBitvector(_BitQueries):
     """Position-list bitvector for vectors with few ones.
 
     Stores the sorted positions of the ones in the narrowest unsigned dtype
@@ -259,9 +261,7 @@ class SparseBitvector:
     def count(self, b: int) -> int:
         return self.ones_count if b else self.zeros_count
 
-    def bit(self, p: int) -> int:
-        if not 0 <= p < self.length:
-            raise IndexError(f"bit position {p} out of range for length {self.length}")
+    def _bit(self, p: int) -> int:
         k = int(self._ones.searchsorted(self._key(p)))
         return 1 if k < self._ones.size and int(self._ones[k]) == p else 0
 
@@ -273,28 +273,15 @@ class SparseBitvector:
         # array on every call; any checked i <= length fits the stored dtype.
         return self._ones.dtype.type(i)
 
-    def rank(self, i: int, b: int = 1) -> int:
-        _check_bit_value(b)
-        i = int(i)
-        if not 0 <= i <= self.length:
-            raise IndexError(f"rank prefix {i} out of range for length {self.length}")
+    def _rank(self, i: int, b: int = 1) -> int:
         r1 = int(self._ones.searchsorted(self._key(i)))
         return r1 if b else i - r1
 
-    def rank_many(self, i, b: int = 1) -> np.ndarray:
-        _check_bit_value(b)
-        i = np.asarray(i, dtype=np.int64)
-        if i.size and (i.min() < 0 or i.max() > self.length):
-            raise IndexError("rank prefix out of range")
+    def _rank_many(self, i: np.ndarray, b: int = 1) -> np.ndarray:
         r1 = self._ones.searchsorted(i.astype(self._ones.dtype)).astype(np.int64)
         return r1 if b else i - r1
 
-    def select(self, j: int, b: int = 1) -> int:
-        _check_bit_value(b)
-        j = int(j)
-        total = self.count(b)
-        if not 1 <= j <= total:
-            raise ValueError(f"select({j}, {b}) out of range: only {total} occurrences")
+    def _select(self, j: int, b: int = 1) -> int:
         if b:
             return int(self._ones[j - 1])
         # count ones whose prefix holds fewer than j zeroes
@@ -307,14 +294,7 @@ class SparseBitvector:
                 hi = mid
         return j - 1 + lo
 
-    def select_many(self, j, b: int = 1) -> np.ndarray:
-        _check_bit_value(b)
-        j = np.asarray(j, dtype=np.int64)
-        total = self.count(b)
-        if j.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if j.min() < 1 or j.max() > total:
-            raise ValueError(f"select batch out of range: only {total} occurrences")
+    def _select_many(self, j: np.ndarray, b: int = 1) -> np.ndarray:
         if b:
             return self._ones[j - 1].astype(np.int64)
         diffs = self._ones.astype(np.int64) - np.arange(self._ones.size, dtype=np.int64)

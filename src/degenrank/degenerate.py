@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bits import integers
+
 DNA_ALPHABET = "ACGT"
 
 # Set-size probabilities [P(|X|=0), .., P(|X|=4)] for the genomic-like
@@ -27,13 +29,6 @@ DNA_ALPHABET = "ACGT"
 GENOMIC_SIZE_PROBS = (0.01, 0.80, 0.12, 0.05, 0.02)
 
 _GEN_CHUNK = 1 << 16
-
-
-def _integers(values, what: str) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.size and arr.dtype.kind not in "iu":
-        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
-    return arr
 
 
 def _min_uint(sigma: int):
@@ -57,8 +52,8 @@ class DegenerateString:
         self.sigma = int(sigma)
         if validate:
             # before the narrowing casts below, which wrap 256 to 0 and cut 2.7 to 2
-            symbols = _integers(symbols, "set members")
-            offsets = _integers(offsets, "offsets")
+            symbols = integers(symbols, "set members")
+            offsets = integers(offsets, "offsets")
             self._validate(symbols, offsets)
         self.symbols = np.asarray(symbols, dtype=_min_uint(self.sigma))
         self.offsets = np.asarray(offsets, dtype=np.int64)

@@ -22,10 +22,10 @@ import numpy as np
 
 from .bitvector import SparseBitvector
 from .degenerate import DegenerateString
-from .reductions import _build_base, _check_alphabet
+from .reductions import _build_base, _check_alphabet, _SubsetQueries
 
 
-class DsdStructure:
+class DsdStructure(_SubsetQueries):
     """Built from E, the base string of kept symbols and one overflow vector
     per symbol; sigma is the number of overflow vectors."""
 
@@ -48,76 +48,42 @@ class DsdStructure:
         self.n0 = E.ones_count
         self.base_name = base.base_name
         self.block_words = base.block_words
+        self._containing = base.symbol_counts()[:self.sigma] + self.overflow_counts()
 
-    def _check(self, c: int) -> None:
-        if not 0 <= c < self.sigma:
-            raise IndexError(f"symbol {c} out of range for sigma {self.sigma}")
+    def _rank(self, i: int, c: int) -> int:
+        dense = i - self._E._rank(i, 1)
+        return self._base._rank(dense, c) + self._overflow[c]._rank(i, 1)
 
-    def subset_rank(self, i: int, c: int) -> int:
-        self._check(c)
-        if not 0 <= i <= self.n:
-            raise IndexError(f"prefix {i} out of range for length {self.n}")
-        dense = i - self._E.rank(i, 1)
-        return self._base.rank(dense, c) + self._overflow[c].rank(i, 1)
-
-    def subset_rank_many(self, i, c) -> np.ndarray:
-        i = np.asarray(i, dtype=np.int64)
-        c = np.asarray(c, dtype=np.int64)
-        if c.ndim == 0:
-            c = np.full(i.shape, int(c), dtype=np.int64)
-        if i.size and (i.min() < 0 or i.max() > self.n):
-            raise IndexError("prefix out of range")
-        if c.size and (c.min() < 0 or c.max() >= self.sigma):
-            raise IndexError("symbol out of range")
-        dense = i - self._E.rank_many(i, 1)
-        out = self._base.rank_many(dense, c)
-        for cc in np.flatnonzero(np.bincount(c.ravel(), minlength=self.sigma)):
+    def _rank_many(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
+        dense = i - self._E._rank_many(i, 1)
+        out = self._base._rank_many(dense, c)
+        for cc in np.flatnonzero(np.bincount(c, minlength=self.sigma)):
             m = c == cc
-            out[m] += self._overflow[cc].rank_many(i[m], 1)
+            out[m] += self._overflow[cc]._rank_many(i[m], 1)
         return out
 
-    def containing_count(self, c: int) -> int:
-        self._check(c)
-        return self._base.symbol_count(c) + self._overflow[c].ones_count
-
-    def subset_select(self, j: int, c: int) -> int:
-        self._check(c)
-        j = int(j)
+    def _select(self, j: int, c: int) -> int:
         ov = self._overflow[c]
-        n_a, n_b = self._base.symbol_count(c), ov.ones_count
-        if not 1 <= j <= n_a + n_b:
-            raise ValueError(f"select({j}, {c}) out of range: only {n_a + n_b} containing sets")
+        n_a, n_b = int(self._base.symbol_counts()[c]), ov.ones_count
         # Smallest t with g(t) >= j - 1; every t below the range has g(t) < j - 1
         # and every t at or above it is past the end of B_c or has g(t) >= t >= j.
         lo, hi = max(0, j - 1 - n_a), min(j, n_b)
         hit = False
         while lo < hi:
             mid = (lo + hi) // 2
-            b = ov.select(mid + 1, 1)
-            g = mid + self._base.rank(b - self._E.rank(b, 1), c)
+            b = ov._select(mid + 1, 1)
+            g = mid + self._base._rank(b - self._E._rank(b, 1), c)
             if g < j - 1:
                 lo = mid + 1
             else:
                 hi, hit, found = mid, g == j - 1, b
         if hit:
             return found
-        return self._E.select(self._base.select(j - lo, c) + 1, 0)
+        return self._E._select(self._base._select(j - lo, c) + 1, 0)
 
-    def subset_select_many(self, j, c) -> np.ndarray:
-        j = np.asarray(j, dtype=np.int64)
-        c = np.asarray(c, dtype=np.int64)
-        if c.ndim == 0:
-            c = np.full(j.shape, int(c), dtype=np.int64)
-        if j.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        shape = j.shape
-        j, c = j.ravel(), c.ravel()
-        if c.min() < 0 or c.max() >= self.sigma:
-            raise IndexError("symbol out of range")
-        kept = np.array([self._base.symbol_count(cc) for cc in range(self.sigma)])
-        n_a, n_b = kept[c], self.overflow_counts()[c]
-        if j.min() < 1 or np.any(j > n_a + n_b):
-            raise ValueError("select batch out of range")
+    def _select_many(self, j: np.ndarray, c: np.ndarray) -> np.ndarray:
+        n_a = self._base.symbol_counts()[c]
+        n_b = self._containing[c] - n_a
         # The search of subset_select for every query at once. Queries are
         # sorted by symbol, then by j, so each round reads each overflow list
         # once and passes increasing keys to the E and base ranks.
@@ -139,9 +105,9 @@ class DsdStructure:
             start = 0
             for cc, end in zip(symbols.tolist(), ends.tolist()):
                 if end > start:
-                    b[start:end] = self._overflow[cc].select_many(mid[start:end] + 1, 1)
+                    b[start:end] = self._overflow[cc]._select_many(mid[start:end] + 1, 1)
                 start = end
-            g = mid + self._base.rank_many(b - self._E.rank_many(b, 1), cq)
+            g = mid + self._base._rank_many(b - self._E._rank_many(b, 1), cq)
             below = g < j[q] - 1
             lo[q[below]] = mid[below] + 1
             above = ~below
@@ -151,11 +117,11 @@ class DsdStructure:
             out[at] = b[above]
         rest = np.flatnonzero(~hit)
         if rest.size:
-            dense = self._base.select_many(j[rest] - lo[rest], c[rest])
-            out[rest] = self._E.select_many(dense + 1, 0)
+            dense = self._base._select_many(j[rest] - lo[rest], c[rest])
+            out[rest] = self._E._select_many(dense + 1, 0)
         result = np.empty_like(out)
         result[order] = out
-        return result.reshape(shape)
+        return result
 
     def size_breakdown(self) -> dict:
         out = {"E": self._E.size_bits(), "base": self._base.size_bits()}
@@ -186,12 +152,11 @@ class DsdStructure:
         syms = np.zeros(offsets[-1], dtype=np.int64)
         dense_idx = np.flatnonzero(mask)
         for c in range(self.sigma):
-            total = self._base.symbol_count(c)
-            if total:
-                js = np.arange(1, total + 1, dtype=np.int64)
-                rows = dense_idx[self._base.select_many(js, c)]
-                syms[fill[rows]] = c
-                fill[rows] += 1
+            total = int(self._base.symbol_counts()[c])
+            js = np.arange(1, total + 1, dtype=np.int64)
+            rows = dense_idx[self._base._select_many(js, np.full(total, c))]
+            syms[fill[rows]] = c
+            fill[rows] += 1
             pos = self._overflow[c].positions()
             if pos.size:
                 syms[fill[pos]] = c

@@ -18,7 +18,9 @@ Three interchangeable constructions over a degenerate string X:
 
 Each class is built from its components, S and R (and E for ReductionIII),
 and derives n, N and n0 from them; build_reduction and container.loads
-both end in these constructors.
+both end in these constructors. The public queries of _SubsetQueries check
+their arguments against the public alphabet once; below them every class
+calls only the unchecked kernels of its components.
 
 All queries are 0-indexed with half-open rank prefixes, like the rest of
 the package; the worked-example test pins the conversion from the common
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._bits import index_arg, rank_arg, rank_args, select_arg, select_args
 from .bitvector import PlainBitvector, SparseBitvector
 from .degenerate import DegenerateString
 from .strrank import BitPlaneRank, WaveletTree
@@ -52,18 +55,42 @@ def _build_base(symbols: np.ndarray, sigma: int, base: str, block_words: int):
 def _check_alphabet(S, sigma: int) -> None:
     """Reject a base string with a symbol >= sigma or a wavelet tree over another alphabet."""
     if ((S.base_name == "wavelet" and S.sigma != max(sigma, 1)) or sigma > S.sigma
-            or sum(S.symbol_count(c) for c in range(sigma)) != S.length):
+            or S.symbol_counts()[:sigma].sum() != S.length):
         raise ValueError(f"base string does not fit the alphabet of size {sigma}")
 
 
-class ReductionI:
+class _SubsetQueries:
+    """Checked subset queries over the kernels _rank, _select, _rank_many and
+    _select_many; a subclass sets n, sigma and _containing, the number of
+    sets that contain each symbol."""
+
+    def subset_rank(self, i, c) -> int:
+        return self._rank(*rank_arg(i, c, self.n, self.sigma))
+
+    def subset_select(self, j, c) -> int:
+        return self._select(*select_arg(j, c, self._containing))
+
+    def subset_rank_many(self, i, c) -> np.ndarray:
+        i, c, shape = rank_args(i, c, self.n, self.sigma)
+        return self._rank_many(i, c).reshape(shape)
+
+    def subset_select_many(self, j, c) -> np.ndarray:
+        j, c, shape = select_args(j, c, self._containing)
+        return self._select_many(j, c).reshape(shape)
+
+    def containing_count(self, c) -> int:
+        """Number of sets containing c (the select upper bound)."""
+        return int(self._containing[index_arg(c, 0, self.sigma - 1, "symbol")])
+
+
+class ReductionI(_SubsetQueries):
     """Concatenation + boundary bitvector; requires every set nonempty."""
 
     structure_name = "reduction-i"
     _sentinels = 0  # symbols of S past the public alphabet
 
     def __init__(self, sigma: int, S, R: PlainBitvector):
-        if S.length != R.length - 1 or not (R.bit(0) and R.bit(R.length - 1)):
+        if S.length != R.length - 1 or not (R._bit(0) and R._bit(R.length - 1)):
             raise ValueError("R must hold one bit per symbol of S plus one, "
                              "set at both ends")
         _check_alphabet(S, sigma + self._sentinels)
@@ -71,44 +98,24 @@ class ReductionI:
         self._S = S
         self._R = R
         self.n = R.ones_count - 1
-        self.n0 = S.symbol_count(self.sigma) if self._sentinels else 0
+        counts = S.symbol_counts()
+        self.n0 = int(counts[self.sigma]) if self._sentinels else 0
         self.N = R.length - 1 - self.n0
         self.base_name = S.base_name
         self.block_words = S.block_words
+        self._containing = counts[:self.sigma]  # each occurrence in S is one set
 
-    def _check(self, c: int) -> None:
-        if not 0 <= c < self.sigma:
-            raise IndexError(f"symbol {c} out of range for sigma {self.sigma}")
+    def _rank(self, i: int, c: int) -> int:
+        return self._S._rank(self._R._select(i + 1, 1), c)  # S up to the start of set i
 
-    def subset_rank(self, i: int, c: int) -> int:
-        self._check(c)
-        if not 0 <= i <= self.n:
-            raise IndexError(f"prefix {i} out of range for length {self.n}")
-        k = self._R.select(i + 1, 1)  # start of set i in S
-        return self._S.rank(k, c)
+    def _select(self, j: int, c: int) -> int:
+        return self._R._rank(self._S._select(j, c) + 1, 1) - 1
 
-    def subset_select(self, j: int, c: int) -> int:
-        self._check(c)
-        k = self._S.select(j, c)
-        return self._R.rank(k + 1, 1) - 1
+    def _rank_many(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return self._S._rank_many(self._R._select_many(i + 1, 1), c)
 
-    def subset_rank_many(self, i, c) -> np.ndarray:
-        i = np.asarray(i, dtype=np.int64)
-        if i.size and (i.min() < 0 or i.max() > self.n):
-            raise IndexError("prefix out of range")
-        k = self._R.select_many(i + 1, 1)
-        return self._S.rank_many(k, c)
-
-    def subset_select_many(self, j, c) -> np.ndarray:
-        j = np.asarray(j, dtype=np.int64)
-        if j.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        k = self._S.select_many(j, c)
-        return self._R.rank_many(k + 1, 1) - 1
-
-    def containing_count(self, c: int) -> int:
-        """Number of sets containing c (the select upper bound)."""
-        return self.subset_rank(self.n, c)
+    def _select_many(self, j: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return self._R._rank_many(self._S._select_many(j, c) + 1, 1) - 1
 
     def size_breakdown(self) -> dict:
         return {"S": self._S.size_bits(), "R": self._R.size_bits()}
@@ -119,13 +126,11 @@ class ReductionI:
     def _decompose_raw(self):
         """Rebuild (symbols, offsets) of the instance S and R were built on."""
         n_sets = self._R.ones_count - 1
-        starts = self._R.select_many(np.arange(1, n_sets + 2, dtype=np.int64), 1)
+        starts = self._R._select_many(np.arange(1, n_sets + 2, dtype=np.int64), 1)
         syms = np.zeros(self._R.length - 1, dtype=np.int64)
-        for c in range(self._S.sigma):
-            total = self._S.symbol_count(c)
-            if total:
-                js = np.arange(1, total + 1, dtype=np.int64)
-                syms[self._S.select_many(js, c)] = c
+        for c, total in enumerate(self._S.symbol_counts().tolist()):
+            js = np.arange(1, total + 1, dtype=np.int64)
+            syms[self._S._select_many(js, np.full(total, c))] = c
         return syms, starts
 
     def decompose(self) -> DegenerateString:
@@ -156,7 +161,7 @@ class ReductionII(ReductionI):
         return DegenerateString(self.sigma, syms[real], offsets, validate=False)
 
 
-class ReductionIII:
+class ReductionIII(_SubsetQueries):
     """Empty-position bitvector + ReductionI over the nonempty subsequence."""
 
     structure_name = "reduction-iii"
@@ -173,33 +178,19 @@ class ReductionIII:
         self.n0 = E.ones_count
         self.base_name = inner.base_name
         self.block_words = inner.block_words
+        self._containing = inner._containing
 
-    def subset_rank(self, i: int, c: int) -> int:
-        if not 0 <= i <= self.n:
-            raise IndexError(f"prefix {i} out of range for length {self.n}")
-        k = i - self._E.rank(i, 1)
-        return self._inner.subset_rank(k, c)
+    def _rank(self, i: int, c: int) -> int:
+        return self._inner._rank(i - self._E._rank(i, 1), c)
 
-    def subset_select(self, j: int, c: int) -> int:
-        k = self._inner.subset_select(j, c)
-        return self._E.select(k + 1, 0)
+    def _select(self, j: int, c: int) -> int:
+        return self._E._select(self._inner._select(j, c) + 1, 0)
 
-    def subset_rank_many(self, i, c) -> np.ndarray:
-        i = np.asarray(i, dtype=np.int64)
-        if i.size and (i.min() < 0 or i.max() > self.n):
-            raise IndexError("prefix out of range")
-        k = i - self._E.rank_many(i, 1)
-        return self._inner.subset_rank_many(k, c)
+    def _rank_many(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return self._inner._rank_many(i - self._E._rank_many(i, 1), c)
 
-    def subset_select_many(self, j, c) -> np.ndarray:
-        j = np.asarray(j, dtype=np.int64)
-        if j.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        k = self._inner.subset_select_many(j, c)
-        return self._E.select_many(k + 1, 0)
-
-    def containing_count(self, c: int) -> int:
-        return self._inner.subset_rank(self._inner.n, c)
+    def _select_many(self, j: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return self._E._select_many(self._inner._select_many(j, c) + 1, 0)
 
     def size_breakdown(self) -> dict:
         inner = self._inner.size_breakdown()

@@ -11,14 +11,16 @@ Two interchangeable backends:
   batch the comparison `NOT(high XOR h) AND NOT(low XOR l)`.
 
 Both use the same conventions as the bitvectors: rank(i, c) counts symbol c
-in [0, i), select(j, c) is 0-indexed with 1-indexed j.
+in [0, i), select(j, c) is 0-indexed with 1-indexed j. Both check arguments
+in the public methods of _StringQueries and answer in unchecked kernels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._bits import MASK_LOW, pack_bits, popcount, select_in_word, select_in_words
+from ._bits import (MASK_LOW, index_arg, pack_bits, popcount, rank_arg, rank_args,
+                    select_arg, select_args, select_in_word, select_in_words)
 from .bitvector import PlainBitvector
 
 
@@ -31,7 +33,32 @@ def _as_symbols(symbols, sigma: int) -> np.ndarray:
     return arr
 
 
-class WaveletTree:
+class _StringQueries:
+    """Checked rank, select and counts over the kernels of a string; a
+    subclass sets length and sigma and defines symbol_counts()."""
+
+    def symbol_count(self, c) -> int:
+        return int(self.symbol_counts()[index_arg(c, 0, self.sigma - 1, "symbol")])
+
+    def access(self, p) -> int:
+        return self._access(index_arg(p, 0, self.length - 1, "position"))
+
+    def rank(self, i, c) -> int:
+        return self._rank(*rank_arg(i, c, self.length, self.sigma))
+
+    def rank_many(self, i, c) -> np.ndarray:
+        i, c, shape = rank_args(i, c, self.length, self.sigma)
+        return self._rank_many(i, c).reshape(shape)
+
+    def select(self, j, c) -> int:
+        return self._select(*select_arg(j, c, self.symbol_counts()))
+
+    def select_many(self, j, c) -> np.ndarray:
+        j, c, shape = select_args(j, c, self.symbol_counts())
+        return self._select_many(j, c).reshape(shape)
+
+
+class WaveletTree(_StringQueries):
     """Balanced wavelet tree over sigma symbols backed by PlainBitvector.
 
     Level k partitions positions by the top k bits of their symbol; the
@@ -79,7 +106,7 @@ class WaveletTree:
         ones_at = []
         for bv in self._levels:
             s = starts[-1]
-            r1 = bv.rank_many(s, 1)
+            r1 = bv._rank_many(s)
             ones_at.append(r1)
             zeros = np.diff(s) - np.diff(r1)
             nxt = np.empty(2 * (s.size - 1) + 1, dtype=np.int64)
@@ -97,67 +124,43 @@ class WaveletTree:
 
     # -- queries -------------------------------------------------------------
 
-    def _check_symbol(self, c: int) -> None:
-        if not 0 <= c < self.sigma:
-            raise IndexError(f"symbol {c} out of range for sigma {self.sigma}")
+    def symbol_counts(self) -> np.ndarray:
+        """Occurrences of each symbol, indexed by symbol."""
+        return self._counts
 
-    def symbol_count(self, c: int) -> int:
-        self._check_symbol(c)
-        return int(self._counts[c])
-
-    def access(self, p: int) -> int:
-        p = int(p)
-        if not 0 <= p < self.length:
-            raise IndexError(f"position {p} out of range")
+    def _access(self, p: int) -> int:
         node, off, sym = 0, p, 0
         for k, bv in enumerate(self._levels):
             a = int(self._starts[k][node])
-            bit = bv.bit(a + off)
-            ones = bv.rank(a + off, 1) - int(self._ones_at[k][node])
+            bit = bv._bit(a + off)
+            ones = bv._rank(a + off) - int(self._ones_at[k][node])
             off = ones if bit else (off - ones)
             node = node * 2 + bit
             sym = sym * 2 + bit
         return sym
 
-    def rank(self, i: int, c: int) -> int:
-        self._check_symbol(c)
-        i, c = int(i), int(c)
-        if not 0 <= i <= self.length:
-            raise IndexError(f"rank prefix {i} out of range")
+    def _rank(self, i: int, c: int) -> int:
         p, node = i, 0
         for k, bv in enumerate(self._levels):
             a = int(self._starts[k][node])
-            ones = bv.rank(a + p, 1) - int(self._ones_at[k][node])
+            ones = bv._rank(a + p) - int(self._ones_at[k][node])
             bit = (c >> (self.nbits - 1 - k)) & 1
             p = ones if bit else p - ones
             node = node * 2 + bit
         return p
 
-    def rank_many(self, i, c) -> np.ndarray:
-        i = np.asarray(i, dtype=np.int64)
-        c = np.asarray(c, dtype=np.int64)
-        if c.ndim == 0:
-            c = np.full(i.shape, int(c), dtype=np.int64)
-        if i.size and (i.min() < 0 or i.max() > self.length):
-            raise IndexError("rank prefix out of range")
-        if c.size and (c.min() < 0 or c.max() >= self.sigma):
-            raise IndexError("symbol out of range")
+    def _rank_many(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
         p = i.copy()
         node = np.zeros(i.shape, dtype=np.int64)
         for k, bv in enumerate(self._levels):
             a = self._starts[k][node]
-            ones = bv.rank_many(a + p, 1) - self._ones_at[k][node]
+            ones = bv._rank_many(a + p) - self._ones_at[k][node]
             bit = (c >> (self.nbits - 1 - k)) & 1
             p = np.where(bit == 1, ones, p - ones)
             node = node * 2 + bit
         return p
 
-    def select(self, j: int, c: int) -> int:
-        self._check_symbol(c)
-        j, c = int(j), int(c)
-        total = int(self._counts[c])
-        if not 1 <= j <= total:
-            raise ValueError(f"select({j}, {c}) out of range: only {total} occurrences")
+    def _select(self, j: int, c: int) -> int:
         pos = j - 1
         for k in reversed(range(self.nbits)):
             bv = self._levels[k]
@@ -166,23 +169,13 @@ class WaveletTree:
             a = int(self._starts[k][node])
             oa = int(self._ones_at[k][node])
             if bit:
-                p = bv.select(oa + pos + 1, 1)
+                p = bv._select(oa + pos + 1, 1)
             else:
-                p = bv.select((a - oa) + pos + 1, 0)
+                p = bv._select((a - oa) + pos + 1, 0)
             pos = p - a
         return pos
 
-    def select_many(self, j, c) -> np.ndarray:
-        j = np.asarray(j, dtype=np.int64)
-        c = np.asarray(c, dtype=np.int64)
-        if c.ndim == 0:
-            c = np.full(j.shape, int(c), dtype=np.int64)
-        if c.size and (c.min() < 0 or c.max() >= self.sigma):
-            raise IndexError("symbol out of range")
-        if j.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if j.min() < 1 or np.any(j > self._counts[c]):
-            raise ValueError("select batch out of range")
+    def _select_many(self, j: np.ndarray, c: np.ndarray) -> np.ndarray:
         pos = j - 1
         for k in reversed(range(self.nbits)):
             bv = self._levels[k]
@@ -191,12 +184,12 @@ class WaveletTree:
             a = self._starts[k][node]
             oa = self._ones_at[k][node]
             p = np.empty(pos.shape, dtype=np.int64)
-            hi = bit == 1
-            if hi.any():
-                p[hi] = bv.select_many(oa[hi] + pos[hi] + 1, 1)
-            lo = ~hi
-            if lo.any():
-                p[lo] = bv.select_many((a[lo] - oa[lo]) + pos[lo] + 1, 0)
+            hi = np.flatnonzero(bit)
+            if hi.size:
+                p[hi] = bv._select_many(oa[hi] + pos[hi] + 1, 1)
+            lo = np.flatnonzero(bit ^ 1)
+            if lo.size:
+                p[lo] = bv._select_many((a[lo] - oa[lo]) + pos[lo] + 1, 0)
             pos = p - a
         return pos
 
@@ -211,7 +204,7 @@ class WaveletTree:
         return f"WaveletTree(length={self.length}, sigma={self.sigma})"
 
 
-class BitPlaneRank:
+class BitPlaneRank(_StringQueries):
     """Rank-select for sigma <= 4 via low/high bit planes and block counts.
 
     block_words sets the block granularity: one block covers 512*block_words
@@ -221,25 +214,20 @@ class BitPlaneRank:
 
     SIGMA = 4
     base_name = "bitplane"
+    MAX_BLOCK_WORDS = (2**63 - 1) // 512  # a block of 512 * block_words symbols fits in int64
 
     def __init__(self, symbols, block_words: int = 8):
-        if not isinstance(block_words, (int, np.integer)) or block_words < 1:
-            raise ValueError("block_words must be a positive integer")
         syms = _as_symbols(symbols, self.SIGMA)
         self.length = int(syms.size)
-        self.block_words = int(block_words)
         self._low = pack_bits((syms & 1).astype(np.uint8))
         self._high = pack_bits(((syms >> 1) & 1).astype(np.uint8))
-        self._build_counts()
+        self._build_counts(block_words)
 
     @classmethod
     def from_planes(cls, length: int, block_words: int, low, high) -> "BitPlaneRank":
         """Rebuild from the packed planes; rejects nonzero bits past length."""
-        if block_words < 1:
-            raise ValueError("block_words must be a positive integer")
         self = cls.__new__(cls)
         self.length = int(length)
-        self.block_words = int(block_words)
         self._low = np.asarray(low, dtype=np.uint64)
         self._high = np.asarray(high, dtype=np.uint64)
         expected = self.length // 64 + 1
@@ -247,11 +235,16 @@ class BitPlaneRank:
             raise ValueError("plane payload size does not match length")
         if (self._low[-1] | self._high[-1]) & ~MASK_LOW[self.length & 63]:
             raise ValueError("padding bits beyond the declared length must be zero")
-        self._build_counts()
+        self._build_counts(block_words)
         return self
 
-    def _build_counts(self) -> None:
+    def _build_counts(self, block_words) -> None:
+        self.block_words = index_arg(block_words, 1, self.MAX_BLOCK_WORDS, "block_words",
+                                     ValueError)
         wpb = 8 * self.block_words  # plane words per block
+        # A query scans at most one block of plane words, nor more than the string has.
+        self._scan_words = min(wpb, self._low.size)
+        self._chunk = max(1, (1 << 21) // self._scan_words)  # queries per batch chunk
         n_real = (self.length + 63) // 64 if self.length else 0
         n_blocks = -(-self.length // (512 * self.block_words)) if self.length else 0
         self._counts = np.zeros((n_blocks + 1, self.SIGMA), dtype=np.int64)
@@ -281,28 +274,17 @@ class BitPlaneRank:
     def sigma(self) -> int:
         return self.SIGMA
 
-    def _check_symbol(self, c: int) -> None:
-        if not 0 <= c < self.SIGMA:
-            raise IndexError(f"symbol {c} out of range for sigma {self.SIGMA}")
+    def symbol_counts(self) -> np.ndarray:
+        """Occurrences of each symbol, indexed by symbol."""
+        return self._counts[-1]
 
-    def symbol_count(self, c: int) -> int:
-        self._check_symbol(c)
-        return int(self._counts[-1, c])
-
-    def access(self, p: int) -> int:
-        p = int(p)
-        if not 0 <= p < self.length:
-            raise IndexError(f"position {p} out of range")
+    def _access(self, p: int) -> int:
         w, o = p >> 6, p & 63
         lo = (int(self._low[w]) >> o) & 1
         hi = (int(self._high[w]) >> o) & 1
         return hi * 2 + lo
 
-    def rank(self, i: int, c: int) -> int:
-        self._check_symbol(c)
-        i, c = int(i), int(c)
-        if not 0 <= i <= self.length:
-            raise IndexError(f"rank prefix {i} out of range")
+    def _rank(self, i: int, c: int) -> int:
         block = i // (512 * self.block_words)
         out = int(self._counts[block, c])
         w0 = block * 8 * self.block_words
@@ -316,29 +298,19 @@ class BitPlaneRank:
             out += int(m).bit_count()
         return out
 
-    def rank_many(self, i, c) -> np.ndarray:
-        i = np.asarray(i, dtype=np.int64)
-        c = np.asarray(c, dtype=np.int64)
-        if c.ndim == 0:
-            c = np.full(i.shape, int(c), dtype=np.int64)
-        if i.size and (i.min() < 0 or i.max() > self.length):
-            raise IndexError("rank prefix out of range")
-        if c.size and (c.min() < 0 or c.max() >= self.SIGMA):
-            raise IndexError("symbol out of range")
+    def _rank_many(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
         out = np.empty(i.shape, dtype=np.int64)
-        step = max(1, (1 << 21) // (8 * self.block_words))
-        for s in range(0, i.size, step):
-            sl = slice(s, min(s + step, i.size))
+        for s in range(0, i.size, self._chunk):
+            sl = slice(s, s + self._chunk)
             out[sl] = self._rank_chunk(i[sl], c[sl])
         return out
 
     def _rank_chunk(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
-        wpb = 8 * self.block_words
         block = i // (512 * self.block_words)
         out = self._counts[block, c]
-        w0 = block * wpb
+        w0 = block * (8 * self.block_words)
         w1 = i >> 6
-        cols = w0[:, None] + np.arange(wpb, dtype=np.int64)[None, :]
+        cols = w0[:, None] + np.arange(self._scan_words, dtype=np.int64)[None, :]
         live = cols < w1[:, None]
         cols = np.minimum(cols, self._low.size - 1)
         m = _match_words(self._low[cols], self._high[cols], c[:, None])
@@ -347,12 +319,7 @@ class BitPlaneRank:
         m_last = _match_words(self._low[w1], self._high[w1], c) & MASK_LOW[i & 63]
         return out + popcount(m_last)
 
-    def select(self, j: int, c: int) -> int:
-        self._check_symbol(c)
-        j, c = int(j), int(c)
-        total = int(self._counts[-1, c])
-        if not 1 <= j <= total:
-            raise ValueError(f"select({j}, {c}) out of range: only {total} occurrences")
+    def _select(self, j: int, c: int) -> int:
         col = self._counts[:, c]
         block = int(np.searchsorted(col, j, side="left")) - 1
         target = j - int(col[block])
@@ -371,36 +338,23 @@ class BitPlaneRank:
         r = target - 1 - (int(cum[idx]) - int(pops[idx]))
         return (w0 + idx) * 64 + select_in_word(int(m[idx]), r)
 
-    def select_many(self, j, c) -> np.ndarray:
-        j = np.asarray(j, dtype=np.int64)
-        c = np.asarray(c, dtype=np.int64)
-        if c.ndim == 0:
-            c = np.full(j.shape, int(c), dtype=np.int64)
-        if c.size and (c.min() < 0 or c.max() >= self.SIGMA):
-            raise IndexError("symbol out of range")
-        if j.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        totals = self._counts[-1, c]
-        if j.min() < 1 or np.any(j > totals):
-            raise ValueError("select batch out of range")
+    def _select_many(self, j: np.ndarray, c: np.ndarray) -> np.ndarray:
         out = np.empty(j.shape, dtype=np.int64)
-        step = max(1, (1 << 21) // (8 * self.block_words))
-        for s in range(0, j.size, step):
-            sl = slice(s, min(s + step, j.size))
+        for s in range(0, j.size, self._chunk):
+            sl = slice(s, s + self._chunk)
             out[sl] = self._select_chunk(j[sl], c[sl])
         return out
 
     def _select_chunk(self, j: np.ndarray, c: np.ndarray) -> np.ndarray:
-        wpb = 8 * self.block_words
         block = np.empty(j.shape, dtype=np.int64)
         for cc in range(self.SIGMA):
-            rows = c == cc
-            if rows.any():
+            rows = np.flatnonzero(c == cc)
+            if rows.size:
                 block[rows] = np.searchsorted(self._counts[:, cc], j[rows], side="left") - 1
         target = j - self._counts[block, c]
-        w0 = block * wpb
+        w0 = block * (8 * self.block_words)
         n_real = (self.length + 63) // 64
-        cols = w0[:, None] + np.arange(wpb, dtype=np.int64)[None, :]
+        cols = w0[:, None] + np.arange(self._scan_words, dtype=np.int64)[None, :]
         live = cols < n_real
         cols_c = np.minimum(cols, self._low.size - 1)
         m = _match_words(self._low[cols_c], self._high[cols_c], c[:, None])

@@ -137,13 +137,21 @@ def test_variants_ii_and_iii_agree():
 
 
 def test_sentinel_not_queryable():
-    x = DegenerateString.from_sets(3, [[0], [], [2]])
-    st = build_reduction(x, "reduction-ii")
-    assert st.sigma == 3
-    with pytest.raises(IndexError):
-        st.subset_rank(1, 3)
-    with pytest.raises(IndexError):
-        st.subset_select(1, 3)
+    # Symbol 3 is the reduction-ii sentinel, and on the bitplane base a symbol
+    # the string could hold; neither is in the public alphabet.
+    x = DegenerateString.from_sets(3, [[0], [], [2], [0, 1], [], [1, 2]])
+    full = DegenerateString.from_sets(3, [[0], [2], [0, 1], [1, 2], [1], [0, 2]])
+    structures = [build_reduction(full, "reduction-i", "bitplane")]
+    structures += [build_reduction(x, v, b) for v in ("reduction-ii", "reduction-iii")
+                   for b in ("wavelet", "bitplane")]
+    for st in structures:
+        assert st.sigma == 3
+        for query in (lambda: st.subset_rank(1, 3), lambda: st.subset_select(1, 3),
+                      lambda: st.subset_rank_many([6], [3]),
+                      lambda: st.subset_select_many([1], [3]),
+                      lambda: st.containing_count(3)):
+            with pytest.raises(IndexError):
+                query()
 
 
 def test_component_accounting():

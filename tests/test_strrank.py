@@ -210,3 +210,36 @@ def test_numpy_scalar_arguments():
         want = int((syms == 3).sum())
         assert st.rank(i, c) == want
         assert st.select(np.int64(want), c) == int(np.flatnonzero(syms == 3)[-1])
+
+
+def test_block_words_beyond_the_string():
+    # from a container: a block far longer than the string still answers exactly
+    zeros = np.zeros(2, dtype=np.uint64)
+    bp = BitPlaneRank.from_planes(100, 2**40, zeros, zeros)
+    assert bp.rank_many([0, 50, 100], 0).tolist() == [0, 50, 100]
+    assert bp.select_many([1, 100], 0).tolist() == [0, 99]
+    assert bp.rank(100, 0) == 100 and bp.select(100, 0) == 99
+    rng = np.random.default_rng(83)
+    syms = random_symbols(rng, 3000, 4)
+    ref = BitPlaneRank(syms, block_words=1)
+    i = rng.integers(0, 3001, size=500)
+    c = rng.integers(0, 4, size=500)
+    j = rng.integers(1, ref.symbol_counts()[c] + 1)
+    length, _, low, high = ref.plane_payload()
+    for bw in (2**40, 2**54 - 1):  # 512 * (2**54 - 1) is the largest block int64 holds
+        for bp in (BitPlaneRank(syms, block_words=bw),
+                   BitPlaneRank.from_planes(length, bw, low, high)):
+            assert np.array_equal(bp.rank_many(i, c), ref.rank_many(i, c))
+            assert np.array_equal(bp.select_many(j, c), ref.select_many(j, c))
+            assert bp.rank(int(i[0]), int(c[0])) == ref.rank(int(i[0]), int(c[0]))
+            assert bp.select(int(j[0]), int(c[0])) == ref.select(int(j[0]), int(c[0]))
+
+
+@pytest.mark.parametrize("block_words", [2**54, 2**60, 2**64 - 1,
+                                         0, -1, 2.0])
+def test_block_words_whose_block_overflows_int64_are_rejected(block_words):
+    zeros = np.zeros(2, dtype=np.uint64)
+    with pytest.raises(ValueError, match="block_words"):
+        BitPlaneRank.from_planes(100, block_words, zeros, zeros)
+    with pytest.raises(ValueError, match="block_words"):
+        BitPlaneRank(np.zeros(100, dtype=np.int64), block_words=block_words)
