@@ -12,27 +12,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bits import (MASK_LOW, index_arg, index_args, pack_bits, popcount, select_in_word,
-                    select_in_words, unpack_bits)
+from ._bits import (MASK_LOW, index_arg, index_args, integers, pack_bits, popcount,
+                    select_in_word, select_in_words, unpack_bits)
 
 _SUPER_BITS = 512
 _WORDS_PER_SUPER = 8
 _SELECT_SAMPLE = 8192
 _SH9 = np.arange(7, dtype=np.uint64) * np.uint64(9)
 _FULL_WORD = (1 << 64) - 1
+_INT64_MAX = (1 << 63) - 1
 
 
 def as_bit_array(bits) -> np.ndarray:
-    """Coerce a '0101' string or any 0/1 sequence to a uint8 array."""
+    """Coerce a '0101' string or any 0/1 sequence of integers or booleans to
+    a uint8 array; ValueError for anything else, checked before the cast."""
     if isinstance(bits, str):
         arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
     else:
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
+        if arr.dtype != bool:
+            arr = integers(arr, "bits")
     if arr.ndim != 1:
         raise ValueError("bit input must be one-dimensional")
-    if arr.size and arr.max() > 1:
+    if arr.size and (arr.min() < 0 or arr.max() > 1):
         raise ValueError("bit input must contain only 0 and 1")
-    return arr
+    return arr.astype(np.uint8, copy=False)
 
 
 class _BitQueries:
@@ -228,17 +232,12 @@ class SparseBitvector(_BitQueries):
     """
 
     def __init__(self, length: int, ones):
-        length = int(length)
-        if length < 0:
-            raise ValueError("length must be nonnegative")
-        ones = np.asarray(ones, dtype=np.int64)
+        length = index_arg(length, 0, _INT64_MAX, "length", ValueError)
+        ones = index_args(ones, 0, length - 1, "one positions", ValueError)
         if ones.ndim != 1:
             raise ValueError("ones must be one-dimensional")
-        if ones.size:
-            if ones[0] < 0 or ones[-1] >= length:
-                raise ValueError("one positions out of range")
-            if np.any(np.diff(ones) <= 0):
-                raise ValueError("one positions must be strictly increasing")
+        if np.any(np.diff(ones) <= 0):
+            raise ValueError("one positions must be strictly increasing")
         self.length = length
         self._ones = ones.astype(_pos_dtype(length))
 

@@ -10,7 +10,8 @@ Base tags: 0 wavelet, 1 bitplane. Component sub-tags: 1 meta (sigma, n, N,
 n0, block_words as five u64), 2 plain bitvector (length u64 + packed
 words), 3 sparse bitvector (length u64, count u64, positions as u64), 4
 wavelet levels (sigma u64, length u64, level words back to back), 5 bit
-planes (length u64, block_words u64, low words, high words).
+planes (length u64, block_words u64, low words, high words). The DSD
+overflow vectors span the n - n0 nonempty sets, like its base string.
 
 Only payloads are stored; rank/select support structures are rebuilt on
 load, which keeps the format small and makes every loaded structure

@@ -16,11 +16,17 @@ Three interchangeable constructions over a degenerate string X:
   Ranks shift i by the empties before it; selects map back through the
   zeroes of E.
 
+E is handled in one layer, _Empties, which puts E over any structure of the
+nonempty sets: ReductionIII is _Empties over ReductionI, and the DSD is
+_Empties over its decomposition of the nonempty sets. No other layer
+queries E.
+
 Each class is built from its components, S and R (and E for ReductionIII),
 and derives n, N and n0 from them; build_reduction and container.loads
 both end in these constructors. The public queries of _SubsetQueries check
 their arguments against the public alphabet once; below them every class
-calls only the unchecked kernels of its components.
+calls only the unchecked kernels of its components. decompose, size_bits
+and repr are defined once, on _SubsetQueries, over those kernels.
 
 All queries are 0-indexed with half-open rank prefixes, like the rest of
 the package; the worked-example test pins the conversion from the common
@@ -61,8 +67,9 @@ def _check_alphabet(S, sigma: int) -> None:
 
 class _SubsetQueries:
     """Checked subset queries over the kernels _rank, _select, _rank_many and
-    _select_many; a subclass sets n, sigma and _containing, the number of
-    sets that contain each symbol."""
+    _select_many; a subclass sets sigma, n, N, n0, base_name and
+    _containing, the number of sets that contain each symbol, and defines
+    size_breakdown()."""
 
     def subset_rank(self, i, c) -> int:
         return self._rank(*rank_arg(i, c, self.n, self.sigma))
@@ -81,6 +88,63 @@ class _SubsetQueries:
     def containing_count(self, c) -> int:
         """Number of sets containing c (the select upper bound)."""
         return int(self._containing[index_arg(c, 0, self.sigma - 1, "symbol")])
+
+    def size_bits(self) -> int:
+        return sum(self.size_breakdown().values())
+
+    def decompose(self) -> DegenerateString:
+        """Read the instance back: set k holds c exactly when k is one of the
+        sets containing c, which select lists in ascending order."""
+        counts = self._containing
+        c = np.repeat(np.arange(self.sigma, dtype=np.int64), counts)
+        before = np.repeat(np.cumsum(counts) - counts, counts)  # occurrences of smaller symbols
+        j = np.arange(1, c.size + 1, dtype=np.int64) - before
+        sets = self._select_many(j, c)
+        offsets = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sets, minlength=self.n), out=offsets[1:])
+        # a stable sort by set keeps the members of each set in symbol order
+        return DegenerateString(self.sigma, c[np.argsort(sets, kind="stable")], offsets,
+                                validate=False)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(sigma={self.sigma}, n={self.n}, N={self.N}, "
+                f"n0={self.n0}, base={self.base_name})")
+
+
+class _Empties(_SubsetQueries):
+    """Reduction iii's empty-set layer: E marks the empty sets, and inner
+    answers queries over the nonempty ones. Ranks skip the empties before i;
+    selects map inner's answer through the zeros of E. This is the only
+    layer that queries E."""
+
+    def __init__(self, E: SparseBitvector, inner):
+        if E.zeros_count != inner.n:
+            raise ValueError(f"E marks {E.zeros_count} nonempty sets, "
+                             f"the structure over them holds {inner.n}")
+        self._E = E
+        self._inner = inner
+        self.sigma = inner.sigma
+        self.n = E.length
+        self.N = inner.N
+        self.n0 = E.ones_count
+        self.base_name = inner.base_name
+        self.block_words = inner.block_words
+        self._containing = inner._containing
+
+    def _rank(self, i: int, c: int) -> int:
+        return self._inner._rank(i - self._E._rank(i, 1), c)
+
+    def _select(self, j: int, c: int) -> int:
+        return self._E._select(self._inner._select(j, c) + 1, 0)
+
+    def _rank_many(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return self._inner._rank_many(i - self._E._rank_many(i, 1), c)
+
+    def _select_many(self, j: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return self._E._select_many(self._inner._select_many(j, c) + 1, 0)
+
+    def size_breakdown(self) -> dict:
+        return {**self._inner.size_breakdown(), "E": self._E.size_bits()}
 
 
 class ReductionI(_SubsetQueries):
@@ -120,28 +184,6 @@ class ReductionI(_SubsetQueries):
     def size_breakdown(self) -> dict:
         return {"S": self._S.size_bits(), "R": self._R.size_bits()}
 
-    def size_bits(self) -> int:
-        return sum(self.size_breakdown().values())
-
-    def _decompose_raw(self):
-        """Rebuild (symbols, offsets) of the instance S and R were built on."""
-        n_sets = self._R.ones_count - 1
-        starts = self._R._select_many(np.arange(1, n_sets + 2, dtype=np.int64), 1)
-        syms = np.zeros(self._R.length - 1, dtype=np.int64)
-        for c, total in enumerate(self._S.symbol_counts().tolist()):
-            js = np.arange(1, total + 1, dtype=np.int64)
-            syms[self._S._select_many(js, np.full(total, c))] = c
-        return syms, starts
-
-    def decompose(self) -> DegenerateString:
-        """Reconstruct the original instance from S and R."""
-        syms, starts = self._decompose_raw()
-        return DegenerateString(self.sigma, syms, starts, validate=False)
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}(sigma={self.sigma}, n={self.n}, "
-                f"N={self.N}, base={self.base_name})")
-
 
 class ReductionII(ReductionI):
     """Sentinel transform: empty sets become singleton {sigma}, then ReductionI."""
@@ -149,69 +191,14 @@ class ReductionII(ReductionI):
     structure_name = "reduction-ii"
     _sentinels = 1
 
-    def decompose(self) -> DegenerateString:
-        syms, starts = self._decompose_raw()
-        real = syms != self.sigma  # drop the sentinel singletons
-        sizes = np.diff(starts)
-        set_of = np.repeat(np.arange(self.n, dtype=np.int64), sizes)
-        counts = np.zeros(self.n, dtype=np.int64)
-        np.add.at(counts, set_of[real], 1)
-        offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return DegenerateString(self.sigma, syms[real], offsets, validate=False)
 
-
-class ReductionIII(_SubsetQueries):
-    """Empty-position bitvector + ReductionI over the nonempty subsequence."""
+class ReductionIII(_Empties):
+    """E over ReductionI of the nonempty sets."""
 
     structure_name = "reduction-iii"
 
     def __init__(self, sigma: int, S, R: PlainBitvector, E: SparseBitvector):
-        inner = ReductionI(sigma, S, R)
-        if E.zeros_count != inner.n:
-            raise ValueError(f"E marks {E.zeros_count} nonempty sets, S and R hold {inner.n}")
-        self._E = E
-        self._inner = inner
-        self.sigma = inner.sigma
-        self.n = E.length
-        self.N = inner.N
-        self.n0 = E.ones_count
-        self.base_name = inner.base_name
-        self.block_words = inner.block_words
-        self._containing = inner._containing
-
-    def _rank(self, i: int, c: int) -> int:
-        return self._inner._rank(i - self._E._rank(i, 1), c)
-
-    def _select(self, j: int, c: int) -> int:
-        return self._E._select(self._inner._select(j, c) + 1, 0)
-
-    def _rank_many(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return self._inner._rank_many(i - self._E._rank_many(i, 1), c)
-
-    def _select_many(self, j: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return self._E._select_many(self._inner._select_many(j, c) + 1, 0)
-
-    def size_breakdown(self) -> dict:
-        inner = self._inner.size_breakdown()
-        return {"S": inner["S"], "R": inner["R"], "E": self._E.size_bits()}
-
-    def size_bits(self) -> int:
-        return sum(self.size_breakdown().values())
-
-    def decompose(self) -> DegenerateString:
-        packed = self._inner.decompose()
-        mask = np.ones(self.n, dtype=bool)
-        mask[self._E.positions()] = False
-        sizes = np.zeros(self.n, dtype=np.int64)
-        sizes[mask] = np.diff(packed.offsets)
-        offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        return DegenerateString(self.sigma, packed.symbols, offsets, validate=False)
-
-    def __repr__(self) -> str:
-        return (f"ReductionIII(sigma={self.sigma}, n={self.n}, N={self.N}, "
-                f"n0={self.n0}, base={self.base_name})")
+        super().__init__(E, ReductionI(sigma, S, R))
 
 
 def normalize_variant(variant: str) -> str:

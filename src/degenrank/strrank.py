@@ -19,18 +19,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bits import (MASK_LOW, index_arg, pack_bits, popcount, rank_arg, rank_args,
+from ._bits import (MASK_LOW, index_arg, integers, pack_bits, popcount, rank_arg, rank_args,
                     select_arg, select_args, select_in_word, select_in_words)
 from .bitvector import PlainBitvector
 
 
 def _as_symbols(symbols, sigma: int) -> np.ndarray:
-    arr = np.asarray(symbols, dtype=np.int64)
+    arr = integers(symbols, "symbols")  # checked before the int64 cast narrows it
     if arr.ndim != 1:
         raise ValueError("symbols must be one-dimensional")
     if arr.size and (arr.min() < 0 or arr.max() >= sigma):
         raise ValueError(f"symbols must lie in [0, {sigma})")
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 class _StringQueries:

@@ -154,6 +154,16 @@ def test_argument_validation():
         SparseBitvector(5, [5])
     with pytest.raises(ValueError):
         PlainBitvector([0, 2, 1])
+    # checked before the casts, which would narrow each of these to bits or ints
+    for bad in (lambda: PlainBitvector(np.array([256, 1, 257])),
+                lambda: PlainBitvector(np.array([-255, 0])),
+                lambda: PlainBitvector([0.5, 1.0]),
+                lambda: PlainBitvector([256, 1]),
+                lambda: SparseBitvector(10, [1.5, 4.2]),
+                lambda: SparseBitvector(10.7, [1]),
+                lambda: SparseBitvector(-1, [])):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_empty_and_constant_vectors():

@@ -218,3 +218,33 @@ def test_constructor_rejects_parts_that_do_not_fit():
         DsdStructure(E, base, overflow[:3] + [SparseBitvector(E.length + 1, [])])
     with pytest.raises(ValueError):  # the base is over 4 symbols, not 3
         DsdStructure(E, base, overflow[:3])
+    # overflow vectors span the nonempty sets, not all n of them
+    assert E.ones_count > 0
+    spanning_n = [SparseBitvector(E.length, E.select_many(ov.positions() + 1, 0))
+                  for ov in overflow]
+    with pytest.raises(ValueError, match="overflow"):
+        DsdStructure(E, base, spanning_n)
+
+
+def test_only_one_select_on_E_per_query():
+    # A select search step is one base rank and one overflow lookup; E maps
+    # the answer to a set position once, at the end, and is never ranked.
+    x = generate(5, 2000, 6, "uniform")
+    d = build_dsd(x)
+    assert d.n0 == 301
+    E = d.components()[0]
+    calls = {}
+    for name in ("_rank", "_select", "_rank_many", "_select_many"):
+        def counted(*args, name=name, kernel=getattr(E, name)):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args)
+        setattr(E, name, counted)
+    for c in range(x.sigma):
+        pos = positions_of(x, c)
+        for j in (1, pos.size // 2, pos.size):
+            calls.clear()
+            assert d.subset_select(j, c) == pos[j - 1]
+            assert calls == {"_select": 1}
+        calls.clear()
+        assert np.array_equal(d.subset_select_many(np.arange(1, pos.size + 1), c), pos)
+        assert calls == {"_select_many": 1}

@@ -149,6 +149,10 @@ def test_argument_validation():
         WaveletTree(syms, 3)
     with pytest.raises(ValueError):
         BitPlaneRank(np.array([0, 4, 1]))
+    with pytest.raises(ValueError):  # not cut to 0 1 3
+        WaveletTree([0.5, 1.7, 3.9], 4)
+    with pytest.raises(ValueError):  # not cut to 0 2
+        BitPlaneRank([0.5, 2.9])
     with pytest.raises(ValueError):
         BitPlaneRank(syms, block_words=0)
 
