@@ -29,7 +29,7 @@ assert pb.rank(p, 1) == j - 1 and pb.bit(p) == 1
 # zeros are first-class too: select the 10th zero
 print("10th zero at:", pb.select(10, 0))
 
-# the plain layout costs a fixed ~27% on top of the raw bits
+# the plain layout costs a fixed ~25% on top of the raw bits
 print(f"plain: {pb.size_bits() / pb.length:.3f} bits per bit")
 
 # at this density a position list is far smaller, same interface

@@ -15,6 +15,7 @@ import operator
 import numpy as np
 
 WORD_BITS = 64
+INT64_MAX = (1 << 63) - 1
 
 # MASK_LOW[k] has the k lowest bits set; MASK_LOW[0] == 0.  Kept as uint64 so
 # that `word & MASK_LOW[k]` never promotes to a wider or signed dtype.
@@ -56,6 +57,24 @@ def unpack_bits(words: np.ndarray, length: int) -> np.ndarray:
     """Inverse of pack_bits, trimmed to `length` bits."""
     raw = np.unpackbits(words.view(np.uint8), bitorder="little")
     return raw[:length]
+
+
+def packed_payload(length, *planes):
+    """The length and planes of a packed bit payload as an int and uint64 arrays,
+    checked before any cast: ValueError unless length >= 0 and each plane is
+    length // 64 + 1 integers in [0, 2**64) with no bit set at or past length."""
+    length = index_arg(length, 0, INT64_MAX, "payload length", ValueError)
+    checked = []
+    for words in planes:
+        arr = integers(words, "payload words")
+        if arr.shape != (length // WORD_BITS + 1,) or (arr.dtype.kind == "i" and arr.min() < 0):
+            raise ValueError(f"a payload of length {length} is {length // WORD_BITS + 1} "
+                             f"words in [0, 2**64), got shape {arr.shape}")
+        arr = arr.astype(np.uint64, copy=False)
+        if arr[-1] & ~MASK_LOW[length & 63]:
+            raise ValueError("padding bits beyond the declared length must be zero")
+        checked.append(arr)
+    return length, checked
 
 
 def popcount(words: np.ndarray) -> np.ndarray:

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bits import (MASK_LOW, index_arg, index_args, integers, pack_bits, popcount,
-                    select_in_word, select_in_words, unpack_bits)
+from ._bits import (INT64_MAX, MASK_LOW, index_arg, index_args, integers, pack_bits,
+                    packed_payload, popcount, select_in_word, select_in_words, unpack_bits)
 
 _SUPER_BITS = 512
 _WORDS_PER_SUPER = 8
-_SELECT_SAMPLE = 8192
 _SH9 = np.arange(7, dtype=np.uint64) * np.uint64(9)
 _FULL_WORD = (1 << 64) - 1
-_INT64_MAX = (1 << 63) - 1
 
 
 def as_bit_array(bits) -> np.ndarray:
@@ -65,39 +63,32 @@ class _BitQueries:
 
 
 class PlainBitvector(_BitQueries):
-    """Dense bitvector with two-level rank counts and sampled select.
+    """Dense bitvector: the packed words plus two-level rank counts.
 
     Every 512-bit superblock stores one absolute 64-bit count plus seven
     relative word counts packed 9 bits each into a single extra word, so the
-    rank overhead stays near ell/4 bits. Select keeps every 8192-th
-    occurrence of each bit value and finishes with a bounded superblock
-    search inside the bracket.
+    vector takes about 1.25 bits per bit and rank is O(1). Select binary
+    searches the same superblock counts, then the relative word counts, and
+    finishes inside one word; it stores nothing of its own.
     """
 
     def __init__(self, bits):
         arr = as_bit_array(bits)
-        self.length = int(arr.size)
-        self._words = pack_bits(arr)
-        self._build_counts()
-        ones = np.flatnonzero(arr).astype(np.int64)
-        zeros = np.flatnonzero(arr == 0).astype(np.int64)
-        self._samples1 = ones[::_SELECT_SAMPLE].copy()
-        self._samples0 = zeros[::_SELECT_SAMPLE].copy()
+        self._build_counts(arr.size, pack_bits(arr))
 
     @classmethod
     def from_words(cls, length: int, words: np.ndarray) -> "PlainBitvector":
-        """Rebuild from the packed payload; rejects nonzero padding bits."""
-        words = np.asarray(words, dtype=np.uint64)
-        expected = length // 64 + 1
-        if words.size != expected:
-            raise ValueError(f"expected {expected} words for length {length}, got {words.size}")
-        raw = np.unpackbits(words.view(np.uint8), bitorder="little")
-        if raw[length:].any():
-            raise ValueError("padding bits beyond the declared length must be zero")
-        return cls(raw[:length])
+        """Rebuild from the packed payload, whose words are kept as given;
+        rejects nonzero padding bits."""
+        self = cls.__new__(cls)
+        length, (words,) = packed_payload(length, words)
+        self._build_counts(length, words)
+        return self
 
-    def _build_counts(self) -> None:
-        wp = popcount(self._words)
+    def _build_counts(self, length: int, words: np.ndarray) -> None:
+        self.length = length
+        self._words = words
+        wp = popcount(words)
         cum = np.zeros(wp.size + 1, dtype=np.int64)
         np.cumsum(wp, out=cum[1:])
         self._total_ones = int(cum[-1])
@@ -156,38 +147,33 @@ class PlainBitvector(_BitQueries):
     # -- select ------------------------------------------------------------
 
     def _select(self, j: int, b: int = 1) -> int:
-        samples = self._samples1 if b else self._samples0
-        k = (j - 1) // _SELECT_SAMPLE
-        lo_sb = int(samples[k]) >> 9
-        hi_sb = (int(samples[k + 1]) if k + 1 < samples.size else self.length - 1) >> 9
-        while lo_sb < hi_sb:
-            mid = (lo_sb + hi_sb + 1) >> 1
-            if self._count_before_super(mid, b) < j:
-                lo_sb = mid
-            else:
-                hi_sb = mid - 1
-        sb = lo_sb
-        rel = j - self._count_before_super(sb, b)
-        b9 = int(self._block9[sb])
-        t = 0
-        prev = 0
+        counts = self._superblocks
+        if b:
+            sb = int(counts.searchsorted(j)) - 1
+            rel = j - counts.item(sb)
+        else:  # the last superblock with fewer than j zeros before it
+            sb, hi = 0, counts.size - 1
+            while sb < hi:
+                mid = (sb + hi + 1) >> 1
+                if mid * _SUPER_BITS - counts.item(mid) < j:
+                    sb = mid
+                else:
+                    hi = mid - 1
+            rel = j - (sb * _SUPER_BITS - counts.item(sb))
+        b9 = self._block9.item(sb)
+        t = prev = 0
         for tt in range(1, _WORDS_PER_SUPER):
             cnt = (b9 >> (9 * tt - 9)) & 511
             if not b:
                 cnt = tt * 64 - cnt
-            if cnt < rel:
-                t, prev = tt, cnt
-            else:
+            if cnt >= rel:
                 break
+            t, prev = tt, cnt
         w_idx = sb * _WORDS_PER_SUPER + t
-        w = int(self._words[w_idx])
+        w = self._words.item(w_idx)
         if not b:
             w = ~w & _FULL_WORD
         return w_idx * 64 + select_in_word(w, rel - 1 - prev)
-
-    def _count_before_super(self, sb: int, b: int) -> int:
-        ones = int(self._superblocks[sb])
-        return ones if b else sb * _SUPER_BITS - ones
 
     def _select_many(self, j: np.ndarray, b: int = 1) -> np.ndarray:
         if b:
@@ -213,9 +199,7 @@ class PlainBitvector(_BitQueries):
 
     def size_bits(self) -> int:
         sizes = 64 * (self._words.size + self._superblocks.size + self._block9.size)
-        sizes += 64 * (self._samples1.size + self._samples0.size)
-        sizes += 2 * 64  # length and ones-count scalars
-        return sizes
+        return sizes + 2 * 64  # length and ones-count scalars
 
     def __repr__(self) -> str:
         return f"PlainBitvector(length={self.length}, ones={self._total_ones})"
@@ -232,7 +216,7 @@ class SparseBitvector(_BitQueries):
     """
 
     def __init__(self, length: int, ones):
-        length = index_arg(length, 0, _INT64_MAX, "length", ValueError)
+        length = index_arg(length, 0, INT64_MAX, "length", ValueError)
         ones = index_args(ones, 0, length - 1, "one positions", ValueError)
         if ones.ndim != 1:
             raise ValueError("ones must be one-dimensional")

@@ -19,18 +19,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bits import (MASK_LOW, index_arg, integers, pack_bits, popcount, rank_arg, rank_args,
-                    select_arg, select_args, select_in_word, select_in_words)
+from ._bits import (MASK_LOW, index_arg, integers, pack_bits, packed_payload, popcount, rank_arg,
+                    rank_args, select_arg, select_args, select_in_word, select_in_words)
 from .bitvector import PlainBitvector
+from .degenerate import _min_uint
+
+_MAX_SIGMA = 1 << 32  # the widest symbol dtype, uint32, holds every symbol below it
 
 
 def _as_symbols(symbols, sigma: int) -> np.ndarray:
-    arr = integers(symbols, "symbols")  # checked before the int64 cast narrows it
+    arr = integers(symbols, "symbols")  # checked before the cast narrows it
     if arr.ndim != 1:
         raise ValueError("symbols must be one-dimensional")
     if arr.size and (arr.min() < 0 or arr.max() >= sigma):
         raise ValueError(f"symbols must lie in [0, {sigma})")
-    return arr.astype(np.int64, copy=False)
+    # the narrowest unsigned dtype, on which a stable argsort is a radix sort
+    return arr.astype(_min_uint(sigma), copy=False)
 
 
 class _StringQueries:
@@ -71,33 +75,30 @@ class WaveletTree(_StringQueries):
     block_words = None  # no blocks: counts sit at the node boundaries
 
     def __init__(self, symbols, sigma: int):
-        if sigma < 1:
-            raise ValueError("sigma must be at least 1")
-        syms = _as_symbols(symbols, sigma)
-        self.sigma = int(sigma)
-        self.length = int(syms.size)
-        self.nbits = (sigma - 1).bit_length()
-        levels = []
-        for k in range(self.nbits):
-            key = syms >> (self.nbits - k)
-            order = np.argsort(key, kind="stable")
-            bits = ((syms[order] >> (self.nbits - 1 - k)) & 1).astype(np.uint8)
-            levels.append(PlainBitvector(bits))
-        self._levels = levels
-        self._derive_tables()
+        sigma = index_arg(sigma, 1, _MAX_SIGMA, "sigma", ValueError)
+        keys = _as_symbols(symbols, sigma)
+        nbits = (sigma - 1).bit_length()
+        level_words = []
+        for k in range(nbits):
+            order = np.argsort(keys >> (nbits - k), kind="stable")
+            level_words.append(pack_bits((keys[order] >> (nbits - 1 - k)) & 1))
+        self._set_levels(sigma, keys.size, level_words)
 
     @classmethod
     def from_level_payload(cls, sigma: int, length: int, level_words) -> "WaveletTree":
         """Rebuild from the per-level packed bitvector payloads."""
         self = cls.__new__(cls)
-        self.sigma = int(sigma)
-        self.length = int(length)
-        self.nbits = (sigma - 1).bit_length()
+        self._set_levels(sigma, length, level_words)
+        return self
+
+    def _set_levels(self, sigma, length, level_words) -> None:
+        self.sigma = index_arg(sigma, 1, _MAX_SIGMA, "sigma", ValueError)
+        self.length, _ = packed_payload(length)  # checked even when there are no levels
+        self.nbits = (self.sigma - 1).bit_length()
         if len(level_words) != self.nbits:
             raise ValueError(f"expected {self.nbits} levels, got {len(level_words)}")
-        self._levels = [PlainBitvector.from_words(length, w) for w in level_words]
+        self._levels = [PlainBitvector.from_words(self.length, w) for w in level_words]
         self._derive_tables()
-        return self
 
     def _derive_tables(self) -> None:
         # starts[k][m] is where node m of level k begins; ones_at mirrors the
@@ -219,22 +220,15 @@ class BitPlaneRank(_StringQueries):
     def __init__(self, symbols, block_words: int = 8):
         syms = _as_symbols(symbols, self.SIGMA)
         self.length = int(syms.size)
-        self._low = pack_bits((syms & 1).astype(np.uint8))
-        self._high = pack_bits(((syms >> 1) & 1).astype(np.uint8))
+        self._low = pack_bits(syms & 1)
+        self._high = pack_bits(syms >> 1)
         self._build_counts(block_words)
 
     @classmethod
     def from_planes(cls, length: int, block_words: int, low, high) -> "BitPlaneRank":
         """Rebuild from the packed planes; rejects nonzero bits past length."""
         self = cls.__new__(cls)
-        self.length = int(length)
-        self._low = np.asarray(low, dtype=np.uint64)
-        self._high = np.asarray(high, dtype=np.uint64)
-        expected = self.length // 64 + 1
-        if self._low.size != expected or self._high.size != expected:
-            raise ValueError("plane payload size does not match length")
-        if (self._low[-1] | self._high[-1]) & ~MASK_LOW[self.length & 63]:
-            raise ValueError("padding bits beyond the declared length must be zero")
+        self.length, (self._low, self._high) = packed_payload(length, low, high)
         self._build_counts(block_words)
         return self
 
@@ -244,7 +238,7 @@ class BitPlaneRank(_StringQueries):
         wpb = 8 * self.block_words  # plane words per block
         # A query scans at most one block of plane words, nor more than the string has.
         self._scan_words = min(wpb, self._low.size)
-        self._chunk = max(1, (1 << 21) // self._scan_words)  # queries per batch chunk
+        self._chunk = max(1, (1 << 16) // self._scan_words)  # queries per batch chunk
         n_real = (self.length + 63) // 64 if self.length else 0
         n_blocks = -(-self.length // (512 * self.block_words)) if self.length else 0
         self._counts = np.zeros((n_blocks + 1, self.SIGMA), dtype=np.int64)

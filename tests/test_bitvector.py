@@ -36,24 +36,34 @@ def test_known_pattern_rank_select():
             assert bv.select(j, b) == p
 
 
+def skewed_vectors():
+    # one lone one after a long zero run: the zero search spans every superblock
+    lone = np.zeros(3 * 8192 + 5, dtype=np.uint8)
+    lone[-1] = 1
+    # runs of 5,000 ones and 3 zeros: most superblocks hold no zero at all
+    runs = np.tile(np.concatenate([np.ones(5000, np.uint8), np.zeros(3, np.uint8)]), 6)
+    return [lone, runs]
+
+
 @pytest.mark.parametrize("cls", [PlainBitvector, SparseBitvector])
 def test_rank_select_match_linear_scan(cls):
     rng = np.random.default_rng(7)
     lengths = [0, 1, 63, 64, 65, 511, 512, 513, 1000, 4096]
     densities = [0.0, 0.02, 0.5, 0.97, 1.0]
-    for n in lengths:
-        for d in densities:
-            bits = random_bits(rng, n, d)
-            bv = cls(bits) if cls is PlainBitvector else SparseBitvector.from_bits(bits)
-            idx = np.arange(n + 1)
-            for b in (0, 1):
-                expect = np.cumsum(np.concatenate([[0], (bits == b).astype(np.int64)]))
-                got = bv.rank_many(idx, b)
-                assert np.array_equal(got, expect), (cls.__name__, n, d, b)
-                pos = ref_positions(bits, b)
-                if pos.size:
-                    js = np.arange(1, pos.size + 1)
-                    assert np.array_equal(bv.select_many(js, b), pos)
+    vectors = [random_bits(rng, n, d) for n in lengths for d in densities] + skewed_vectors()
+    for bits in vectors:
+        n = bits.size
+        bv = cls(bits) if cls is PlainBitvector else SparseBitvector.from_bits(bits)
+        idx = np.arange(n + 1)
+        for b in (0, 1):
+            expect = np.cumsum(np.concatenate([[0], (bits == b).astype(np.int64)]))
+            got = bv.rank_many(idx, b)
+            assert np.array_equal(got, expect), (cls.__name__, n, b)
+            pos = ref_positions(bits, b)
+            if pos.size:
+                js = np.arange(1, pos.size + 1)
+                assert np.array_equal(bv.select_many(js, b), pos)
+                assert [bv.select(int(j), b) for j in js] == pos.tolist(), (cls.__name__, n, b)
 
 
 @pytest.mark.parametrize("cls", [PlainBitvector, SparseBitvector])
@@ -161,7 +171,14 @@ def test_argument_validation():
                 lambda: PlainBitvector([256, 1]),
                 lambda: SparseBitvector(10, [1.5, 4.2]),
                 lambda: SparseBitvector(10.7, [1]),
-                lambda: SparseBitvector(-1, [])):
+                lambda: SparseBitvector(-1, []),
+                # packed payloads: a negative, fractional or 2-D length or payload,
+                # and a negative word that the uint64 cast would wrap to 64 ones
+                lambda: PlainBitvector.from_words(-5, np.zeros(0, np.uint64)),
+                lambda: PlainBitvector.from_words(2.5, np.zeros(1, np.uint64)),
+                lambda: PlainBitvector.from_words(10, np.array([1.5])),
+                lambda: PlainBitvector.from_words(70, np.array([-1, 0])),
+                lambda: PlainBitvector.from_words(10, np.array([[1]], dtype=np.uint64))):
         with pytest.raises(ValueError):
             bad()
 
@@ -189,6 +206,11 @@ def test_plain_size_within_budget():
     assert n <= bv.size_bits() <= 1.3 * n + 2048
     # empty vector costs only the fixed support words
     assert PlainBitvector([]).size_bits() <= 512
+    # the words, one absolute and one packed relative count word per 512 bits,
+    # and the length and ones-count scalars: select stores nothing of its own
+    for length in (0, 1, 511, 512, 513, 3 * 8192 * 8):
+        size = PlainBitvector(np.ones(length, dtype=np.uint8)).size_bits()
+        assert size == 64 * (length // 64 + 1) + 128 * (length // 512 + 1) + 128, length
 
 
 def test_sparse_size_scales_with_ones():

@@ -155,6 +155,17 @@ def test_argument_validation():
         BitPlaneRank([0.5, 2.9])
     with pytest.raises(ValueError):
         BitPlaneRank(syms, block_words=0)
+    # packed payloads: checked before any cast, whatever the number of levels
+    one = np.zeros(1, np.uint64)
+    for bad in (lambda: WaveletTree.from_level_payload(4, -5, [np.zeros(0, np.uint64)] * 2),
+                lambda: WaveletTree.from_level_payload(1, -7, []),
+                lambda: WaveletTree.from_level_payload(0, 10, [one]),
+                lambda: WaveletTree.from_level_payload(2.7, 10, [one]),
+                lambda: WaveletTree.from_level_payload(4, 10, [np.array([5.9]), np.array([2.2])]),
+                lambda: BitPlaneRank.from_planes(10, 8, np.array([3.7]), np.array([1.2])),
+                lambda: BitPlaneRank.from_planes(-5, 8, [], [])):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_single_symbol_alphabet():
@@ -237,6 +248,19 @@ def test_block_words_beyond_the_string():
             assert np.array_equal(bp.select_many(j, c), ref.select_many(j, c))
             assert bp.rank(int(i[0]), int(c[0])) == ref.rank(int(i[0]), int(c[0]))
             assert bp.select(int(j[0]), int(c[0])) == ref.select(int(j[0]), int(c[0]))
+
+
+@pytest.mark.parametrize("block_words", [1, 8, 2**40])
+def test_bitplane_batch_over_several_chunks_matches_scalar(block_words):
+    rng = np.random.default_rng(89)
+    syms = random_symbols(rng, 3000, 4)
+    bp = BitPlaneRank(syms, block_words=block_words)
+    q = 3 * bp._chunk + 17
+    i = rng.integers(0, 3001, size=q)
+    c = rng.integers(0, 4, size=q)
+    j = rng.integers(1, bp.symbol_counts()[c] + 1)
+    assert bp.rank_many(i, c).tolist() == [bp.rank(a, b) for a, b in zip(i, c)]
+    assert bp.select_many(j, c).tolist() == [bp.select(a, b) for a, b in zip(j, c)]
 
 
 @pytest.mark.parametrize("block_words", [2**54, 2**60, 2**64 - 1,
