@@ -39,6 +39,14 @@ def _build_select_in_byte() -> np.ndarray:
 SELECT_IN_BYTE = _build_select_in_byte()
 
 
+def narrow_uint(top: int):
+    """The narrowest unsigned dtype that holds every value in [0, top]."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return np.uint64
+
+
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a uint8 0/1 array into little-endian words.
 
@@ -91,9 +99,7 @@ def select_in_word(word: int, r: int) -> int:
 
 
 def select_in_words(words: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Vectorized select_in_word over matching arrays of words and ranks."""
-    words = np.asarray(words, dtype=np.uint64)
-    ranks = np.asarray(ranks, dtype=np.int64)
+    """Vectorized select_in_word over matching uint64 words and int64 ranks."""
     byte_mat = ((words[:, None] >> _BYTE_SHIFTS[None, :]) & np.uint64(0xFF))
     cnt = np.bitwise_count(byte_mat).astype(np.int64)
     cum = np.cumsum(cnt, axis=1)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bits import (INT64_MAX, MASK_LOW, index_arg, index_args, integers, pack_bits,
-                    packed_payload, popcount, select_in_word, select_in_words, unpack_bits)
+from ._bits import (INT64_MAX, MASK_LOW, index_arg, index_args, integers, narrow_uint,
+                    pack_bits, packed_payload, popcount, select_in_word, select_in_words,
+                    unpack_bits)
 
 _SUPER_BITS = 512
 _WORDS_PER_SUPER = 8
@@ -223,7 +224,7 @@ class SparseBitvector(_BitQueries):
         if np.any(np.diff(ones) <= 0):
             raise ValueError("one positions must be strictly increasing")
         self.length = length
-        self._ones = ones.astype(_pos_dtype(length))
+        self._ones = ones.astype(narrow_uint(length))
 
     @classmethod
     def from_bits(cls, bits) -> "SparseBitvector":
@@ -289,16 +290,6 @@ class SparseBitvector(_BitQueries):
 
     def __repr__(self) -> str:
         return f"SparseBitvector(length={self.length}, ones={self._ones.size})"
-
-
-def _pos_dtype(length: int):
-    if length < 1 << 8:
-        return np.uint8
-    if length < 1 << 16:
-        return np.uint16
-    if length < 1 << 32:
-        return np.uint32
-    return np.int64
 
 
 def _check_bit_value(b: int) -> None:

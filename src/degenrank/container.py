@@ -2,16 +2,20 @@
 
 Layout, all little-endian:
 
-    magic "DGRS" | version u8 | structure tag u8 | base tag u8
+    magic "DGRS" | version u8 (2) | structure tag u8 | base tag u8
     then a sequence of components: sub-tag u8 | payload length u64 | payload
 
 Structure tags: 1 reduction-i, 2 reduction-ii, 3 reduction-iii, 4 dsd.
 Base tags: 0 wavelet, 1 bitplane. Component sub-tags: 1 meta (sigma, n, N,
 n0, block_words as five u64), 2 plain bitvector (length u64 + packed
 words), 3 sparse bitvector (length u64, count u64, positions as u64), 4
-wavelet levels (sigma u64, length u64, level words back to back), 5 bit
-planes (length u64, block_words u64, low words, high words). The DSD
-overflow vectors span the n - n0 nonempty sets, like its base string.
+wavelet levels (sigma u64, length u64, level words back to back, in
+wavelet-matrix order: level k holds bit nbits-1-k of every symbol, stably
+partitioned on the bits above it, zeros first), 5 bit planes (length u64,
+block_words u64, low words, high words). The DSD overflow vectors span the
+n - n0 nonempty sets, like its base string. Version 1 kept the wavelet
+levels in wavelet-tree order, which differs for sigma > 4, so it is
+refused.
 
 Only payloads are stored; rank/select support structures are rebuilt on
 load, which keeps the format small and makes every loaded structure
@@ -33,7 +37,7 @@ from .reductions import ReductionI, ReductionII, ReductionIII
 from .strrank import BitPlaneRank, WaveletTree
 
 MAGIC = b"DGRS"
-VERSION = 1
+VERSION = 2
 
 _STRUCT_TAGS = {"reduction-i": 1, "reduction-ii": 2, "reduction-iii": 3, "dsd": 4}
 _BASE_TAGS = {"wavelet": 0, "bitplane": 1}

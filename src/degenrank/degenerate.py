@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import integers
+from ._bits import integers, narrow_uint
 
 DNA_ALPHABET = "ACGT"
 
@@ -29,14 +29,6 @@ DNA_ALPHABET = "ACGT"
 GENOMIC_SIZE_PROBS = (0.01, 0.80, 0.12, 0.05, 0.02)
 
 _GEN_CHUNK = 1 << 16
-
-
-def _min_uint(sigma: int):
-    if sigma <= 1 << 8:
-        return np.uint8
-    if sigma <= 1 << 16:
-        return np.uint16
-    return np.uint32
 
 
 class DegenerateString:
@@ -55,7 +47,7 @@ class DegenerateString:
             symbols = integers(symbols, "set members")
             offsets = integers(offsets, "offsets")
             self._validate(symbols, offsets)
-        self.symbols = np.asarray(symbols, dtype=_min_uint(self.sigma))
+        self.symbols = np.asarray(symbols, dtype=narrow_uint(self.sigma - 1))
         self.offsets = np.asarray(offsets, dtype=np.int64)
 
     def _validate(self, syms: np.ndarray, off: np.ndarray) -> None:

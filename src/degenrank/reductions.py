@@ -59,7 +59,9 @@ def _build_base(symbols: np.ndarray, sigma: int, base: str, block_words: int):
 
 
 def _check_alphabet(S, sigma: int) -> None:
-    """Reject a base string with a symbol >= sigma or a wavelet tree over another alphabet."""
+    """Reject a base string with a symbol >= sigma or a wavelet matrix over another
+    alphabet. A wavelet matrix counts only the symbols below its own sigma, so
+    one whose levels hold a bigger symbol has counts that sum short of its length."""
     if ((S.base_name == "wavelet" and S.sigma != max(sigma, 1)) or sigma > S.sigma
             or S.symbol_counts()[:sigma].sum() != S.length):
         raise ValueError(f"base string does not fit the alphabet of size {sigma}")

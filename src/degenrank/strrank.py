@@ -2,8 +2,8 @@
 
 Two interchangeable backends:
 
-* WaveletTree works for any alphabet size sigma >= 1 and answers queries in
-  O(log sigma) bitvector operations.
+* WaveletTree is a wavelet matrix: it works for any alphabet size sigma >= 1
+  and answers queries in O(log sigma) bitvector operations, one per level.
 * BitPlaneRank is a flat-layout alternative fixed to sigma <= 4. Symbols are
   split into a low and a high bit plane; a block of 512 * block_words symbols
   keeps one absolute count per symbol, and a query combines the counts with
@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bits import (MASK_LOW, index_arg, integers, pack_bits, packed_payload, popcount, rank_arg,
-                    rank_args, select_arg, select_args, select_in_word, select_in_words)
+from ._bits import (MASK_LOW, index_arg, integers, narrow_uint, pack_bits, packed_payload,
+                    popcount, rank_arg, rank_args, select_arg, select_args, select_in_word,
+                    select_in_words)
 from .bitvector import PlainBitvector
-from .degenerate import _min_uint
 
-_MAX_SIGMA = 1 << 32  # the widest symbol dtype, uint32, holds every symbol below it
+_MAX_SIGMA = 1 << 32  # the largest alphabet a wavelet base takes; its symbols fit uint32
 
 
 def _as_symbols(symbols, sigma: int) -> np.ndarray:
@@ -34,7 +34,7 @@ def _as_symbols(symbols, sigma: int) -> np.ndarray:
     if arr.size and (arr.min() < 0 or arr.max() >= sigma):
         raise ValueError(f"symbols must lie in [0, {sigma})")
     # the narrowest unsigned dtype, on which a stable argsort is a radix sort
-    return arr.astype(_min_uint(sigma), copy=False)
+    return arr.astype(narrow_uint(sigma - 1), copy=False)
 
 
 class _StringQueries:
@@ -63,16 +63,19 @@ class _StringQueries:
 
 
 class WaveletTree(_StringQueries):
-    """Balanced wavelet tree over sigma symbols backed by PlainBitvector.
+    """Wavelet matrix over sigma symbols backed by PlainBitvector.
 
-    Level k partitions positions by the top k bits of their symbol; the
-    level bitvector stores bit (nbits-1-k) of each symbol in that order.
-    Node boundaries and the ones-count at each boundary are precomputed per
-    level so a query costs one bitvector rank or select per level.
+    Level k stores bit (nbits-1-k) of every symbol, in the order that a
+    stable partition on the bits above leaves them, zeros first (Claude,
+    Navarro & Ordonez, The wavelet matrix, Information Systems 2015). A
+    position p of level k moves to p - rank1(p) on the next level when its
+    bit is 0 and to zeros_k + rank1(p) when it is 1, so a query costs one
+    bitvector rank or select per level and needs only the zero count of
+    each level and where each symbol's run begins after the last level.
     """
 
     base_name = "wavelet"
-    block_words = None  # no blocks: counts sit at the node boundaries
+    block_words = None  # no blocks: one zero count per level
 
     def __init__(self, symbols, sigma: int):
         sigma = index_arg(sigma, 1, _MAX_SIGMA, "sigma", ValueError)
@@ -80,8 +83,10 @@ class WaveletTree(_StringQueries):
         nbits = (sigma - 1).bit_length()
         level_words = []
         for k in range(nbits):
-            order = np.argsort(keys >> (nbits - k), kind="stable")
-            level_words.append(pack_bits((keys[order] >> (nbits - 1 - k)) & 1))
+            bit = (keys >> (nbits - 1 - k)) & 1
+            level_words.append(pack_bits(bit))
+            if k + 1 < nbits:
+                keys = keys[np.argsort(bit, kind="stable")]
         self._set_levels(sigma, keys.size, level_words)
 
     @classmethod
@@ -98,27 +103,17 @@ class WaveletTree(_StringQueries):
         if len(level_words) != self.nbits:
             raise ValueError(f"expected {self.nbits} levels, got {len(level_words)}")
         self._levels = [PlainBitvector.from_words(self.length, w) for w in level_words]
-        self._derive_tables()
-
-    def _derive_tables(self) -> None:
-        # starts[k][m] is where node m of level k begins; ones_at mirrors the
-        # ones-count of the level bitvector at each boundary.
-        starts = [np.array([0, self.length], dtype=np.int64)]
-        ones_at = []
-        for bv in self._levels:
-            s = starts[-1]
-            r1 = bv._rank_many(s)
-            ones_at.append(r1)
-            zeros = np.diff(s) - np.diff(r1)
-            nxt = np.empty(2 * (s.size - 1) + 1, dtype=np.int64)
-            nxt[0::2] = s
-            nxt[1::2] = s[:-1] + zeros
-            starts.append(nxt)
-        self._starts = starts
-        self._ones_at = ones_at
-        leaf_widths = np.diff(starts[-1])
-        self._counts = np.zeros(self.sigma, dtype=np.int64)
-        self._counts[: leaf_widths.size] = leaf_widths[: self.sigma]
+        self._zeros = [bv.zeros_count for bv in self._levels]
+        # The run [start, end) of every code prefix, split level by level: two
+        # ranks per prefix, O(sigma) in all. Only the codes below sigma are
+        # kept, so a payload that holds a bigger symbol has counts that sum
+        # short of its length.
+        runs = np.array([[0, self.length]], dtype=np.int64)
+        for z, bv in zip(self._zeros, self._levels):
+            ones = bv._rank_many(runs.ravel()).reshape(runs.shape)
+            runs = np.stack((runs - ones, z + ones), axis=1).reshape(-1, 2)
+        self._start = runs[: self.sigma, 0].copy()
+        self._counts = runs[: self.sigma, 1] - self._start
 
     def level_payload(self):
         return [(bv.length, bv._words) for bv in self._levels]
@@ -130,76 +125,57 @@ class WaveletTree(_StringQueries):
         return self._counts
 
     def _access(self, p: int) -> int:
-        node, off, sym = 0, p, 0
+        sym = 0
         for k, bv in enumerate(self._levels):
-            a = int(self._starts[k][node])
-            bit = bv._bit(a + off)
-            ones = bv._rank(a + off) - int(self._ones_at[k][node])
-            off = ones if bit else (off - ones)
-            node = node * 2 + bit
+            bit = bv._bit(p)
+            p = self._zeros[k] + bv._rank(p) if bit else bv._rank(p, 0)
             sym = sym * 2 + bit
         return sym
 
     def _rank(self, i: int, c: int) -> int:
-        p, node = i, 0
+        p = i
         for k, bv in enumerate(self._levels):
-            a = int(self._starts[k][node])
-            ones = bv._rank(a + p) - int(self._ones_at[k][node])
-            bit = (c >> (self.nbits - 1 - k)) & 1
-            p = ones if bit else p - ones
-            node = node * 2 + bit
-        return p
+            if (c >> (self.nbits - 1 - k)) & 1:
+                p = self._zeros[k] + bv._rank(p)
+            else:
+                p = bv._rank(p, 0)
+        return p - self._start.item(c)
 
     def _rank_many(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
-        p = i.copy()
-        node = np.zeros(i.shape, dtype=np.int64)
+        p = i
         for k, bv in enumerate(self._levels):
-            a = self._starts[k][node]
-            ones = bv._rank_many(a + p) - self._ones_at[k][node]
+            ones = bv._rank_many(p)
             bit = (c >> (self.nbits - 1 - k)) & 1
-            p = np.where(bit == 1, ones, p - ones)
-            node = node * 2 + bit
-        return p
+            p = np.where(bit == 1, self._zeros[k] + ones, p - ones)
+        return p - self._start[c]
 
     def _select(self, j: int, c: int) -> int:
-        pos = j - 1
+        p = self._start.item(c) + j - 1
         for k in reversed(range(self.nbits)):
             bv = self._levels[k]
-            node = c >> (self.nbits - k)
-            bit = (c >> (self.nbits - 1 - k)) & 1
-            a = int(self._starts[k][node])
-            oa = int(self._ones_at[k][node])
-            if bit:
-                p = bv._select(oa + pos + 1, 1)
+            if (c >> (self.nbits - 1 - k)) & 1:
+                p = bv._select(p - self._zeros[k] + 1, 1)
             else:
-                p = bv._select((a - oa) + pos + 1, 0)
-            pos = p - a
-        return pos
+                p = bv._select(p + 1, 0)
+        return p
 
     def _select_many(self, j: np.ndarray, c: np.ndarray) -> np.ndarray:
-        pos = j - 1
+        p = self._start[c] + (j - 1)
         for k in reversed(range(self.nbits)):
             bv = self._levels[k]
-            node = c >> (self.nbits - k)
             bit = (c >> (self.nbits - 1 - k)) & 1
-            a = self._starts[k][node]
-            oa = self._ones_at[k][node]
-            p = np.empty(pos.shape, dtype=np.int64)
             hi = np.flatnonzero(bit)
             if hi.size:
-                p[hi] = bv._select_many(oa[hi] + pos[hi] + 1, 1)
+                p[hi] = bv._select_many(p[hi] - self._zeros[k] + 1, 1)
             lo = np.flatnonzero(bit ^ 1)
             if lo.size:
-                p[lo] = bv._select_many((a[lo] - oa[lo]) + pos[lo] + 1, 0)
-            pos = p - a
-        return pos
+                p[lo] = bv._select_many(p[lo] + 1, 0)
+        return p
 
     def size_bits(self) -> int:
         total = sum(bv.size_bits() for bv in self._levels)
-        total += 64 * sum(s.size for s in self._starts)
-        total += 64 * sum(o.size for o in self._ones_at)
-        total += 64 * self._counts.size + 3 * 64
-        return total
+        total += 64 * (len(self._zeros) + self._start.size + self._counts.size)
+        return total + 3 * 64  # length, sigma and nbits scalars
 
     def __repr__(self) -> str:
         return f"WaveletTree(length={self.length}, sigma={self.sigma})"

@@ -117,8 +117,9 @@ def test_rejects_malformed_blobs():
     blob = container.dumps(st)
     with pytest.raises(ValueError, match="magic"):
         container.loads(b"JUNK" + blob[4:])
-    with pytest.raises(ValueError, match="version"):
-        container.loads(blob[:4] + bytes([99]) + blob[5:])
+    for version in (1, 99):  # version 1 kept the wavelet levels in wavelet-tree order
+        with pytest.raises(ValueError, match="version"):
+            container.loads(blob[:4] + bytes([version]) + blob[5:])
     with pytest.raises(ValueError, match="structure tag"):
         container.loads(blob[:5] + bytes([200]) + blob[6:])
     with pytest.raises(ValueError, match="truncated"):

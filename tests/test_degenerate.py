@@ -12,6 +12,7 @@ from degenrank.degenerate import (
     serialize_degenerate,
     stats,
 )
+from degenrank.oracle import oracle_rank
 
 FIG_TEXT = "4 4\n0 1 2\n0 3\n1\n2 3\n"
 
@@ -110,6 +111,15 @@ def test_from_sets_validation():
 def test_rejects_values_a_narrowing_cast_would_change(symbols, offsets, msg):
     with pytest.raises(ValueError, match=msg):
         DegenerateString(4, symbols, offsets)
+
+
+def test_members_past_uint32_keep_their_value():
+    big = 2**32 + 7
+    x = DegenerateString(2**33, [7, big], [0, 1, 2])
+    assert list(x.sets()) == [(7,), (big,)]
+    y = parse_degenerate(f"5000000000 2\n{big}\n7\n")
+    assert list(y.sets()) == [(big,), (7,)]
+    assert oracle_rank(y, 2, big) == 1
 
 
 def test_stats_worked_example():

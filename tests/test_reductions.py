@@ -249,7 +249,7 @@ def test_constructors_reject_parts_that_do_not_fit():
                   PlainBitvector(np.r_[0, bits[1:]])):        # set 0 does not start at 0
         with pytest.raises(ValueError, match="R must"):
             ReductionI(4, S, bad_R)
-    for sigma in (3, 5):  # symbol 3 occurs; the wavelet tree is over 4 symbols
+    for sigma in (3, 5):  # symbol 3 occurs; the wavelet base is over 4 symbols
         with pytest.raises(ValueError, match="alphabet"):
             ReductionI(sigma, S, R)
     with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from degenrank._bits import unpack_bits
+from degenrank.bitvector import PlainBitvector
 from degenrank.strrank import BitPlaneRank, WaveletTree
 
 
@@ -41,25 +43,49 @@ def test_doc_string_values(make):
         assert st.access(p) == s
 
 
-@pytest.mark.parametrize("sigma", [1, 2, 3, 4, 5, 6, 11, 16, 100])
+@pytest.mark.parametrize("sigma", [1, 2, 3, 4, 5, 6, 11, 16, 100, 257])
 def test_wavelet_matches_linear_scan(sigma):
     rng = np.random.default_rng(40 + sigma)
     for n in [0, 1, 2, 100, 1337]:
         syms = random_symbols(rng, n, sigma)
         wt = WaveletTree(syms, sigma)
         idx = np.arange(n + 1)
-        for c in range(min(sigma, 8)):
+        for c in range(sigma):
             expect = np.cumsum(np.concatenate([[0], (syms == c).astype(np.int64)]))
             assert np.array_equal(wt.rank_many(idx, c), expect), (sigma, n, c)
+            i = int(rng.integers(0, n + 1))
+            assert wt.rank(i, c) == expect[i] and wt.rank(n, c) == expect[n]
             pos = ref_positions(syms, c)
             assert wt.symbol_count(c) == pos.size
             if pos.size:
                 js = np.arange(1, pos.size + 1)
                 assert np.array_equal(wt.select_many(js, c), pos)
+                j = int(rng.integers(1, pos.size + 1))
+                assert wt.select(j, c) == pos[j - 1] and wt.select(pos.size, c) == pos[-1]
         if n:
             spots = rng.integers(0, n, size=min(n, 50))
             for p in spots:
                 assert wt.access(int(p)) == syms[p]
+
+
+@pytest.mark.parametrize("sigma", [3, 5, 16, 17])
+def test_wavelet_matrix_layout(sigma):
+    # level k holds bit nbits-1-k of every symbol, stably sorted by the bits
+    # above it with the nearest one most significant: zeros first at each level
+    rng = np.random.default_rng(50 + sigma)
+    syms = [int(s) for s in rng.integers(0, sigma, size=700)]
+    nbits = (sigma - 1).bit_length()
+    levels = []
+    for k in range(nbits):
+        above = [nbits - 1 - m for m in reversed(range(k))]
+        order = sorted(syms, key=lambda s: [(s >> b) & 1 for b in above])
+        levels.append([(s >> (nbits - 1 - k)) & 1 for s in order])
+    wt = WaveletTree(syms, sigma)
+    payload = wt.level_payload()
+    assert [unpack_bits(words, length).tolist() for length, words in payload] == levels
+    level_bits = sum(PlainBitvector.from_words(length, words).size_bits()
+                     for length, words in payload)
+    assert wt.size_bits() == level_bits + 64 * (nbits + 2 * sigma) + 192
 
 
 @pytest.mark.parametrize("block_words", [1, 2, 8, 16, 32])
@@ -199,6 +225,10 @@ def test_wavelet_payload_roundtrip():
     i = rng.integers(0, 1001, size=200)
     c = rng.integers(0, 6, size=200)
     assert np.array_equal(wt.rank_many(i, c), again.rank_many(i, c))
+    # the same levels read as an alphabet of 5 leave symbol 5 out of the counts,
+    # which is how a base string check sees a symbol past sigma
+    narrow = WaveletTree.from_level_payload(5, 1000, payload)
+    assert narrow.symbol_counts().tolist() == wt.symbol_counts()[:5].tolist()
 
 
 def test_bitplane_payload_roundtrip():
