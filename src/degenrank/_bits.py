@@ -21,8 +21,6 @@ INT64_MAX = (1 << 63) - 1
 # that `word & MASK_LOW[k]` never promotes to a wider or signed dtype.
 MASK_LOW = np.array([(1 << k) - 1 for k in range(WORD_BITS)], dtype=np.uint64)
 
-_BYTE_SHIFTS = np.arange(8, dtype=np.uint64) * np.uint64(8)
-
 
 def _build_select_in_byte() -> np.ndarray:
     table = np.zeros((256, 8), dtype=np.uint8)
@@ -99,15 +97,19 @@ def select_in_word(word: int, r: int) -> int:
 
 
 def select_in_words(words: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Vectorized select_in_word over matching uint64 words and int64 ranks."""
-    byte_mat = ((words[:, None] >> _BYTE_SHIFTS[None, :]) & np.uint64(0xFF))
-    cnt = np.bitwise_count(byte_mat).astype(np.int64)
+    """Vectorized select_in_word over matching uint64 words and int64 ranks.
+
+    words must be a C-contiguous uint64 array, as a fancy-indexed or computed
+    one is: its bytes are read in place, in memory order, which is low byte
+    first on the little-endian hosts that unpack_bits also assumes.
+    """
+    byte_mat = words.view(np.uint8).reshape(-1, 8)
+    cnt = popcount(byte_mat)
     cum = np.cumsum(cnt, axis=1)
     byte_idx = (cum <= ranks[:, None]).sum(axis=1)
     rows = np.arange(words.size)
     r_in = ranks - (cum[rows, byte_idx] - cnt[rows, byte_idx])
-    byte_vals = byte_mat[rows, byte_idx].astype(np.int64)
-    return byte_idx * 8 + SELECT_IN_BYTE[byte_vals, r_in].astype(np.int64)
+    return byte_idx * 8 + SELECT_IN_BYTE[byte_mat[rows, byte_idx], r_in]
 
 
 # -- query arguments ---------------------------------------------------------

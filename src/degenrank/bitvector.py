@@ -18,7 +18,13 @@ from ._bits import (INT64_MAX, MASK_LOW, index_arg, index_args, integers, narrow
 
 _SUPER_BITS = 512
 _WORDS_PER_SUPER = 8
-_SH9 = np.arange(7, dtype=np.uint64) * np.uint64(9)
+# The ones before word t of a superblock are (block9 >> _SHIFT9[t]) & 511. The
+# counts of words 1 to 7 fill bits 0 to 62 of block9, so word 0 reads bit 63,
+# which is always 0 (Vigna's rank9). _SHIFT9 serves the scalar kernels and
+# _SHIFT9_WORDS, the same table as uint64, the batched ones.
+_SHIFT9 = tuple(9 * ((t - 1) % _WORDS_PER_SUPER) for t in range(_WORDS_PER_SUPER))
+_SHIFT9_WORDS = np.array(_SHIFT9, dtype=np.uint64)
+_WORD_STARTS = np.arange(0, _SUPER_BITS, 64)  # bits before each word of a superblock
 _FULL_WORD = (1 << 64) - 1
 
 
@@ -66,11 +72,13 @@ class _BitQueries:
 class PlainBitvector(_BitQueries):
     """Dense bitvector: the packed words plus two-level rank counts.
 
-    Every 512-bit superblock stores one absolute 64-bit count plus seven
-    relative word counts packed 9 bits each into a single extra word, so the
-    vector takes about 1.25 bits per bit and rank is O(1). Select binary
-    searches the same superblock counts, then the relative word counts, and
-    finishes inside one word; it stores nothing of its own.
+    Every 512-bit superblock stores the zeros and the ones before it, as two
+    32-bit counts, plus seven relative word counts packed 9 bits each into a
+    single extra word, so the vector takes about 1.25 bits per bit and rank
+    is O(1). Select of either bit is one binary search over the stored counts
+    of that bit, then a scan of the relative word counts and a select inside
+    one word; it stores nothing of its own. A vector of 2**32 bits or more
+    keeps its counts as 64-bit integers, 64 more bits per superblock.
     """
 
     def __init__(self, bits):
@@ -98,9 +106,15 @@ class PlainBitvector(_BitQueries):
         if cum.size < need:
             cum = np.concatenate([cum, np.full(need - cum.size, cum[-1], dtype=np.int64)])
         mat = cum[:need].reshape(n_super, _WORDS_PER_SUPER)
-        self._superblocks = np.ascontiguousarray(mat[:, 0])
+        ones = mat[:, 0]
+        # Every superblock starts at or before length, so both of its counts
+        # are exact and at most length. int64, not uint64, for long vectors:
+        # int64 queries minus uint64 counts would turn to float64.
+        dtype = np.uint32 if length < 1 << 32 else np.int64
+        self._before = ((np.arange(n_super) * _SUPER_BITS - ones).astype(dtype),
+                        ones.astype(dtype))
         rel = (mat[:, 1:] - mat[:, :1]).astype(np.uint64)
-        self._block9 = np.bitwise_or.reduce(rel << _SH9[None, :], axis=1)
+        self._block9 = np.bitwise_or.reduce(rel << _SHIFT9_WORDS[1:], axis=1)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -129,42 +143,33 @@ class PlainBitvector(_BitQueries):
     def _rank(self, i: int, b: int = 1) -> int:
         w = i >> 6
         sb = i >> 9
-        t = w & 7
-        rel = (int(self._block9[sb]) >> (9 * t - 9)) & 511 if t else 0
+        rel = (self._block9.item(sb) >> _SHIFT9[w & 7]) & 511
         part = (int(self._words[w]) & ((1 << (i & 63)) - 1)).bit_count()
-        r1 = int(self._superblocks[sb]) + rel + part
+        r1 = self._before[1].item(sb) + rel + part
         return r1 if b else i - r1
 
     def _rank_many(self, i: np.ndarray, b: int = 1) -> np.ndarray:
         w = i >> 6
         sb = i >> 9
-        t = w & 7
-        sh = ((np.maximum(t, 1) - 1) * 9).astype(np.uint64)
-        rel = np.where(t == 0, 0, ((self._block9[sb] >> sh) & np.uint64(511)).astype(np.int64))
+        rel = ((self._block9[sb] >> _SHIFT9_WORDS[w & 7]) & np.uint64(511)).astype(np.int64)
         part = popcount(self._words[w] & MASK_LOW[i & 63])
-        r1 = self._superblocks[sb] + rel + part
+        r1 = self._before[1][sb] + rel + part
         return r1 if b else i - r1
 
     # -- select ------------------------------------------------------------
 
+    # Both kernels search the counts of bit b for the last superblock with
+    # fewer than j b-bits before it. The key takes the dtype of the counts:
+    # any other key makes numpy cast every count on each call.
+
     def _select(self, j: int, b: int = 1) -> int:
-        counts = self._superblocks
-        if b:
-            sb = int(counts.searchsorted(j)) - 1
-            rel = j - counts.item(sb)
-        else:  # the last superblock with fewer than j zeros before it
-            sb, hi = 0, counts.size - 1
-            while sb < hi:
-                mid = (sb + hi + 1) >> 1
-                if mid * _SUPER_BITS - counts.item(mid) < j:
-                    sb = mid
-                else:
-                    hi = mid - 1
-            rel = j - (sb * _SUPER_BITS - counts.item(sb))
+        counts = self._before[b]
+        sb = int(counts.searchsorted(counts.dtype.type(j))) - 1
+        rel = j - counts.item(sb)
         b9 = self._block9.item(sb)
         t = prev = 0
         for tt in range(1, _WORDS_PER_SUPER):
-            cnt = (b9 >> (9 * tt - 9)) & 511
+            cnt = (b9 >> _SHIFT9[tt]) & 511
             if not b:
                 cnt = tt * 64 - cnt
             if cnt >= rel:
@@ -177,16 +182,12 @@ class PlainBitvector(_BitQueries):
         return w_idx * 64 + select_in_word(w, rel - 1 - prev)
 
     def _select_many(self, j: np.ndarray, b: int = 1) -> np.ndarray:
-        if b:
-            counts = self._superblocks
-        else:
-            counts = np.arange(self._superblocks.size, dtype=np.int64) * _SUPER_BITS - self._superblocks
-        sb = np.searchsorted(counts, j, side="left") - 1
+        counts = self._before[b]
+        sb = counts.searchsorted(j.astype(counts.dtype)) - 1
         rel = j - counts[sb]
-        brel = ((self._block9[sb][:, None] >> _SH9[None, :]) & np.uint64(511)).astype(np.int64)
-        brel = np.concatenate([np.zeros((sb.size, 1), dtype=np.int64), brel], axis=1)
+        brel = ((self._block9[sb][:, None] >> _SHIFT9_WORDS) & np.uint64(511)).astype(np.int64)
         if not b:
-            brel = np.arange(_WORDS_PER_SUPER, dtype=np.int64)[None, :] * 64 - brel
+            brel = _WORD_STARTS - brel
         t = (brel < rel[:, None]).sum(axis=1) - 1
         rows = np.arange(sb.size)
         prev = brel[rows, t]
@@ -199,8 +200,8 @@ class PlainBitvector(_BitQueries):
     # -- accounting ---------------------------------------------------------
 
     def size_bits(self) -> int:
-        sizes = 64 * (self._words.size + self._superblocks.size + self._block9.size)
-        return sizes + 2 * 64  # length and ones-count scalars
+        nbytes = self._words.nbytes + sum(c.nbytes for c in self._before) + self._block9.nbytes
+        return 8 * nbytes + 2 * 64  # length and ones-count scalars
 
     def __repr__(self) -> str:
         return f"PlainBitvector(length={self.length}, ones={self._total_ones})"

@@ -176,6 +176,7 @@ def _parse_sets_text(text: str) -> DegenerateString:
         raise ValueError(f"expected {n} set lines, found {len(lines) - 1}")
     flat = []
     offsets = np.zeros(n + 1, dtype=np.int64)
+    top = min(sigma, 1 << 64)  # members are stored as uint64 whatever sigma says
     for i, line in enumerate(lines[1:]):
         prev = None
         if line:
@@ -184,14 +185,14 @@ def _parse_sets_text(text: str) -> DegenerateString:
                     v = int(tok)
                 except ValueError:
                     raise ValueError(f"line {i + 2}: bad symbol {tok!r}") from None
-                if not 0 <= v < sigma:
-                    raise ValueError(f"line {i + 2}: symbol {v} outside [0, {sigma})")
+                if not 0 <= v < top:
+                    raise ValueError(f"line {i + 2}: symbol {v} outside [0, {top})")
                 if prev is not None and v <= prev:
                     raise ValueError(f"line {i + 2}: members must be ascending and distinct")
                 flat.append(v)
                 prev = v
         offsets[i + 1] = len(flat)
-    symbols = np.array(flat, dtype=np.int64) if flat else np.zeros(0, dtype=np.int64)
+    symbols = np.array(flat, dtype=np.uint64)
     return DegenerateString(sigma, symbols, offsets, validate=False)
 
 

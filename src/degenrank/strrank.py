@@ -293,15 +293,11 @@ class BitPlaneRank(_StringQueries):
         col = self._counts[:, c]
         block = int(np.searchsorted(col, j, side="left")) - 1
         target = j - int(col[block])
-        wpb = 8 * self.block_words
-        w0 = block * wpb
-        n_real = (self.length + 63) // 64
-        w1 = min(w0 + wpb, n_real)
+        # Padding bits match symbol 0, but they follow every real position,
+        # and the target lies in this block: the scan needs no mask.
+        w0 = block * 8 * self.block_words
+        w1 = w0 + self._scan_words
         m = _match_words(self._low[w0:w1], self._high[w0:w1], c)
-        tail = self.length & 63
-        if w1 == n_real and tail:
-            m = m.copy()
-            m[-1] &= MASK_LOW[tail]
         pops = popcount(m)
         cum = np.cumsum(pops)
         idx = int(np.searchsorted(cum, target, side="left"))
@@ -323,16 +319,11 @@ class BitPlaneRank(_StringQueries):
                 block[rows] = np.searchsorted(self._counts[:, cc], j[rows], side="left") - 1
         target = j - self._counts[block, c]
         w0 = block * (8 * self.block_words)
-        n_real = (self.length + 63) // 64
+        # As in _select, the words past the target need no mask; the clamp
+        # only keeps the columns past the last word in range.
         cols = w0[:, None] + np.arange(self._scan_words, dtype=np.int64)[None, :]
-        live = cols < n_real
-        cols_c = np.minimum(cols, self._low.size - 1)
-        m = _match_words(self._low[cols_c], self._high[cols_c], c[:, None])
-        m = np.where(live, m, np.uint64(0))
-        tail = self.length & 63
-        if tail:
-            at_tail = cols == n_real - 1
-            m = np.where(at_tail, m & MASK_LOW[tail], m)
+        cols = np.minimum(cols, self._low.size - 1)
+        m = _match_words(self._low[cols], self._high[cols], c[:, None])
         pops = popcount(m)
         cum = np.cumsum(pops, axis=1)
         idx = (cum < target[:, None]).sum(axis=1)

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,66 @@ def test_dense_sampling_bracket():
         assert bv.select(j, 1) == pos[j - 1]
     js = rng.integers(1, pos.size + 1, size=500)
     assert np.array_equal(bv.select_many(js, 1), pos[js - 1])
+
+
+def count_calls(fn, *args) -> int:
+    """Python and C function calls made by fn(*args), counted by sys.setprofile."""
+    seen = 0
+
+    def profile(frame, event, arg):
+        nonlocal seen
+        seen += event in ("call", "c_call")
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_select_makes_the_same_calls_for_either_bit():
+    # one search over the stored counts of either bit, so a zero select
+    # costs no more calls than a one select, scalar or batched
+    bv = PlainBitvector(random_bits(np.random.default_rng(41), 1 << 16, 0.5))
+    zeros, ones = bv.count(0), bv.count(1)
+    for j0, j1 in ((1, 1), (zeros // 3, ones // 3), (zeros, ones)):
+        for kernel, arg in ((bv._select, int), (bv._select_many, lambda j: np.array([j]))):
+            calls = count_calls(kernel, arg(j0), 0), count_calls(kernel, arg(j1), 1)
+            assert calls[0] == calls[1], (kernel.__name__, j0, j1, calls)
+
+
+def test_one_query_select_allocates_no_per_superblock_array():
+    # 2**15 superblocks: a count array built or cast per call would take 128 KiB or more
+    n = 1 << 24
+    words = np.zeros(n // 64 + 1, dtype=np.uint64)
+    words[:-1] = np.random.default_rng(43).integers(0, 2**64, n // 64, dtype=np.uint64)
+    bv = PlainBitvector.from_words(n, words)
+    for b in (0, 1):
+        for j in (1, bv.count(b) // 3, bv.count(b)):
+            tracemalloc.start()
+            try:
+                bv.select(j, b)
+                bv.select_many([j], b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, (b, j, peak)
+
+
+def test_wide_counts_answer_the_same():
+    # a vector of 2**32 bits or more keeps int64 counts, too big for a
+    # test: widen the counts of a small one, which must answer the same
+    bits = random_bits(np.random.default_rng(47), 5000, 0.3)
+    narrow, wide = PlainBitvector(bits), PlainBitvector(bits)
+    wide._before = tuple(c.astype(np.int64) for c in wide._before)
+    idx = np.arange(bits.size + 1)
+    for b in (0, 1):
+        assert np.array_equal(wide.rank_many(idx, b), narrow.rank_many(idx, b))
+        assert [wide.rank(int(i), b) for i in idx[::7]] == narrow.rank_many(idx[::7], b).tolist()
+        js = np.arange(1, narrow.count(b) + 1)
+        assert np.array_equal(wide.select_many(js, b), narrow.select_many(js, b))
+        assert [wide.select(int(j), b) for j in js[::7]] == narrow.select_many(js[::7], b).tolist()
 
 
 def test_sparse_matches_plain():

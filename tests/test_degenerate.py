@@ -65,6 +65,8 @@ def test_round_trip_random():
     ("4 1\n1 1\n", "ascending"),
     ("4 1\n2 1\n", "ascending"),
     ("4 1\n0 q\n", "bad symbol"),
+    # a member must fit the uint64 member array, whatever sigma allows
+    ("99999999999999999999999 1\n18446744073709551616\n", "outside"),
 ])
 def test_parse_sets_text_errors(text, msg):
     with pytest.raises(ValueError, match=msg):
@@ -120,6 +122,9 @@ def test_members_past_uint32_keep_their_value():
     y = parse_degenerate(f"5000000000 2\n{big}\n7\n")
     assert list(y.sets()) == [(big,), (7,)]
     assert oracle_rank(y, 2, big) == 1
+    # past int64 too: the parser builds its member array as uint64
+    z = parse_degenerate("18446744073709551615 1\n9223372036854775808\n")
+    assert list(z.sets()) == [(2**63,)]
 
 
 def test_stats_worked_example():

@@ -105,6 +105,7 @@ def test_bitplane_matches_linear_scan(block_words):
             if pos.size:
                 js = np.arange(1, pos.size + 1)
                 assert np.array_equal(bp.select_many(js, c), pos)
+                assert [bp.select(int(j), c) for j in js] == pos.tolist(), (block_words, n, c)
 
 
 def test_backends_agree():
