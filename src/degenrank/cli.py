@@ -120,6 +120,8 @@ def _verify_symbol(x, st, c, idx, js) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.sample < 1:
+        raise ValueError("--sample must be positive")
     x = _load_data(args.input, args.format)
     if args.container:
         try:
@@ -261,11 +263,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(argv)  # the parser reads DEGEN_SEED
+        return args.fn(args)
     except SystemExit as e:
         return 0 if not e.code else int(e.code)
-    try:
-        return args.fn(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

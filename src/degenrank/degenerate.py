@@ -63,11 +63,11 @@ class DegenerateString:
         if syms.size and (syms.min() < 0 or syms.max() >= self.sigma):
             raise ValueError(f"set members must lie in [0, {self.sigma})")
         if syms.size:
-            # ascending inside each set, strict (no duplicate members)
-            syms = syms.astype(np.int64)
+            # ascending inside each set, strict (no duplicate members), compared
+            # in the members' own dtype: a cast to int64 wraps 2**63 negative
             inner = np.ones(syms.size, dtype=bool)
             inner[off[:-1][np.diff(off) > 0]] = False
-            if np.any(np.diff(syms)[inner[1:]] <= 0):
+            if np.any((syms[1:] <= syms[:-1])[inner[1:]]):
                 raise ValueError("each set must list distinct members in ascending order")
 
     @classmethod

@@ -6,9 +6,11 @@ Two interchangeable backends:
   and answers queries in O(log sigma) bitvector operations, one per level.
 * BitPlaneRank is a flat-layout alternative fixed to sigma <= 4. Symbols are
   split into a low and a high bit plane; a block of 512 * block_words symbols
-  keeps one absolute count per symbol, and a query combines the counts with
-  masked popcounts over the plane words, mirroring how wide-register scans
-  batch the comparison `NOT(high XOR h) AND NOT(low XOR l)`.
+  keeps one absolute count per symbol. A query reads the count before its
+  block, then scans the plane words from the block start through its own
+  word and popcounts the bits that match its symbol c = 2h + l:
+  `NOT((high XOR h) OR (low XOR l))`, the comparison that wide-register
+  scans batch.
 
 Both use the same conventions as the bitvectors: rank(i, c) counts symbol c
 in [0, i), select(j, c) is 0-indexed with 1-indexed j. Both check arguments
@@ -187,6 +189,10 @@ class BitPlaneRank(_StringQueries):
     block_words sets the block granularity: one block covers 512*block_words
     symbols and stores four absolute 64-bit counts, so larger blocks shrink
     the counts table at the price of scanning more plane words per query.
+    Every query scans one window, the plane words from its block's start
+    through its own word, matched as NOT((high XOR h) OR (low XOR l)) for
+    c = 2h + l. The counts are symbol-major: the row a select searches is
+    contiguous.
     """
 
     SIGMA = 4
@@ -215,25 +221,14 @@ class BitPlaneRank(_StringQueries):
         # A query scans at most one block of plane words, nor more than the string has.
         self._scan_words = min(wpb, self._low.size)
         self._chunk = max(1, (1 << 16) // self._scan_words)  # queries per batch chunk
-        n_real = (self.length + 63) // 64 if self.length else 0
-        n_blocks = -(-self.length // (512 * self.block_words)) if self.length else 0
-        self._counts = np.zeros((n_blocks + 1, self.SIGMA), dtype=np.int64)
-        if not n_blocks:
-            return
-        low = self._low[:n_real]
-        high = self._high[:n_real]
-        tail = self.length & 63
-        band = np.empty((self.SIGMA, n_real), dtype=np.int64)
-        for c in range(self.SIGMA):
-            m = _match_words(low, high, c)
-            if tail:
-                m = m.copy()
-                m[-1] &= MASK_LOW[tail]
-            band[c] = popcount(m)
-        edges = np.arange(0, n_real, wpb)
-        per_block = np.add.reduceat(band, edges, axis=1)
-        np.cumsum(per_block, axis=1, out=per_block)
-        self._counts[1:] = per_block.T
+        n_blocks = -(-self.length // (512 * self.block_words))
+        # One row per symbol; the padding bits of the last word match symbol 0.
+        m = _match_words(self._low, self._high, np.arange(self.SIGMA)[:, None])
+        m[:, -1] &= MASK_LOW[self.length & 63]
+        # A length that fills its last block leaves one more group: the padding word.
+        per_block = np.add.reduceat(popcount(m), np.arange(0, m.shape[1], wpb), axis=1)
+        self._counts = np.zeros((self.SIGMA, n_blocks + 1), dtype=np.int64)
+        self._counts[:, 1:] = np.cumsum(per_block[:, :n_blocks], axis=1)
 
     def plane_payload(self):
         return (self.length, self.block_words, self._low, self._high)
@@ -246,7 +241,7 @@ class BitPlaneRank(_StringQueries):
 
     def symbol_counts(self) -> np.ndarray:
         """Occurrences of each symbol, indexed by symbol."""
-        return self._counts[-1]
+        return self._counts[:, -1]
 
     def _access(self, p: int) -> int:
         w, o = p >> 6, p & 63
@@ -256,43 +251,26 @@ class BitPlaneRank(_StringQueries):
 
     def _rank(self, i: int, c: int) -> int:
         block = i // (512 * self.block_words)
-        out = int(self._counts[block, c])
-        w0 = block * 8 * self.block_words
-        w1 = i >> 6
-        if w1 > w0:
-            m = _match_words(self._low[w0:w1], self._high[w0:w1], c)
-            out += int(popcount(m).sum())
-        o = i & 63
-        if o:
-            m = _match_words(self._low[w1], self._high[w1], c) & MASK_LOW[o]
-            out += int(m).bit_count()
-        return out
+        w0, w1 = block * 8 * self.block_words, (i >> 6) + 1
+        m = _match_words(self._low[w0:w1], self._high[w0:w1], c)
+        m[-1] &= MASK_LOW[i & 63]
+        return int(self._counts[c, block]) + int(popcount(m).sum())
 
     def _rank_many(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
-        out = np.empty(i.shape, dtype=np.int64)
-        for s in range(0, i.size, self._chunk):
-            sl = slice(s, s + self._chunk)
-            out[sl] = self._rank_chunk(i[sl], c[sl])
-        return out
+        return self._by_chunks(self._rank_chunk, i, c)
 
     def _rank_chunk(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
         block = i // (512 * self.block_words)
-        out = self._counts[block, c]
-        w0 = block * (8 * self.block_words)
-        w1 = i >> 6
-        cols = w0[:, None] + np.arange(self._scan_words, dtype=np.int64)[None, :]
-        live = cols < w1[:, None]
-        cols = np.minimum(cols, self._low.size - 1)
-        m = _match_words(self._low[cols], self._high[cols], c[:, None])
-        m = np.where(live, m, np.uint64(0))
-        out = out + popcount(m).sum(axis=1)
-        m_last = _match_words(self._low[w1], self._high[w1], c) & MASK_LOW[i & 63]
-        return out + popcount(m_last)
+        w0, m = self._window(block, c)
+        last = (i >> 6) - w0  # the column of the word that holds i
+        m[np.arange(self._scan_words) > last[:, None]] = 0
+        m[np.arange(i.size), last] &= MASK_LOW[i & 63]
+        return self._counts[c, block] + popcount(m).sum(axis=1)
 
     def _select(self, j: int, c: int) -> int:
-        col = self._counts[:, c]
-        block = int(np.searchsorted(col, j, side="left")) - 1
-        target = j - int(col[block])
+        row = self._counts[c]
+        block = int(np.searchsorted(row, j, side="left")) - 1
+        target = j - int(row[block])
         # Padding bits match symbol 0, but they follow every real position,
         # and the target lies in this block: the scan needs no mask.
         w0 = block * 8 * self.block_words
@@ -305,31 +283,39 @@ class BitPlaneRank(_StringQueries):
         return (w0 + idx) * 64 + select_in_word(int(m[idx]), r)
 
     def _select_many(self, j: np.ndarray, c: np.ndarray) -> np.ndarray:
-        out = np.empty(j.shape, dtype=np.int64)
-        for s in range(0, j.size, self._chunk):
-            sl = slice(s, s + self._chunk)
-            out[sl] = self._select_chunk(j[sl], c[sl])
-        return out
+        return self._by_chunks(self._select_chunk, j, c)
 
     def _select_chunk(self, j: np.ndarray, c: np.ndarray) -> np.ndarray:
         block = np.empty(j.shape, dtype=np.int64)
         for cc in range(self.SIGMA):
             rows = np.flatnonzero(c == cc)
             if rows.size:
-                block[rows] = np.searchsorted(self._counts[:, cc], j[rows], side="left") - 1
-        target = j - self._counts[block, c]
-        w0 = block * (8 * self.block_words)
-        # As in _select, the words past the target need no mask; the clamp
-        # only keeps the columns past the last word in range.
-        cols = w0[:, None] + np.arange(self._scan_words, dtype=np.int64)[None, :]
-        cols = np.minimum(cols, self._low.size - 1)
-        m = _match_words(self._low[cols], self._high[cols], c[:, None])
+                block[rows] = np.searchsorted(self._counts[cc], j[rows], side="left") - 1
+        target = j - self._counts[c, block]
+        # As in _select, the words past the target need no mask.
+        w0, m = self._window(block, c)
         pops = popcount(m)
         cum = np.cumsum(pops, axis=1)
         idx = (cum < target[:, None]).sum(axis=1)
         rows = np.arange(j.size)
         r = target - 1 - (cum[rows, idx] - pops[rows, idx])
         return (w0 + idx) * 64 + select_in_words(m[rows, idx], r)
+
+    def _window(self, block: np.ndarray, c: np.ndarray):
+        """w0, the first plane word of each query's block, and the _scan_words
+        words from w0 matched against c, one row per query. Columns past the
+        last plane word repeat it; they follow every position a query reads."""
+        w0 = block * (8 * self.block_words)
+        cols = np.minimum(w0[:, None] + np.arange(self._scan_words), self._low.size - 1)
+        return w0, _match_words(self._low[cols], self._high[cols], c[:, None])
+
+    def _by_chunks(self, kernel, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """kernel over _chunk queries at a time, which bounds its window matrices."""
+        out = np.empty(a.shape, dtype=np.int64)
+        for s in range(0, a.size, self._chunk):
+            sl = slice(s, s + self._chunk)
+            out[sl] = kernel(a[sl], c[sl])
+        return out
 
     def size_bits(self) -> int:
         total = 64 * (self._low.size + self._high.size)
@@ -341,9 +327,10 @@ class BitPlaneRank(_StringQueries):
         return f"BitPlaneRank(length={self.length}, block_words={self.block_words})"
 
 
+_FILL = np.array([0, 2**64 - 1], dtype=np.uint64)  # a plane word of all 0s, of all 1s
+
+
 def _match_words(low, high, c):
-    """Words whose symbol equals c: NOT(low XOR fill(c0)) AND NOT(high XOR fill(c1))."""
-    c = np.asarray(c)
-    lo_fill = np.where((c & 1) == 1, np.uint64(0xFFFFFFFFFFFFFFFF), np.uint64(0))
-    hi_fill = np.where((c >> 1) == 1, np.uint64(0xFFFFFFFFFFFFFFFF), np.uint64(0))
-    return ~(low ^ lo_fill) & ~(high ^ hi_fill)
+    """Words whose symbol equals c: NOT((low XOR fill(c0)) OR (high XOR fill(c1))),
+    where c is an int or an int array that broadcasts against the words."""
+    return ~((low ^ _FILL[c & 1]) | (high ^ _FILL[c >> 1]))

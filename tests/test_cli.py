@@ -155,6 +155,21 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     assert c.read_text() != a.read_text()
 
 
+def test_bad_env_seed_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    path = gen_file(tmp_path, capsys)
+    monkeypatch.setenv("DEGEN_SEED", "abc")
+    code, _, err = run(capsys, "stats", str(path))
+    assert code == 2
+    assert err.strip() == "error: DEGEN_SEED must be an integer, got 'abc'"
+
+
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_verify_rejects_a_sample_below_one(tmp_path, capsys, sample):
+    path = gen_file(tmp_path, capsys)
+    code, out, err = run(capsys, "verify", str(path), "--sample", sample)
+    assert code == 2 and "--sample" in err and "ok:" not in out
+
+
 def test_error_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "stats", str(tmp_path / "missing.txt"))
     assert code == 2 and "error:" in err

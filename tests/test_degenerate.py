@@ -127,6 +127,15 @@ def test_members_past_uint32_keep_their_value():
     assert list(z.sets()) == [(2**63,)]
 
 
+def test_uint64_members_past_int64_are_checked_in_their_own_dtype():
+    big = 2**63 + 1
+    x = DegenerateString(2**64, np.array([1, big], dtype=np.uint64), [0, 2])
+    assert x == parse_degenerate(f"{2**64} 1\n1 {big}\n")
+    assert list(x.sets()) == [(1, big)]
+    with pytest.raises(ValueError, match="ascending"):
+        DegenerateString(2**64, np.array([2**63 + 5, big], dtype=np.uint64), [0, 2])
+
+
 def test_stats_worked_example():
     st = stats(parse_degenerate(FIG_TEXT))
     assert (st.sigma, st.n, st.N, st.n0) == (4, 4, 8, 0)

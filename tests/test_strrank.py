@@ -3,6 +3,7 @@ import pytest
 
 from degenrank._bits import unpack_bits
 from degenrank.bitvector import PlainBitvector
+from degenrank import strrank
 from degenrank.strrank import BitPlaneRank, WaveletTree
 
 
@@ -100,6 +101,7 @@ def test_bitplane_matches_linear_scan(block_words):
         for c in range(4):
             expect = np.cumsum(np.concatenate([[0], (syms == c).astype(np.int64)]))
             assert np.array_equal(bp.rank_many(idx, c), expect), (block_words, n, c)
+            assert [bp.rank(int(i), c) for i in idx] == expect.tolist(), (block_words, n, c)
             pos = ref_positions(syms, c)
             assert bp.symbol_count(c) == pos.size
             if pos.size:
@@ -302,3 +304,36 @@ def test_block_words_whose_block_overflows_int64_are_rejected(block_words):
         BitPlaneRank.from_planes(100, block_words, zeros, zeros)
     with pytest.raises(ValueError, match="block_words"):
         BitPlaneRank(np.zeros(100, dtype=np.int64), block_words=block_words)
+
+
+def test_bitplane_matches_one_window_per_query(monkeypatch):
+    # every query matches its plane words once: scalar rank and select, and
+    # each chunk of a batch, whatever word or block edge the query sits on
+    calls = []
+    match = strrank._match_words
+
+    def counted(*args):
+        calls.append(args)
+        return match(*args)
+
+    monkeypatch.setattr(strrank, "_match_words", counted)
+    rng = np.random.default_rng(97)
+    syms = random_symbols(rng, 3000, 4)
+    bp = BitPlaneRank(syms, block_words=1)
+
+    def count(call, *args):
+        calls.clear()
+        call(*args)
+        return len(calls)
+
+    for i in (0, 64, 512, 1000, 3000):
+        assert count(bp.rank, i, 2) == 1, i
+    for c in range(4):
+        assert count(bp.select, int(bp.symbol_counts()[c]), c) == 1, c
+    for q in (2, 3 * bp._chunk + 17):
+        chunks = -(-q // bp._chunk)
+        i = rng.integers(0, 3001, size=q)
+        c = rng.integers(0, 4, size=q)
+        j = rng.integers(1, bp.symbol_counts()[c] + 1)
+        assert count(bp.rank_many, i, c) == chunks
+        assert count(bp.select_many, j, c) == chunks
