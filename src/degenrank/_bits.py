@@ -33,8 +33,10 @@ def _build_select_in_byte() -> np.ndarray:
     return table
 
 
-# SELECT_IN_BYTE[b, r] is the position of the (r+1)-th set bit of byte b.
+# SELECT_IN_BYTE[b, r] is the position of the (r+1)-th set bit of byte b;
+# _SELECT_IN_BYTE_ROWS is the same table as Python tuples, for select_in_word.
 SELECT_IN_BYTE = _build_select_in_byte()
+_SELECT_IN_BYTE_ROWS = tuple(map(tuple, SELECT_IN_BYTE.tolist()))
 
 
 def narrow_uint(top: int):
@@ -89,11 +91,24 @@ def popcount(words: np.ndarray) -> np.ndarray:
 
 
 def select_in_word(word: int, r: int) -> int:
-    """Position of the (r+1)-th set bit of a 64-bit word. r is 0-indexed."""
-    w = word
-    for _ in range(r):
-        w &= w - 1
-    return (w & -w).bit_length() - 1
+    """Position of the (r+1)-th set bit of a 64-bit word. r is 0-indexed and
+    below the word's popcount. Halving: the low 32, 16 and 8 bits at the
+    current offset each either hold the bit or are skipped, then one byte
+    table lookup."""
+    p = 0
+    k = (word & 0xFFFFFFFF).bit_count()
+    if r >= k:
+        r -= k
+        p = 32
+    k = ((word >> p) & 0xFFFF).bit_count()
+    if r >= k:
+        r -= k
+        p += 16
+    k = ((word >> p) & 0xFF).bit_count()
+    if r >= k:
+        r -= k
+        p += 8
+    return p + _SELECT_IN_BYTE_ROWS[(word >> p) & 255][r]
 
 
 def select_in_words(words: np.ndarray, ranks: np.ndarray) -> np.ndarray:

@@ -93,13 +93,14 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _mismatch(kind, c, where, got, want) -> int:
+def _mismatch(kind, c, where, got, want) -> None:
     print(f"MISMATCH subset_{kind}({where}, {c}): structure says {got}, "
           f"data says {want}")
-    return 1
 
 
-def _verify_symbol(x, st, c, idx, js) -> int:
+def _verify_symbol(x, st, c, idx, js) -> int | None:
+    """Check the ranks at idx and the selects at the js that c has; the
+    number of queries checked, or None after printing the first mismatch."""
     col = _rank_column(x, c)
     got = st.subset_rank_many(idx, np.full(idx.size, c))
     want = col[idx]
@@ -116,7 +117,7 @@ def _verify_symbol(x, st, c, idx, js) -> int:
         if bad.size:
             k = bad[0]
             return _mismatch("select", c, int(js[k]), int(got[k]), int(want[k]))
-    return 0
+    return idx.size + js.size
 
 
 def cmd_verify(args) -> int:
@@ -143,20 +144,20 @@ def cmd_verify(args) -> int:
         idx = np.arange(x.n + 1)
         for c in range(x.sigma):
             m = int(positions_of(x, c).size)
-            code = _verify_symbol(x, st, c, idx, np.arange(1, m + 1))
-            if code:
-                return code
-            checked += idx.size + m
+            done = _verify_symbol(x, st, c, idx, np.arange(1, m + 1))
+            if done is None:
+                return 1
+            checked += done
     else:
         per = max(1, args.sample // max(1, x.sigma))
         for c in rng.permutation(x.sigma)[:args.sample]:
             idx = rng.integers(0, x.n + 1, per)
             js = (np.unique(rng.integers(1, x.n + 1, per)) if x.n
                   else np.zeros(0, dtype=np.int64))
-            code = _verify_symbol(x, st, int(c), idx, js)
-            if code:
-                return code
-            checked += per
+            done = _verify_symbol(x, st, int(c), idx, js)
+            if done is None:
+                return 1
+            checked += done
     print(f"ok: {label} matches {args.input} ({checked} queries)")
     return 0
 

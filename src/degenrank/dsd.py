@@ -65,7 +65,8 @@ class _Decomposition(_SubsetQueries):
         n_a, n_b = int(self._base.symbol_counts()[c]), ov.ones_count
         # Smallest t with g(t) >= j - 1; every t below the range has g(t) < j - 1
         # and every t at or above it is past the end of B_c or has g(t) >= t >= j.
-        lo, hi = max(0, j - 1 - n_a), min(j, n_b)
+        lo = j - 1 - n_a if j - 1 > n_a else 0
+        hi = j if j < n_b else n_b
         hit = False
         while lo < hi:
             mid = (lo + hi) // 2

@@ -67,11 +67,27 @@ def _check_alphabet(S, sigma: int) -> None:
         raise ValueError(f"base string does not fit the alphabet of size {sigma}")
 
 
+# A batch of at most this many queries is answered one query at a time by
+# the scalar kernels. Each numpy call of a batched kernel costs about 1 us
+# however small the batch, and a batched rank or select makes tens of them,
+# so below this size the scalar kernels are faster; above it, the batched ones.
+_SCALAR_BATCH = 4
+
+
+def _one_by_one(kernel, a: np.ndarray, c: np.ndarray, shape) -> np.ndarray:
+    return np.array(list(map(kernel, a.tolist(), c.tolist())), dtype=np.int64).reshape(shape)
+
+
 class _SubsetQueries:
     """Checked subset queries over the kernels _rank, _select, _rank_many and
     _select_many; a subclass sets sigma, n, N, n0, base_name and
     _containing, the number of sets that contain each symbol, and defines
-    size_breakdown()."""
+    size_breakdown().
+
+    Every query form checks its arguments once. A batch of at most
+    _SCALAR_BATCH queries is then answered one query at a time by the scalar
+    kernels, a larger one by the batched kernels; both give the same answers
+    in the same int64 array of the broadcast shape."""
 
     def subset_rank(self, i, c) -> int:
         return self._rank(*rank_arg(i, c, self.n, self.sigma))
@@ -81,10 +97,14 @@ class _SubsetQueries:
 
     def subset_rank_many(self, i, c) -> np.ndarray:
         i, c, shape = rank_args(i, c, self.n, self.sigma)
+        if i.size <= _SCALAR_BATCH:
+            return _one_by_one(self._rank, i, c, shape)
         return self._rank_many(i, c).reshape(shape)
 
     def subset_select_many(self, j, c) -> np.ndarray:
         j, c, shape = select_args(j, c, self._containing)
+        if j.size <= _SCALAR_BATCH:
+            return _one_by_one(self._select, j, c, shape)
         return self._select_many(j, c).reshape(shape)
 
     def containing_count(self, c) -> int:

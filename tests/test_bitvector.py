@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from degenrank._bits import select_in_word
 from degenrank.bitvector import PlainBitvector, SparseBitvector
 
 
@@ -335,3 +336,13 @@ def test_sparse_rank_and_bit_at_dtype_edges(length):
         sv.bit(length)
     empty = SparseBitvector(length, [])
     assert empty.rank(length, 1) == 0 and empty.bit(length - 1) == 0
+
+
+def test_select_in_word_matches_bit_by_bit_scan():
+    rng = np.random.default_rng(53)
+    words = [int(w) for w in rng.integers(0, 2**63, 40, dtype=np.uint64)]
+    words += [int(np.uint64(w) | np.uint64(1 << 63)) for w in words[:10]]
+    words += [1, 1 << 63, 2**64 - 1, 0xFF00FF00FF00FF00, 0x8000000100000001]
+    for word in words:
+        ones = [p for p in range(64) if word >> p & 1]
+        assert [select_in_word(word, r) for r in range(len(ones))] == ones, hex(word)

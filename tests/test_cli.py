@@ -5,6 +5,7 @@ from degenrank import container
 from degenrank.bench import CSV_HEADER
 from degenrank.cli import main
 from degenrank.degenerate import parse_degenerate
+from degenrank.oracle import positions_of
 
 
 def run(capsys, *argv):
@@ -168,6 +169,24 @@ def test_verify_rejects_a_sample_below_one(tmp_path, capsys, sample):
     path = gen_file(tmp_path, capsys)
     code, out, err = run(capsys, "verify", str(path), "--sample", sample)
     assert code == 2 and "--sample" in err and "ok:" not in out
+
+
+def test_verify_counts_the_ranks_and_selects_it_checked(tmp_path, capsys):
+    path = gen_file(tmp_path, capsys, sigma=4)
+    x = parse_degenerate(path.read_text())
+    code, out, _ = run(capsys, "verify", str(path), "--exhaustive")
+    assert code == 0 and out.endswith(f"({4 * (x.n + 1) + x.N} queries)\n")
+    # the draws of --sample 40 --seed 9: 10 ranks per symbol, and the
+    # distinct select ordinals among 10 that the symbol has
+    rng = np.random.default_rng(9)
+    want = 0
+    for c in rng.permutation(4):
+        rng.integers(0, x.n + 1, 10)
+        js = np.unique(rng.integers(1, x.n + 1, 10))
+        want += 10 + int((js <= positions_of(x, int(c)).size).sum())
+    assert 40 < want < 80
+    code, out, _ = run(capsys, "verify", str(path), "--sample", "40", "--seed", "9")
+    assert code == 0 and out.endswith(f"({want} queries)\n")
 
 
 def test_error_exit_codes(tmp_path, capsys):
