@@ -15,6 +15,7 @@ import operator
 import numpy as np
 
 WORD_BITS = 64
+FULL_WORD = (1 << WORD_BITS) - 1  # a word of all ones, as a Python int
 INT64_MAX = (1 << 63) - 1
 
 # MASK_LOW[k] has the k lowest bits set; MASK_LOW[0] == 0.  Kept as uint64 so

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bits import (INT64_MAX, MASK_LOW, index_arg, index_args, integers, narrow_uint,
-                    pack_bits, packed_payload, popcount, select_in_word, select_in_words,
-                    unpack_bits)
+from ._bits import (FULL_WORD, INT64_MAX, MASK_LOW, index_arg, index_args, integers,
+                    narrow_uint, pack_bits, packed_payload, popcount, select_in_word,
+                    select_in_words, unpack_bits)
 
 _SUPER_BITS = 512
 _WORDS_PER_SUPER = 8
@@ -25,7 +25,6 @@ _WORDS_PER_SUPER = 8
 _SHIFT9 = tuple(9 * ((t - 1) % _WORDS_PER_SUPER) for t in range(_WORDS_PER_SUPER))
 _SHIFT9_WORDS = np.array(_SHIFT9, dtype=np.uint64)
 _WORD_STARTS = np.arange(0, _SUPER_BITS, 64)  # bits before each word of a superblock
-_FULL_WORD = (1 << 64) - 1
 
 
 def as_bit_array(bits) -> np.ndarray:
@@ -178,7 +177,7 @@ class PlainBitvector(_BitQueries):
         w_idx = sb * _WORDS_PER_SUPER + t
         w = self._words.item(w_idx)
         if not b:
-            w = ~w & _FULL_WORD
+            w = ~w & FULL_WORD
         return w_idx * 64 + select_in_word(w, rel - 1 - prev)
 
     def _select_many(self, j: np.ndarray, b: int = 1) -> np.ndarray:

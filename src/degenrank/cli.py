@@ -71,7 +71,9 @@ def _add_data_args(p, with_structure=True):
         p.add_argument("--structure", choices=STRUCTURES, default="reduction-iii")
         p.add_argument("--base", choices=BASES, default="wavelet")
         p.add_argument("--block-words", type=int, default=8,
-                       help="block granularity for the bitplane base")
+                       help="bitplane base: symbols per absolute-count block, in "
+                            "units of 512; larger blocks take less space, and a "
+                            "query scans at most 8 plane words at any size")
 
 
 def _rank_column(x: DegenerateString, c: int) -> np.ndarray:

@@ -6,11 +6,12 @@ Two interchangeable backends:
   and answers queries in O(log sigma) bitvector operations, one per level.
 * BitPlaneRank is a flat-layout alternative fixed to sigma <= 4. Symbols are
   split into a low and a high bit plane; a block of 512 * block_words symbols
-  keeps one absolute count per symbol. A query reads the count before its
-  block, then scans the plane words from the block start through its own
-  word and popcounts the bits that match its symbol c = 2h + l:
-  `NOT((high XOR h) OR (low XOR l))`, the comparison that wide-register
-  scans batch.
+  keeps one absolute count per symbol, and each 512-symbol sub-block one
+  count per symbol relative to its block. A query reads the two counts
+  before its sub-block, then scans the at most 8 plane words from the
+  sub-block start through its own word and popcounts the bits that match
+  its symbol c = 2h + l: `NOT((high XOR h) OR (low XOR l))`, the comparison
+  that wide-register scans batch.
 
 Both use the same conventions as the bitvectors: rank(i, c) counts symbol c
 in [0, i), select(j, c) is 0-indexed with 1-indexed j. Both check arguments
@@ -19,14 +20,17 @@ in the public methods of _StringQueries and answer in unchecked kernels.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
-from ._bits import (MASK_LOW, index_arg, integers, narrow_uint, pack_bits, packed_payload,
-                    popcount, rank_arg, rank_args, select_arg, select_args, select_in_word,
-                    select_in_words)
+from ._bits import (FULL_WORD, MASK_LOW, index_arg, integers, narrow_uint, pack_bits,
+                    packed_payload, popcount, rank_arg, rank_args, select_arg, select_args,
+                    select_in_word, select_in_words)
 from .bitvector import PlainBitvector
 
 _MAX_SIGMA = 1 << 32  # the largest alphabet a wavelet base takes; its symbols fit uint32
+_SUB_WORDS = 8  # plane words per bitplane sub-block, 512 symbols
 
 
 def _as_symbols(symbols, sigma: int) -> np.ndarray:
@@ -184,15 +188,17 @@ class WaveletTree(_StringQueries):
 
 
 class BitPlaneRank(_StringQueries):
-    """Rank-select for sigma <= 4 via low/high bit planes and block counts.
+    """Rank-select for sigma <= 4 via low/high bit planes and two count levels.
 
-    block_words sets the block granularity: one block covers 512*block_words
-    symbols and stores four absolute 64-bit counts, so larger blocks shrink
-    the counts table at the price of scanning more plane words per query.
-    Every query scans one window, the plane words from its block's start
-    through its own word, matched as NOT((high XOR h) OR (low XOR l)) for
-    c = 2h + l. The counts are symbol-major: the row a select searches is
-    contiguous.
+    Every 512-symbol sub-block stores the count of each symbol between its
+    block's start and its own, in the narrowest unsigned dtype that holds
+    512 * (block_words - 1); every block of 512 * block_words symbols stores
+    the absolute counts (Vigna's rank9, over four symbols). So block_words
+    sets the space of the block table only: larger blocks shrink it, and no
+    query scans more than the 8 plane words of one sub-block, matched as
+    NOT((high XOR h) OR (low XOR l)) for c = 2h + l. The block counts are
+    symbol-major, and row c is offset by c * (length + 1): the rows form one
+    ascending array, which a batched select searches once for every symbol.
     """
 
     SIGMA = 4
@@ -215,20 +221,36 @@ class BitPlaneRank(_StringQueries):
         return self
 
     def _build_counts(self, block_words) -> None:
-        self.block_words = index_arg(block_words, 1, self.MAX_BLOCK_WORDS, "block_words",
-                                     ValueError)
-        wpb = 8 * self.block_words  # plane words per block
-        # A query scans at most one block of plane words, nor more than the string has.
-        self._scan_words = min(wpb, self._low.size)
+        self.block_words = bw = index_arg(block_words, 1, self.MAX_BLOCK_WORDS, "block_words",
+                                          ValueError)
+        # The scalar kernels read the plane bytes in place, which needs them contiguous.
+        self._low, self._high = np.ascontiguousarray(self._low), np.ascontiguousarray(self._high)
+        self._low_bytes, self._high_bytes = (memoryview(p).cast("B")
+                                             for p in (self._low, self._high))
+        # A query scans at most one sub-block of plane words, nor more than the string has.
+        self._scan_words = min(_SUB_WORDS, self._low.size)
         self._chunk = max(1, (1 << 16) // self._scan_words)  # queries per batch chunk
-        n_blocks = -(-self.length // (512 * self.block_words))
         # One row per symbol; the padding bits of the last word match symbol 0.
         m = _match_words(self._low, self._high, np.arange(self.SIGMA)[:, None])
         m[:, -1] &= MASK_LOW[self.length & 63]
-        # A length that fills its last block leaves one more group: the padding word.
-        per_block = np.add.reduceat(popcount(m), np.arange(0, m.shape[1], wpb), axis=1)
-        self._counts = np.zeros((self.SIGMA, n_blocks + 1), dtype=np.int64)
-        self._counts[:, 1:] = np.cumsum(per_block[:, :n_blocks], axis=1)
+        # The c's before each sub-block; the last sub-block holds position length.
+        n_sub = self.length // (64 * _SUB_WORDS) + 1
+        before = np.zeros((self.SIGMA, n_sub + 1), dtype=np.int64)
+        np.cumsum(np.add.reduceat(popcount(m), np.arange(0, m.shape[1], _SUB_WORDS), axis=1),
+                  axis=1, out=before[:, 1:])
+        self._totals = before[:, -1].copy()
+        n_blocks = -(-self.length // (512 * bw))
+        blocks = before[:, np.minimum(np.arange(n_blocks + 1) * bw, n_sub)]
+        # Relative counts stop at 512 * (block_words - 1) and at length; int64,
+        # not uint64, past 32 bits: int64 sums with uint64 would turn float64.
+        top = min(512 * (bw - 1), self.length)
+        self._sub = (before[:, :n_sub] - blocks[:, np.arange(n_sub) // bw]).astype(
+            narrow_uint(top) if top < 1 << 32 else np.int64)
+        # The offset rows top out at 4 * length + 3: uint32 while that fits.
+        offset = np.arange(self.SIGMA)[:, None] * (self.length + 1)
+        self._counts = (blocks + offset).astype(
+            np.uint32 if 4 * (self.length + 1) <= 1 << 32 else np.int64)
+        self._rounds = (min(bw, n_sub) - 1).bit_length()  # bisection rounds inside one block
 
     def plane_payload(self):
         return (self.length, self.block_words, self._low, self._high)
@@ -241,7 +263,7 @@ class BitPlaneRank(_StringQueries):
 
     def symbol_counts(self) -> np.ndarray:
         """Occurrences of each symbol, indexed by symbol."""
-        return self._counts[:, -1]
+        return self._totals
 
     def _access(self, p: int) -> int:
         w, o = p >> 6, p & 63
@@ -250,50 +272,68 @@ class BitPlaneRank(_StringQueries):
         return hi * 2 + lo
 
     def _rank(self, i: int, c: int) -> int:
-        block = i // (512 * self.block_words)
-        w0, w1 = block * 8 * self.block_words, (i >> 6) + 1
-        m = _match_words(self._low[w0:w1], self._high[w0:w1], c)
-        m[-1] &= MASK_LOW[i & 63]
-        return int(self._counts[c, block]) + int(popcount(m).sum())
+        s = i >> 9
+        m = _match_int(self._low_bytes, self._high_bytes, s, c) & ((1 << (i & 511)) - 1)
+        return (self._counts.item(c, s // self.block_words) - c * (self.length + 1)
+                + self._sub.item(c, s) + m.bit_count())
 
     def _rank_many(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
         return self._by_chunks(self._rank_chunk, i, c)
 
     def _rank_chunk(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
-        block = i // (512 * self.block_words)
-        w0, m = self._window(block, c)
+        s = i >> 9
+        w0, m = self._window(s, c)
         last = (i >> 6) - w0  # the column of the word that holds i
         m[np.arange(self._scan_words) > last[:, None]] = 0
         m[np.arange(i.size), last] &= MASK_LOW[i & 63]
-        return self._counts[c, block] + popcount(m).sum(axis=1)
+        return (self._counts[c, s // self.block_words] - c * (self.length + 1)
+                + self._sub[c, s] + popcount(m).sum(axis=1))
+
+    # Both selects search row c of the block counts for the last block with
+    # fewer than j c's before it, then that block's sub-block counts for the
+    # last sub-block with fewer than the rest; the first holds 0, so one is
+    # found. Padding bits match symbol 0, but they follow every real
+    # position, and the target lies in this sub-block: the scan needs no mask.
 
     def _select(self, j: int, c: int) -> int:
         row = self._counts[c]
-        block = int(np.searchsorted(row, j, side="left")) - 1
-        target = j - int(row[block])
-        # Padding bits match symbol 0, but they follow every real position,
-        # and the target lies in this block: the scan needs no mask.
-        w0 = block * 8 * self.block_words
-        w1 = w0 + self._scan_words
-        m = _match_words(self._low[w0:w1], self._high[w0:w1], c)
-        pops = popcount(m)
-        cum = np.cumsum(pops)
-        idx = int(np.searchsorted(cum, target, side="left"))
-        r = target - 1 - (int(cum[idx]) - int(pops[idx]))
-        return (w0 + idx) * 64 + select_in_word(int(m[idx]), r)
+        key = j + c * (self.length + 1)
+        block = int(row.searchsorted(row.dtype.type(key))) - 1
+        target = key - row.item(block)
+        lo, n_sub = block * self.block_words, self._sub.shape[1]
+        hi = lo + self.block_words
+        s = bisect_left(self._sub[c], target, lo, hi if hi < n_sub else n_sub) - 1
+        target -= self._sub.item(c, s)
+        m = _match_int(self._low_bytes, self._high_bytes, s, c)
+        w = s * _SUB_WORDS
+        while True:
+            word = m & FULL_WORD
+            k = word.bit_count()
+            if target <= k:
+                return w * 64 + select_in_word(word, target - 1)
+            target -= k
+            m >>= 64
+            w += 1
 
     def _select_many(self, j: np.ndarray, c: np.ndarray) -> np.ndarray:
         return self._by_chunks(self._select_chunk, j, c)
 
     def _select_chunk(self, j: np.ndarray, c: np.ndarray) -> np.ndarray:
-        block = np.empty(j.shape, dtype=np.int64)
-        for cc in range(self.SIGMA):
-            rows = np.flatnonzero(c == cc)
-            if rows.size:
-                block[rows] = np.searchsorted(self._counts[cc], j[rows], side="left") - 1
-        target = j - self._counts[c, block]
-        # As in _select, the words past the target need no mask.
-        w0, m = self._window(block, c)
+        counts = self._counts.ravel()
+        key = j + c * (self.length + 1)
+        pos = counts.searchsorted(key.astype(counts.dtype)) - 1
+        target = key - counts[pos]
+        # A bisection over the flat sub-block counts, inside each query's block.
+        sub, n_sub = self._sub.ravel(), self._sub.shape[1]
+        lo = c * n_sub + (pos - c * self._counts.shape[1]) * self.block_words
+        hi = np.minimum(lo + self.block_words, (c + 1) * n_sub)
+        for _ in range(self._rounds):
+            mid = (lo + hi) >> 1
+            below = sub[mid] < target
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        target -= sub[lo]
+        w0, m = self._window(lo - c * n_sub, c)
         pops = popcount(m)
         cum = np.cumsum(pops, axis=1)
         idx = (cum < target[:, None]).sum(axis=1)
@@ -301,11 +341,12 @@ class BitPlaneRank(_StringQueries):
         r = target - 1 - (cum[rows, idx] - pops[rows, idx])
         return (w0 + idx) * 64 + select_in_words(m[rows, idx], r)
 
-    def _window(self, block: np.ndarray, c: np.ndarray):
-        """w0, the first plane word of each query's block, and the _scan_words
-        words from w0 matched against c, one row per query. Columns past the
-        last plane word repeat it; they follow every position a query reads."""
-        w0 = block * (8 * self.block_words)
+    def _window(self, s: np.ndarray, c: np.ndarray):
+        """w0, the first plane word of each query's sub-block s, and the
+        _scan_words words from w0 matched against c, one row per query. Columns
+        past the last plane word repeat it; they follow every position a query
+        reads."""
+        w0 = s * _SUB_WORDS
         cols = np.minimum(w0[:, None] + np.arange(self._scan_words), self._low.size - 1)
         return w0, _match_words(self._low[cols], self._high[cols], c[:, None])
 
@@ -319,7 +360,7 @@ class BitPlaneRank(_StringQueries):
 
     def size_bits(self) -> int:
         total = 64 * (self._low.size + self._high.size)
-        total += 64 * self._counts.size
+        total += 8 * (self._counts.nbytes + self._sub.nbytes + self._totals.nbytes)
         total += 3 * 64  # length, block_words, sigma scalars
         return total
 
@@ -334,3 +375,12 @@ def _match_words(low, high, c):
     """Words whose symbol equals c: NOT((low XOR fill(c0)) OR (high XOR fill(c1))),
     where c is an int or an int array that broadcasts against the words."""
     return ~((low ^ _FILL[c & 1]) | (high ^ _FILL[c >> 1]))
+
+
+def _match_int(low: memoryview, high: memoryview, s: int, c: int) -> int:
+    """_match_words over the plane bytes of sub-block s, read in place as one
+    Python int whose bit k is position 512 * s + k. For c = 0 every bit past
+    the planes is set as well: a caller masks them off or stops before them."""
+    lo = int.from_bytes(low[s * 64:s * 64 + 64], "little")
+    hi = int.from_bytes(high[s * 64:s * 64 + 64], "little")
+    return (lo if c & 1 else ~lo) & (hi if c & 2 else ~hi)

@@ -89,11 +89,12 @@ def test_wavelet_matrix_layout(sigma):
     assert wt.size_bits() == level_bits + 64 * (nbits + 2 * sigma) + 192
 
 
-@pytest.mark.parametrize("block_words", [1, 2, 8, 16, 32])
+@pytest.mark.parametrize("block_words", [1, 2, 8, 16, 32, 2**40])
 def test_bitplane_matches_linear_scan(block_words):
     rng = np.random.default_rng(90 + block_words)
     lengths = [0, 1, 63, 64, 511, 512, 513, 512 * block_words - 1,
                512 * block_words, 512 * block_words + 1, 3000]
+    lengths = [n for n in lengths if n <= 3 * 2**14]  # the block edges of 2**40 are too far
     for n in lengths:
         syms = random_symbols(rng, n, 4, skew=[0.7, 0.2, 0.07, 0.03])
         bp = BitPlaneRank(syms, block_words=block_words)
@@ -240,9 +241,14 @@ def test_bitplane_payload_roundtrip():
     bp = BitPlaneRank(syms, block_words=2)
     length, bw, low, high = bp.plane_payload()
     again = BitPlaneRank.from_planes(length, bw, low, high)
+    # planes that arrive as strided views, which the scalar kernels cannot read in place
+    strided = BitPlaneRank.from_planes(length, bw, np.repeat(low, 2)[::2], np.repeat(high, 2)[::2])
     i = rng.integers(0, 1001, size=200)
     c = rng.integers(0, 4, size=200)
     assert np.array_equal(bp.rank_many(i, c), again.rank_many(i, c))
+    assert [strided.rank(a, b) for a, b in zip(i, c)] == bp.rank_many(i, c).tolist()
+    j = rng.integers(1, bp.symbol_counts()[c] + 1)
+    assert [strided.select(a, b) for a, b in zip(j, c)] == bp.select_many(j, c).tolist()
 
 
 def test_numpy_scalar_arguments():
@@ -307,33 +313,62 @@ def test_block_words_whose_block_overflows_int64_are_rejected(block_words):
 
 
 def test_bitplane_matches_one_window_per_query(monkeypatch):
-    # every query matches its plane words once: scalar rank and select, and
-    # each chunk of a batch, whatever word or block edge the query sits on
+    # every query matches the plane words of one sub-block once, whatever the
+    # block size: scalar rank and select through the Python-int match, each
+    # chunk of a batch through the array match, on any word or block edge
     calls = []
-    match = strrank._match_words
 
-    def counted(*args):
-        calls.append(args)
-        return match(*args)
+    def counting(match):
+        def counted(*args):
+            calls.append(args)
+            return match(*args)
+        return counted
 
-    monkeypatch.setattr(strrank, "_match_words", counted)
+    for name in ("_match_words", "_match_int"):
+        monkeypatch.setattr(strrank, name, counting(getattr(strrank, name)))
     rng = np.random.default_rng(97)
     syms = random_symbols(rng, 3000, 4)
-    bp = BitPlaneRank(syms, block_words=1)
 
     def count(call, *args):
         calls.clear()
         call(*args)
         return len(calls)
 
-    for i in (0, 64, 512, 1000, 3000):
-        assert count(bp.rank, i, 2) == 1, i
+    for block_words in (1, 8, 32, 2**40):
+        bp = BitPlaneRank(syms, block_words=block_words)
+        assert bp._scan_words <= 8, block_words
+        for i in (0, 64, 511, 512, 1000, 2048, 3000):
+            assert count(bp.rank, i, 2) == 1, (block_words, i)
+        for c in range(4):
+            assert count(bp.select, int(bp.symbol_counts()[c]), c) == 1, (block_words, c)
+            assert count(bp.select, 1, c) == 1, (block_words, c)
+        for q in (2, 3 * bp._chunk + 17):
+            chunks = -(-q // bp._chunk)
+            i = rng.integers(0, 3001, size=q)
+            c = rng.integers(0, 4, size=q)
+            j = rng.integers(1, bp.symbol_counts()[c] + 1)
+            assert count(bp.rank_many, i, c) == chunks, block_words
+            assert count(bp.select_many, j, c) == chunks, block_words
+
+
+@pytest.mark.parametrize("block_words", [128, 129, 2**40])
+def test_bitplane_counts_do_not_wrap_on_a_long_run(block_words):
+    # a run of one symbol longer than 2**16 fills the relative counts of a
+    # block to 512 * (block_words - 1) and the select targets past 2**16
+    rng = np.random.default_rng(101)
+    syms = random_symbols(rng, 3 * 2**16 + 77, 4)
+    syms[:2**16 + 3000] = 1  # from a block start, so a relative count reaches 2**16
+    bp = BitPlaneRank(syms, block_words=block_words)
+    n = syms.size
+    edges = np.arange(0, n + 1, 512)
+    idx = np.unique(np.clip(np.concatenate([edges - 1, edges, edges + 1, [n]]), 0, n))
     for c in range(4):
-        assert count(bp.select, int(bp.symbol_counts()[c]), c) == 1, c
-    for q in (2, 3 * bp._chunk + 17):
-        chunks = -(-q // bp._chunk)
-        i = rng.integers(0, 3001, size=q)
-        c = rng.integers(0, 4, size=q)
-        j = rng.integers(1, bp.symbol_counts()[c] + 1)
-        assert count(bp.rank_many, i, c) == chunks
-        assert count(bp.select_many, j, c) == chunks
+        cum = np.concatenate([[0], np.cumsum(syms == c)])
+        assert np.array_equal(bp.rank_many(idx, c), cum[idx]), c
+        assert [bp.rank(int(i), c) for i in idx] == cum[idx].tolist(), c
+        pos = ref_positions(syms, c)
+        # the j whose answer sits at or next to a sub-block edge, and the last one
+        js = np.unique(np.clip(np.concatenate([cum[idx], cum[idx] + 1, [pos.size]]),
+                               1, pos.size))
+        assert np.array_equal(bp.select_many(js, c), pos[js - 1]), c
+        assert [bp.select(int(j), c) for j in js] == pos[js - 1].tolist(), c
