@@ -24,20 +24,21 @@ MASK_LOW = np.array([(1 << k) - 1 for k in range(WORD_BITS)], dtype=np.uint64)
 
 
 def _build_select_in_byte() -> np.ndarray:
-    table = np.zeros((256, 8), dtype=np.uint8)
+    table = np.zeros(256 * 8, dtype=np.uint8)
     for b in range(256):
         t = 0
         for p in range(8):
             if (b >> p) & 1:
-                table[b, t] = p
+                table[8 * b + t] = p
                 t += 1
     return table
 
 
-# SELECT_IN_BYTE[b, r] is the position of the (r+1)-th set bit of byte b;
-# _SELECT_IN_BYTE_ROWS is the same table as Python tuples, for select_in_word.
+# SELECT_IN_BYTE[8 * b + r] is the position of the (r+1)-th set bit of byte b
+# (one flat index is cheaper for numpy than two); _SELECT_IN_BYTE_ROWS is the
+# same table as rows of Python tuples, for select_in_word.
 SELECT_IN_BYTE = _build_select_in_byte()
-_SELECT_IN_BYTE_ROWS = tuple(map(tuple, SELECT_IN_BYTE.tolist()))
+_SELECT_IN_BYTE_ROWS = tuple(map(tuple, SELECT_IN_BYTE.reshape(256, 8).tolist()))
 
 
 def narrow_uint(top: int):
@@ -112,20 +113,23 @@ def select_in_word(word: int, r: int) -> int:
     return p + _SELECT_IN_BYTE_ROWS[(word >> p) & 255][r]
 
 
-def select_in_words(words: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Vectorized select_in_word over matching uint64 words and int64 ranks.
+# Eight 8-bit fields: a 1 in each, the top bit of each.
+_ONES8 = 0x0101010101010101
+_MSBS8 = _ONES8 << 7
 
-    words must be a C-contiguous uint64 array, as a fancy-indexed or computed
-    one is: its bytes are read in place, in memory order, which is low byte
-    first on the little-endian hosts that unpack_bits also assumes.
-    """
-    byte_mat = words.view(np.uint8).reshape(-1, 8)
-    cnt = popcount(byte_mat)
-    cum = np.cumsum(cnt, axis=1)
-    byte_idx = (cum <= ranks[:, None]).sum(axis=1)
-    rows = np.arange(words.size)
-    r_in = ranks - (cum[rows, byte_idx] - cnt[rows, byte_idx])
-    return byte_idx * 8 + SELECT_IN_BYTE[byte_mat[rows, byte_idx], r_in]
+
+def select_in_words(words: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Vectorized select_in_word over matching uint64 words and int64 ranks,
+    as uint8 (Vigna's broadword select). Byte k of `sums` counts the set bits
+    of bytes 0 to k, at most 64, so one subtraction compares all eight sums
+    with the rank and a popcount gives the byte; one table lookup in it."""
+    s = words - ((words >> 1) & 0x5555555555555555)
+    s = (s & 0x3333333333333333) + ((s >> 2) & 0x3333333333333333)
+    sums = ((s + (s >> 4)) & 0x0F0F0F0F0F0F0F0F) * _ONES8
+    r = ranks.astype(np.uint64)
+    place = np.bitwise_count((((r * _ONES8) | _MSBS8) - sums) & _MSBS8) << 3
+    before = (sums << 8 >> place) & 255
+    return place + SELECT_IN_BYTE[((words >> place) & 255) << 3 | (r - before)]
 
 
 # -- query arguments ---------------------------------------------------------
@@ -189,6 +193,39 @@ def select_args(j, c, counts: np.ndarray):
     """select_arg over arrays, shaped as rank_args."""
     c = index_args(c, 0, counts.size - 1, "symbol")
     return _flat(index_args(j, 1, counts[c], "select index", ValueError), c)
+
+
+def small_batch(a, c, limit: int):
+    """a and c as flat lists of Python ints in their broadcast shape, and that
+    shape, when both are integer arrays that broadcast to at most limit
+    elements. For anything else, a and c as arrays and None: the array
+    checks then take them and raise what they raise. No value is checked."""
+    a, c = np.asarray(a), np.asarray(c)
+    if a.dtype.kind in "iu" and c.dtype.kind in "iu":
+        try:  # np.broadcast_arrays costs about 3 us even when it changes nothing
+            la, lc = (a, c) if a.shape == c.shape else np.broadcast_arrays(a, c)
+        except ValueError:  # shapes that do not broadcast
+            return a, c, None
+        if la.size <= limit:
+            return la.ravel().tolist(), lc.ravel().tolist(), la.shape
+    return a, c, None
+
+
+def rank_list_args(i: list, c: list, limit: int, sigma: int) -> None:
+    """rank_args over the lists of small_batch, on Python ints."""
+    for v in i:
+        index_arg(v, 0, limit, "prefix")
+    for v in c:
+        index_arg(v, 0, sigma - 1, "symbol")
+
+
+def select_list_args(j: list, c: list, counts: np.ndarray) -> None:
+    """select_args over the lists of small_batch, on Python ints: every symbol
+    is checked before any select index, so a bad symbol's IndexError wins."""
+    for v in c:
+        index_arg(v, 0, counts.size - 1, "symbol")
+    for v, b in zip(j, c):
+        index_arg(v, 1, counts.item(b), "select index", ValueError)
 
 
 def _flat(a: np.ndarray, c: np.ndarray):

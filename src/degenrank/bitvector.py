@@ -20,11 +20,23 @@ _SUPER_BITS = 512
 _WORDS_PER_SUPER = 8
 # The ones before word t of a superblock are (block9 >> _SHIFT9[t]) & 511. The
 # counts of words 1 to 7 fill bits 0 to 62 of block9, so word 0 reads bit 63,
-# which is always 0 (Vigna's rank9). _SHIFT9 serves the scalar kernels and
-# _SHIFT9_WORDS, the same table as uint64, the batched ones.
+# which is always 0 (Vigna's rank9); block9 is therefore a nonnegative int64.
+# _SHIFT9 serves the scalar kernels and _SHIFT9_WORDS, the same table as an
+# array, the batched ones.
 _SHIFT9 = tuple(9 * ((t - 1) % _WORDS_PER_SUPER) for t in range(_WORDS_PER_SUPER))
-_SHIFT9_WORDS = np.array(_SHIFT9, dtype=np.uint64)
-_WORD_STARTS = np.arange(0, _SUPER_BITS, 64)  # bits before each word of a superblock
+_SHIFT9_WORDS = np.array(_SHIFT9, dtype=np.int64)
+# Seven 9-bit fields: a 1 in each, the top bit of each, and 64 * (t + 1) in
+# field t, the bits up to the end of word t + 1. ZERO9 - block9 holds the
+# zeros before each word as block9 holds the ones, with bit 63 still 0.
+_ONES9 = sum(1 << 9 * t for t in range(_WORDS_PER_SUPER - 1))
+_MSBS9 = _ONES9 << 8
+_ZERO9 = sum(64 * (t + 1) << 9 * t for t in range(_WORDS_PER_SUPER - 1))
+
+
+def _le9(x, y):
+    """The top bit of every 9-bit field of x that is <= the same field of y,
+    over Python ints or int64 arrays whose bit 63 is 0 (Vigna's ULEQ_STEP_9)."""
+    return ((((y | _MSBS9) - (x & ~_MSBS9)) | (x ^ y)) ^ (x & ~y)) & _MSBS9
 
 
 def as_bit_array(bits) -> np.ndarray:
@@ -75,9 +87,11 @@ class PlainBitvector(_BitQueries):
     32-bit counts, plus seven relative word counts packed 9 bits each into a
     single extra word, so the vector takes about 1.25 bits per bit and rank
     is O(1). Select of either bit is one binary search over the stored counts
-    of that bit, then a scan of the relative word counts and a select inside
-    one word; it stores nothing of its own. A vector of 2**32 bits or more
-    keeps its counts as 64-bit integers, 64 more bits per superblock.
+    of that bit, then Vigna's broadword select9, which finds the word by
+    comparing all seven word counts at once, then a select inside that word,
+    broadword in the batched kernel; it stores nothing of its own. A vector
+    of 2**32 bits or more keeps its counts as 64-bit integers, 64 more bits
+    per superblock.
     """
 
     def __init__(self, bits):
@@ -112,8 +126,8 @@ class PlainBitvector(_BitQueries):
         dtype = np.uint32 if length < 1 << 32 else np.int64
         self._before = ((np.arange(n_super) * _SUPER_BITS - ones).astype(dtype),
                         ones.astype(dtype))
-        rel = (mat[:, 1:] - mat[:, :1]).astype(np.uint64)
-        self._block9 = np.bitwise_or.reduce(rel << _SHIFT9_WORDS[1:], axis=1)
+        self._block9 = np.bitwise_or.reduce((mat[:, 1:] - mat[:, :1]) << _SHIFT9_WORDS[1:],
+                                            axis=1)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -150,7 +164,7 @@ class PlainBitvector(_BitQueries):
     def _rank_many(self, i: np.ndarray, b: int = 1) -> np.ndarray:
         w = i >> 6
         sb = i >> 9
-        rel = ((self._block9[sb] >> _SHIFT9_WORDS[w & 7]) & np.uint64(511)).astype(np.int64)
+        rel = (self._block9[sb] >> _SHIFT9_WORDS[w & 7]) & 511
         part = popcount(self._words[w] & MASK_LOW[i & 63])
         r1 = self._before[1][sb] + rel + part
         return r1 if b else i - r1
@@ -159,42 +173,32 @@ class PlainBitvector(_BitQueries):
 
     # Both kernels search the counts of bit b for the last superblock with
     # fewer than j b-bits before it. The key takes the dtype of the counts:
-    # any other key makes numpy cast every count on each call.
+    # any other key makes numpy cast every count on each call. Inside the
+    # superblock, the word is the number of 9-bit word counts of bit b at or
+    # below the rank r left to find (Vigna's select9): one broadword
+    # comparison of all seven against r * ONES9, then a popcount.
 
     def _select(self, j: int, b: int = 1) -> int:
         counts = self._before[b]
         sb = int(counts.searchsorted(counts.dtype.type(j))) - 1
-        rel = j - counts.item(sb)
-        b9 = self._block9.item(sb)
-        t = prev = 0
-        for tt in range(1, _WORDS_PER_SUPER):
-            cnt = (b9 >> _SHIFT9[tt]) & 511
-            if not b:
-                cnt = tt * 64 - cnt
-            if cnt >= rel:
-                break
-            t, prev = tt, cnt
+        r = j - 1 - counts.item(sb)
+        x = self._block9.item(sb) if b else _ZERO9 - self._block9.item(sb)
+        t = _le9(x, r * _ONES9).bit_count()
         w_idx = sb * _WORDS_PER_SUPER + t
         w = self._words.item(w_idx)
-        if not b:
-            w = ~w & FULL_WORD
-        return w_idx * 64 + select_in_word(w, rel - 1 - prev)
+        return w_idx * 64 + select_in_word(w if b else ~w & FULL_WORD,
+                                           r - ((x >> _SHIFT9[t]) & 511))
 
     def _select_many(self, j: np.ndarray, b: int = 1) -> np.ndarray:
         counts = self._before[b]
         sb = counts.searchsorted(j.astype(counts.dtype)) - 1
-        rel = j - counts[sb]
-        brel = ((self._block9[sb][:, None] >> _SHIFT9_WORDS) & np.uint64(511)).astype(np.int64)
-        if not b:
-            brel = _WORD_STARTS - brel
-        t = (brel < rel[:, None]).sum(axis=1) - 1
-        rows = np.arange(sb.size)
-        prev = brel[rows, t]
+        r = j - 1 - counts[sb]
+        x = self._block9[sb] if b else _ZERO9 - self._block9[sb]
+        t = np.bitwise_count(_le9(x, r * _ONES9))
         w_idx = sb * _WORDS_PER_SUPER + t
         words = self._words[w_idx]
-        if not b:
-            words = ~words
-        return w_idx * 64 + select_in_words(words, rel - 1 - prev)
+        return w_idx * 64 + select_in_words(words if b else ~words,
+                                            r - ((x >> _SHIFT9_WORDS[t]) & 511))
 
     # -- accounting ---------------------------------------------------------
 

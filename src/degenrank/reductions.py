@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bits import index_arg, rank_arg, rank_args, select_arg, select_args
+from ._bits import (index_arg, rank_arg, rank_args, rank_list_args, select_arg, select_args,
+                    select_list_args, small_batch)
 from .bitvector import PlainBitvector, SparseBitvector
 from .degenerate import DegenerateString
 from .strrank import BitPlaneRank, WaveletTree
@@ -67,15 +68,17 @@ def _check_alphabet(S, sigma: int) -> None:
         raise ValueError(f"base string does not fit the alphabet of size {sigma}")
 
 
-# A batch of at most this many queries is answered one query at a time by
-# the scalar kernels. Each numpy call of a batched kernel costs about 1 us
-# however small the batch, and a batched rank or select makes tens of them,
-# so below this size the scalar kernels are faster; above it, the batched ones.
-_SCALAR_BATCH = 4
+# A batch of at most _SCALAR_RANKS ranks or _SCALAR_SELECTS selects is checked
+# on Python ints and answered one query at a time by the scalar kernels: each
+# numpy call of a batched kernel costs about 1 us however small the batch. A
+# sweep of 1 to 64 queries on every benchmark structure put the crossover at 8
+# to 16 ranks, and at 16 to 64 selects, whose batched kernels make more calls.
+_SCALAR_RANKS = 8
+_SCALAR_SELECTS = 16
 
 
-def _one_by_one(kernel, a: np.ndarray, c: np.ndarray, shape) -> np.ndarray:
-    return np.array(list(map(kernel, a.tolist(), c.tolist())), dtype=np.int64).reshape(shape)
+def _one_by_one(kernel, a: list, c: list, shape) -> np.ndarray:
+    return np.array(list(map(kernel, a, c)), dtype=np.int64).reshape(shape)
 
 
 class _SubsetQueries:
@@ -84,10 +87,12 @@ class _SubsetQueries:
     _containing, the number of sets that contain each symbol, and defines
     size_breakdown().
 
-    Every query form checks its arguments once. A batch of at most
-    _SCALAR_BATCH queries is then answered one query at a time by the scalar
-    kernels, a larger one by the batched kernels; both give the same answers
-    in the same int64 array of the broadcast shape."""
+    Every query form checks its arguments once: a batch of at most
+    _SCALAR_RANKS ranks or _SCALAR_SELECTS selects on Python ints, then
+    answered one query at a time by the scalar kernels; a larger one as
+    arrays, then answered by the batched kernels. Both raise the same
+    errors and give the same answers in the same int64 array of the
+    broadcast shape."""
 
     def subset_rank(self, i, c) -> int:
         return self._rank(*rank_arg(i, c, self.n, self.sigma))
@@ -96,16 +101,20 @@ class _SubsetQueries:
         return self._select(*select_arg(j, c, self._containing))
 
     def subset_rank_many(self, i, c) -> np.ndarray:
-        i, c, shape = rank_args(i, c, self.n, self.sigma)
-        if i.size <= _SCALAR_BATCH:
-            return _one_by_one(self._rank, i, c, shape)
-        return self._rank_many(i, c).reshape(shape)
+        i, c, shape = small_batch(i, c, _SCALAR_RANKS)
+        if shape is None:
+            i, c, shape = rank_args(i, c, self.n, self.sigma)
+            return self._rank_many(i, c).reshape(shape)
+        rank_list_args(i, c, self.n, self.sigma)
+        return _one_by_one(self._rank, i, c, shape)
 
     def subset_select_many(self, j, c) -> np.ndarray:
-        j, c, shape = select_args(j, c, self._containing)
-        if j.size <= _SCALAR_BATCH:
-            return _one_by_one(self._select, j, c, shape)
-        return self._select_many(j, c).reshape(shape)
+        j, c, shape = small_batch(j, c, _SCALAR_SELECTS)
+        if shape is None:
+            j, c, shape = select_args(j, c, self._containing)
+            return self._select_many(j, c).reshape(shape)
+        select_list_args(j, c, self._containing)
+        return _one_by_one(self._select, j, c, shape)
 
     def containing_count(self, c) -> int:
         """Number of sets containing c (the select upper bound)."""

@@ -1,7 +1,9 @@
-"""The two ways a batch is answered: a batch of at most _SCALAR_BATCH
-queries by the scalar kernels, one query at a time, a larger one by the
-batched kernels. Both must give the same answers, dtype and shape, and the
-batched kernels keep their own coverage at every small size."""
+"""The two ways a batch is answered: a batch of at most _SCALAR_RANKS ranks
+or _SCALAR_SELECTS selects is checked on Python ints and answered by the
+scalar kernels, one query at a time, a larger one is checked as arrays and
+answered by the batched kernels. Both must raise the same errors and give
+the same answers, dtype and shape, and the batched kernels keep their own
+coverage at every small size."""
 
 import numpy as np
 import pytest
@@ -10,10 +12,10 @@ from degenrank import reductions
 from degenrank.degenerate import DegenerateString, generate
 from degenrank.dsd import build_dsd
 from degenrank.oracle import positions_of, rank_table
-from degenrank.reductions import _SCALAR_BATCH, build_reduction
+from degenrank.reductions import _SCALAR_RANKS, _SCALAR_SELECTS, build_reduction
 
 KERNELS = ("_rank", "_select", "_rank_many", "_select_many")
-SIZES = range(1, _SCALAR_BATCH + 2)
+SIZES = range(1, max(_SCALAR_RANKS, _SCALAR_SELECTS) + 2)
 CASES = [(s, b, empties) for s in ("reduction-i", "reduction-ii", "reduction-iii", "dsd")
          for b in ("wavelet", "bitplane") for empties in (False, True)
          if not (s == "reduction-i" and empties)]
@@ -54,7 +56,7 @@ def count_kernels(st) -> dict:
 
 @pytest.mark.parametrize("structure,base,empties", CASES)
 def test_batch_size_picks_the_kernels(structure, base, empties):
-    assert _SCALAR_BATCH >= 2  # a k-mer search step ranks the two ends of an interval
+    assert _SCALAR_RANKS >= 2  # a k-mer search step ranks the two ends of an interval
     x = instance(empties)
     st = build(structure, base, x)
     table = rank_table(x)
@@ -66,10 +68,11 @@ def test_batch_size_picks_the_kernels(structure, base, empties):
         assert np.array_equal(st.subset_rank_many(i, rc), table[i, rc])
         assert np.array_equal(st.subset_select_many(j, sc),
                               [positions_of(x, c)[jj - 1] for jj, c in zip(j, sc)])
-        if k <= _SCALAR_BATCH:
-            assert calls == {"_rank": k, "_select": k, "_rank_many": 0, "_select_many": 0}, k
-        else:
-            assert calls["_rank_many"] == calls["_select_many"] == 1, calls
+        ranks = ({"_rank": k, "_rank_many": 0} if k <= _SCALAR_RANKS
+                 else {"_rank": 0, "_rank_many": 1})
+        selects = ({"_select": k, "_select_many": 0} if k <= _SCALAR_SELECTS
+                   else {"_select": 0, "_select_many": 1})
+        assert calls == {**ranks, **selects}, k
 
 
 @pytest.mark.parametrize("structure,base,empties", CASES)
@@ -103,11 +106,61 @@ def test_both_paths_give_the_same_arrays(structure, base, monkeypatch):
             (st.subset_rank_many, np.array([[0], [350], [700]]), c),
             (st.subset_select_many, np.array([[1], [top // 2], [top]]), c)]
     answers = {}
-    for limit in (-1, _SCALAR_BATCH, 10**9):  # always batched, as shipped, always scalar
-        monkeypatch.setattr(reductions, "_SCALAR_BATCH", limit)
+    for limit in (-1, None, 10**9):  # always batched, as shipped, always scalar
+        if limit is not None:
+            monkeypatch.setattr(reductions, "_SCALAR_RANKS", limit)
+            monkeypatch.setattr(reductions, "_SCALAR_SELECTS", limit)
         answers[limit] = [fn(a, c) for fn, a, c in args]
     shapes = [(), (), (0,), (0,), (2, 0), (2, 0), (3, 4), (3, 4)]
     for got in answers.values():
         assert [a.shape for a in got] == shapes
         assert all(a.dtype == np.int64 for a in got)
         assert all(np.array_equal(a, b) for a, b in zip(got, answers[-1]))
+
+
+def faulty_batches(st, k):
+    """(query, first argument, second argument, error) for batches of k
+    queries with one fault each, mostly at the last query."""
+    ok = np.ones(k, dtype=np.int64)  # prefix 1, select index 1, symbol 1
+
+    def last(v, dtype=np.int64):
+        a = ok.astype(dtype)
+        a[-1] = v
+        return a
+
+    u64 = 2**64 - 1
+    top = int(st._containing[1])
+    rank, select = st.subset_rank_many, st.subset_select_many
+    first_bad = ok.copy()
+    first_bad[0] = top + 1
+    return [(rank, ok.astype(float), ok, ValueError), (rank, ok, ok.astype(float), ValueError),
+            (select, ok.astype(float), ok, ValueError), (select, ok, ok.astype(float), ValueError),
+            (rank, last(u64, np.uint64), ok, IndexError),
+            (rank, ok, last(u64, np.uint64), IndexError),
+            (select, last(u64, np.uint64), ok, ValueError),
+            (select, ok, last(u64, np.uint64), IndexError),
+            (rank, last(st.n + 1), ok, IndexError), (rank, last(-1), ok, IndexError),
+            (rank, ok, last(st.sigma), IndexError), (rank, ok, last(-1), IndexError),
+            (select, last(top + 1), ok, ValueError), (select, last(0), ok, ValueError),
+            (select, ok, last(st.sigma), IndexError),
+            # a bad index and a bad symbol: the symbol's IndexError wins, even
+            # when the bad index comes at an earlier query
+            (select, last(top + 1), last(-1), IndexError),
+            (select, first_bad, last(st.sigma), IndexError),
+            (rank, np.ones((2, k), dtype=np.int64), np.ones((3, k), dtype=np.int64), ValueError),
+            (select, np.ones((2, k), dtype=np.int64), np.ones((3, k), dtype=np.int64), ValueError)]
+
+
+@pytest.mark.parametrize("structure,base", [("reduction-iii", "wavelet"), ("dsd", "bitplane")])
+def test_both_paths_raise_the_same_errors(structure, base, monkeypatch):
+    st = build(structure, base, instance(True))
+    past = max(_SCALAR_RANKS, _SCALAR_SELECTS) + 1
+    for limit in (-1, None, 10**9):  # always batched, as shipped, always scalar
+        if limit is not None:
+            monkeypatch.setattr(reductions, "_SCALAR_RANKS", limit)
+            monkeypatch.setattr(reductions, "_SCALAR_SELECTS", limit)
+        for k in (1, 2, 4, past):
+            for n, (fn, a, c, error) in enumerate(faulty_batches(st, k)):
+                with pytest.raises(error):
+                    fn(a, c)
+                    pytest.fail(f"case {n} raised nothing (k={k}, limit={limit})")

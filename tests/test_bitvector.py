@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from degenrank._bits import select_in_word
-from degenrank.bitvector import PlainBitvector, SparseBitvector
+from degenrank._bits import select_in_word, select_in_words
+from degenrank.bitvector import _MSBS9, _ZERO9, PlainBitvector, SparseBitvector
 
 
 def ref_rank(bits, i, b):
@@ -346,3 +346,34 @@ def test_select_in_word_matches_bit_by_bit_scan():
     for word in words:
         ones = [p for p in range(64) if word >> p & 1]
         assert [select_in_word(word, r) for r in range(len(ones))] == ones, hex(word)
+
+
+def test_select_in_words_matches_select_in_word():
+    rng = np.random.default_rng(59)
+    words = [2**64 - 1, 1, 1 << 63, 0x8000000000000001]
+    words += [int(w) for w in rng.integers(0, 2**64, 200, dtype=np.uint64)]
+    for density in (0.05, 0.95):
+        words += [int(w) for w in np.packbits(random_bits(rng, 64 * 50, density),
+                                              bitorder="little").view("<u8")]
+    word, rank = zip(*[(w, r) for w in words for r in range(w.bit_count())])
+    got = select_in_words(np.array(word, dtype=np.uint64), np.array(rank, dtype=np.int64))
+    assert got.tolist() == [select_in_word(w, r) for w, r in zip(word, rank)]
+
+
+@pytest.mark.parametrize("length", [511, 512, 513, 4097])
+def test_select_of_either_bit_across_word_counts_past_255(length):
+    # select9 compares 9-bit word counts; a count past 255 sets the top bit
+    # of its field, the case the broadword comparison must get right
+    rng = np.random.default_rng(length)
+    top_bit_seen = [False, False]
+    for density in (0.0, 0.02, 0.5, 0.98, 1.0):
+        bits = random_bits(rng, length, density)
+        bv = PlainBitvector(bits)
+        top_bit_seen[0] |= bool(((_ZERO9 - bv._block9) & _MSBS9).any())
+        top_bit_seen[1] |= bool((bv._block9 & _MSBS9).any())
+        for b in (0, 1):
+            pos = ref_positions(bits, b).tolist()
+            js = list(range(1, len(pos) + 1))
+            assert bv.select_many(js, b).tolist() == pos, (density, b)
+            assert [bv.select(j, b) for j in js] == pos, (density, b)
+    assert top_bit_seen == [True, True]

@@ -108,6 +108,45 @@ def test_each_argument_is_checked_once(structure, base):
     assert count_reductions(st.subset_select_many, np.array([1, 2]), np.array([0, 2])) <= 4
 
 
+# Scalar reads that make no numpy dispatch on an array.
+NOT_COUNTED = {"item", "bit_count", "from_bytes", "index", "setprofile"}
+
+
+def count_c_calls(fn, *args) -> int:
+    """C function calls made by fn(*args), as sys.setprofile sees them, other
+    than those in NOT_COUNTED."""
+    seen = 0
+
+    def profile(frame, event, arg):
+        nonlocal seen
+        seen += event == "c_call" and getattr(arg, "__name__", None) not in NOT_COUNTED
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+@pytest.mark.parametrize("structure,base", PAIRS)
+def test_a_two_query_batch_costs_a_fixed_number_of_calls(structure, base):
+    # one k-mer search step with the kernels stubbed out: what is left is the
+    # boundary, one asarray, ravel and tolist per argument and one array out
+    _, st = build(structure, base)
+    st._rank = st._select = lambda a, c: 0
+    assert count_c_calls(st.subset_rank_many, np.array([1, 6]), np.array([0, 2])) <= 8
+    assert count_c_calls(st.subset_select_many, np.array([1, 2]), np.array([0, 2])) <= 8
+
+
+def test_a_chain_step_makes_at_most_twelve_calls():
+    # the whole step on reduction-iii/wavelet: the boundary and two searches
+    # over stored counts per query (E rank and R select, or two level selects)
+    _, st = build("reduction-iii", "wavelet")
+    assert count_c_calls(st.subset_rank_many, np.array([1, 6]), np.array([0, 2])) <= 12
+    assert count_c_calls(st.subset_select_many, np.array([1, 2]), np.array([0, 2])) <= 12
+
+
 def test_components_reject_non_integers():
     syms = np.array([0, 1, 2, 3, 0, 1])
     for st in (WaveletTree(syms, 4), BitPlaneRank(syms)):
