@@ -12,10 +12,18 @@ words), 3 sparse bitvector (length u64, count u64, positions as u64), 4
 wavelet levels (sigma u64, length u64, level words back to back, in
 wavelet-matrix order: level k holds bit nbits-1-k of every symbol, stably
 partitioned on the bits above it, zeros first), 5 bit planes (length u64,
-block_words u64, low words, high words). The DSD overflow vectors span the
-n - n0 nonempty sets, like its base string. Version 1 kept the wavelet
-levels in wavelet-tree order, which differs for sigma > 4, so it is
-refused.
+block_words u64, low words, high words). After the meta block come the
+base string, then R and E for a reduction, or E and one overflow vector per
+symbol for a DSD; the overflow vectors span the n - n0 nonempty sets, like
+its base string. Version 1 kept the wavelet levels in wavelet-tree order,
+which differs for sigma > 4, so it is refused.
+
+One codec frames every component: _parts lists them in container order,
+_encode writes one and _Reader reads them back. Each reader is bounded, to
+the blob or to one payload, so a cut inside a header or a payload is a
+ValueError, as is a payload that its decoder does not consume exactly.
+Word arrays decode from a bytes copy of their payload, not from a view of
+the blob: payloads start at odd offsets, and a view would be unaligned.
 
 Only payloads are stored; rank/select support structures are rebuilt on
 load, which keeps the format small and makes every loaded structure
@@ -39,28 +47,14 @@ from .strrank import BitPlaneRank, WaveletTree
 MAGIC = b"DGRS"
 VERSION = 2
 
-_STRUCT_TAGS = {"reduction-i": 1, "reduction-ii": 2, "reduction-iii": 3, "dsd": 4}
-_BASE_TAGS = {"wavelet": 0, "bitplane": 1}
+_STRUCTS = ("reduction-i", "reduction-ii", "reduction-iii", "dsd")  # tags 1 to 4
+_BASES = ("wavelet", "bitplane")  # tags 0 and 1
 _COMP_NAMES = {1: "meta", 2: "plain", 3: "sparse", 4: "wavelet", 5: "bitplane"}
+_META_FIELDS = ("sigma", "n", "N", "n0", "block_words")
 
 
 def is_container(blob: bytes) -> bool:
     return blob[:4] == MAGIC
-
-
-def _u64(*vals) -> bytes:
-    return struct.pack("<" + "Q" * len(vals), *(int(v) for v in vals))
-
-
-def _words_bytes(words: np.ndarray) -> bytes:
-    return np.ascontiguousarray(words, dtype="<u8").tobytes()
-
-
-def _comp(tag: int, payload: bytes) -> bytes:
-    return struct.pack("<BQ", tag, len(payload)) + payload
-
-
-_META_FIELDS = ("sigma", "n", "N", "n0", "block_words")
 
 
 def _meta(st) -> tuple:
@@ -68,157 +62,128 @@ def _meta(st) -> tuple:
     return tuple(getattr(st, f) or 0 for f in _META_FIELDS)
 
 
-def _plain_comp(bv: PlainBitvector) -> bytes:
-    return _comp(2, _u64(bv.length) + _words_bytes(bv._words))
+def _parts(st) -> list:
+    """The meta block and the components of st, in container order."""
+    if st.structure_name == "dsd":
+        e, base, overflow = st.components()
+        return [_meta(st), base, e, *overflow]
+    if st.structure_name == "reduction-iii":
+        return [_meta(st), st._inner._S, st._inner._R, st._E]
+    return [_meta(st), st._S, st._R]
 
 
-def _sparse_comp(sv: SparseBitvector) -> bytes:
-    pos = sv.positions()
-    return _comp(3, _u64(sv.length, pos.size) + _words_bytes(pos.astype(np.uint64)))
-
-
-def _base_comp(base) -> bytes:
-    if base.base_name == "wavelet":
-        payload = _u64(base.sigma, base.length)
-        payload += b"".join(_words_bytes(w) for (_, w) in base.level_payload())
-        return _comp(4, payload)
-    length, bw, low, high = base.plane_payload()
-    return _comp(5, _u64(length, bw) + _words_bytes(low) + _words_bytes(high))
+def _encode(comp) -> bytes:
+    """Sub-tag, payload length and payload of one component."""
+    if isinstance(comp, tuple):
+        tag, head, arrays = 1, comp, ()
+    elif isinstance(comp, PlainBitvector):
+        tag, head, arrays = 2, (comp.length,), (comp._words,)
+    elif isinstance(comp, SparseBitvector):
+        tag, head, arrays = 3, (comp.length, comp.ones_count), (comp.positions(),)
+    elif isinstance(comp, WaveletTree):
+        tag, head, arrays = 4, (comp.sigma, comp.length), [w for _, w in comp.level_payload()]
+    else:
+        length, bw, low, high = comp.plane_payload()
+        tag, head, arrays = 5, (length, bw), (low, high)
+    payload = struct.pack(f"<{len(head)}Q", *head) + b"".join(
+        [np.ascontiguousarray(a, dtype="<u8").tobytes() for a in arrays])
+    return struct.pack("<BQ", tag, len(payload)) + payload
 
 
 def dumps(st) -> bytes:
     """Serialize a built structure (any reduction or DSD) to bytes."""
     name = getattr(st, "structure_name", None)
-    if name not in _STRUCT_TAGS:
+    if name not in _STRUCTS:
         raise ValueError(f"cannot serialize {type(st).__name__}")
-    head = MAGIC + struct.pack("<BBB", VERSION, _STRUCT_TAGS[name],
-                               _BASE_TAGS[st.base_name])
-    parts = [head, _comp(1, _u64(*_meta(st)))]
-    if name == "dsd":
-        e, base, overflow = st.components()
-        parts.append(_base_comp(base))
-        parts.append(_sparse_comp(e))
-        parts.extend(_sparse_comp(ov) for ov in overflow)
-    elif name == "reduction-iii":
-        parts.append(_base_comp(st._inner._S))
-        parts.append(_plain_comp(st._inner._R))
-        parts.append(_sparse_comp(st._E))
-    else:
-        parts.append(_base_comp(st._S))
-        parts.append(_plain_comp(st._R))
-    return b"".join(parts)
+    head = MAGIC + bytes([VERSION, _STRUCTS.index(name) + 1, _BASES.index(st.base_name)])
+    return b"".join([head, *map(_encode, _parts(st))])
 
 
 class _Reader:
-    def __init__(self, blob: bytes, offset: int):
-        self.blob = blob
-        self.at = offset
+    """Reads blob[at:end] front to back."""
+
+    def __init__(self, blob: bytes, at: int, end: int):
+        self.blob, self.at, self.end = blob, at, end
+
+    def skip(self, n: int) -> int:
+        """Move past n bytes; where they start."""
+        if n > self.end - self.at:
+            raise ValueError("container truncated")
+        self.at += n
+        return self.at - n
 
     def take(self, n: int) -> bytes:
-        if self.at + n > len(self.blob):
-            raise ValueError("container truncated")
-        out = self.blob[self.at:self.at + n]
-        self.at += n
-        return out
+        # a bytes slice is a copy, so the words decoded from it are aligned
+        return self.blob[self.skip(n):self.at]
 
-    def u64s(self, count: int):
-        vals = struct.unpack("<" + "Q" * count, self.take(8 * count))
-        return vals if count > 1 else vals[0]
+    def u64s(self, count: int) -> tuple:
+        return struct.unpack(f"<{count}Q", self.take(8 * count))
 
     def words(self, count: int) -> np.ndarray:
-        raw = self.take(8 * count)
-        return np.frombuffer(raw, dtype="<u8").astype(np.uint64, copy=False)
+        return np.frombuffer(self.take(8 * count), dtype="<u8").astype(np.uint64, copy=False)
 
-    def component(self, want_tag: int):
+    def header(self):
+        """The next component's sub-tag, and a reader bounded to its payload."""
         tag, ln = struct.unpack("<BQ", self.take(9))
-        name = _COMP_NAMES.get(tag, f"tag{tag}")
-        if tag != want_tag:
-            raise ValueError(
-                f"expected component {_COMP_NAMES[want_tag]!r}, found {name!r}")
-        end = self.at + ln
-        if end > len(self.blob):
-            raise ValueError("container truncated")
-        return end
+        return tag, _Reader(self.blob, self.skip(ln), self.at)
 
-    def done(self) -> None:
-        if self.at != len(self.blob):
-            raise ValueError(f"{len(self.blob) - self.at} trailing bytes in container")
-
-
-def _read_meta(r: _Reader):
-    end = r.component(1)
-    vals = r.u64s(5)
-    if r.at != end:
-        raise ValueError("meta component has wrong size")
-    return vals  # sigma, n, N, n0, block_words
-
-
-def _read_plain(r: _Reader) -> PlainBitvector:
-    end = r.component(2)
-    length = r.u64s(1)
-    bv = PlainBitvector.from_words(length, r.words(length // 64 + 1))
-    if r.at != end:
-        raise ValueError("plain bitvector component has wrong size")
-    return bv
-
-
-def _read_sparse(r: _Reader) -> SparseBitvector:
-    end = r.component(3)
-    length, m = r.u64s(2)
-    sv = SparseBitvector(length, r.words(m).astype(np.int64))
-    if r.at != end:
-        raise ValueError("sparse bitvector component has wrong size")
-    return sv
+    def component(self, tag: int):
+        """Decode the next component, which must have this sub-tag."""
+        found, r = self.header()
+        if found != tag:
+            raise ValueError(f"expected component {_COMP_NAMES[tag]!r}, "
+                             f"found {_COMP_NAMES.get(found, f'tag{found}')!r}")
+        # constructors are read as module globals: perfbench's traced load times them
+        if tag == 1:
+            out = r.u64s(5)  # sigma, n, N, n0, block_words
+        elif tag == 2:
+            (length,) = r.u64s(1)
+            out = PlainBitvector.from_words(length, r.words(length // 64 + 1))
+        elif tag == 3:
+            length, m = r.u64s(2)
+            out = SparseBitvector(length, r.words(m).astype(np.int64))
+        elif tag == 4:
+            sigma, length = r.u64s(2)
+            levels = [r.words(length // 64 + 1) for _ in range((sigma - 1).bit_length())]
+            out = WaveletTree.from_level_payload(sigma, length, levels)
+        else:
+            length, bw = r.u64s(2)
+            per_plane = length // 64 + 1
+            out = BitPlaneRank.from_planes(length, bw, r.words(per_plane), r.words(per_plane))
+        if r.at != r.end:
+            raise ValueError(f"{_COMP_NAMES[tag]} component has wrong size")
+        return out
 
 
-def _read_base(r: _Reader, base_name: str):
-    if base_name == "wavelet":
-        end = r.component(4)
-        sigma, length = r.u64s(2)
-        nbits = (int(sigma) - 1).bit_length()
-        per_level = length // 64 + 1
-        levels = [r.words(per_level) for _ in range(nbits)]
-        if r.at != end:
-            raise ValueError("wavelet component has wrong size")
-        return WaveletTree.from_level_payload(int(sigma), int(length), levels)
-    end = r.component(5)
-    length, bw = r.u64s(2)
-    per_plane = length // 64 + 1
-    low = r.words(per_plane)
-    high = r.words(per_plane)
-    if r.at != end:
-        raise ValueError("bitplane component has wrong size")
-    return BitPlaneRank.from_planes(int(length), int(bw), low, high)
+def _open(blob: bytes):
+    """A reader past the 7-byte header, then its version, structure and base tags."""
+    if blob[:4] != MAGIC:
+        raise ValueError("not a structure container (bad magic)")
+    r = _Reader(blob, 4, len(blob))
+    return (r, *r.take(3))
 
 
 def loads(blob: bytes):
     """Decode a container produced by dumps."""
-    if blob[:4] != MAGIC:
-        raise ValueError("not a structure container (bad magic)")
-    version, s_tag, b_tag = struct.unpack("<BBB", blob[4:7])
+    r, version, s_tag, b_tag = _open(blob)
     if version != VERSION:
         raise ValueError(f"unsupported container version {version}")
-    s_names = {v: k for k, v in _STRUCT_TAGS.items()}
-    b_names = {v: k for k, v in _BASE_TAGS.items()}
-    if s_tag not in s_names:
+    if not 0 < s_tag <= len(_STRUCTS):
         raise ValueError(f"unknown structure tag {s_tag}")
-    if b_tag not in b_names:
+    if b_tag >= len(_BASES):
         raise ValueError(f"unknown base tag {b_tag}")
-    name = s_names[s_tag]
-    base_name = b_names[b_tag]
-    r = _Reader(blob, 7)
-    meta = _read_meta(r)
+    name = _STRUCTS[s_tag - 1]
+    meta = r.component(1)
     sigma = meta[0]
+    base = r.component(4 + b_tag)  # sub-tag 4 wavelet, 5 bitplane
     if name == "dsd":
-        base = _read_base(r, base_name)
-        e = _read_sparse(r)
-        st = DsdStructure(e, base, [_read_sparse(r) for _ in range(sigma)])
+        st = DsdStructure(r.component(3), base, [r.component(3) for _ in range(sigma)])
     elif name == "reduction-iii":
-        st = ReductionIII(sigma, _read_base(r, base_name), _read_plain(r), _read_sparse(r))
+        st = ReductionIII(sigma, base, r.component(2), r.component(3))
     else:
-        cls = ReductionI if name == "reduction-i" else ReductionII
-        st = cls(sigma, _read_base(r, base_name), _read_plain(r))
-    r.done()
+        st = (ReductionI if name == "reduction-i" else ReductionII)(sigma, base, r.component(2))
+    if r.at != r.end:
+        raise ValueError(f"{r.end - r.at} trailing bytes in container")
     wrong = [f"{f} {a} (components give {b})"
              for f, a, b in zip(_META_FIELDS, meta, _meta(st)) if a != b]
     if wrong:
@@ -237,13 +202,11 @@ def load(path):
 
 
 def scan_components(blob: bytes):
-    """(name, payload_offset, payload_length) for each component, in order."""
-    if blob[:4] != MAGIC:
-        raise ValueError("not a structure container (bad magic)")
+    """(name, payload_offset, payload_length) for each component, in order;
+    a header or payload that runs past the end of blob is a ValueError."""
+    r = _open(blob)[0]
     out = []
-    at = 7
-    while at < len(blob):
-        tag, ln = struct.unpack("<BQ", blob[at:at + 9])
-        out.append((_COMP_NAMES.get(tag, f"tag{tag}"), at + 9, ln))
-        at += 9 + ln
+    while r.at < r.end:
+        tag, body = r.header()
+        out.append((_COMP_NAMES.get(tag, f"tag{tag}"), body.at, body.end - body.at))
     return out

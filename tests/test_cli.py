@@ -4,8 +4,9 @@ import pytest
 from degenrank import container
 from degenrank.bench import CSV_HEADER
 from degenrank.cli import main
-from degenrank.degenerate import parse_degenerate
+from degenrank.degenerate import DegenerateString, parse_degenerate, serialize_degenerate
 from degenrank.oracle import positions_of
+from degenrank.reductions import build_reduction
 
 
 def run(capsys, *argv):
@@ -83,6 +84,46 @@ def test_verify_rejects_wrong_data_file(tmp_path, capsys):
     assert run(capsys, "build", str(a), "-o", str(cont))[0] == 0
     code, out, _ = run(capsys, "verify", str(b), "--container", str(cont))
     assert code == 1 and "MISMATCH" in out
+
+
+def test_a_short_container_is_reported_not_a_traceback(tmp_path, capsys):
+    data = gen_file(tmp_path, capsys)
+    short = tmp_path / "short.dgrs"
+    short.write_bytes(b"DGRS\x02")  # magic and version, then nothing
+    code, out, err = run(capsys, "bench", str(short))
+    assert code == 2 and err.startswith("error:") and "truncated" in err
+    code, out, err = run(capsys, "verify", str(data), "--container", str(short))
+    assert code == 1 and out.startswith("MISMATCH container:") and "truncated" in out
+
+
+@pytest.mark.parametrize("mode", [(), ("--exhaustive",)], ids=["sampled", "exhaustive"])
+def test_verify_reports_a_rank_mismatch(tmp_path, capsys, mode):
+    data = gen_file(tmp_path, capsys)
+    x = parse_degenerate(data.read_text())
+    # the same sets in reverse order: sigma, n, N and n0 all agree
+    other = tmp_path / "other.txt"
+    other.write_bytes(serialize_degenerate(
+        DegenerateString.from_sets(x.sigma, list(x.sets())[::-1])))
+    cont = tmp_path / "other.dgrs"
+    assert run(capsys, "build", str(other), "-o", str(cont))[0] == 0
+    code, out, _ = run(capsys, "verify", str(data), "--container", str(cont), *mode)
+    assert code == 1 and out.startswith("MISMATCH subset_rank(")
+
+
+def test_verify_reports_a_select_mismatch(tmp_path, capsys, monkeypatch):
+    data = gen_file(tmp_path, capsys)
+    st = build_reduction(parse_degenerate(data.read_text()), "reduction-iii")
+    right = st.subset_select_many
+
+    def one_off(j, c):
+        out = right(j, c)
+        out[0] += 1
+        return out
+
+    st.subset_select_many = one_off  # every rank agrees, the first select is wrong
+    monkeypatch.setattr(container, "load", lambda path: st)
+    code, out, _ = run(capsys, "verify", str(data), "--container", "any.dgrs")
+    assert code == 1 and out.startswith("MISMATCH subset_select(")
 
 
 def test_bench_csv_and_determinism(tmp_path, capsys):

@@ -128,7 +128,52 @@ def test_rejects_malformed_blobs():
         container.loads(blob + b"\x00" * 4)
     with pytest.raises(ValueError):
         container.loads(blob[:7])  # header only, no components
+    for short in (b"DGRS", b"DGRS\x02", blob[:6]):  # a cut inside the 7-byte header
+        with pytest.raises(ValueError, match="truncated"):
+            container.loads(short)
+    with pytest.raises(ValueError, match="unknown base tag"):
+        container.loads(blob[:6] + bytes([2]) + blob[7:])
+    for not_built in (WORKED, object()):
+        with pytest.raises(ValueError, match="cannot serialize"):
+            container.dumps(not_built)
     assert not container.is_container(b"PNG\x89 nope")
+
+
+def test_scan_components_refuses_truncated_blobs():
+    blob = container.dumps(build_reduction(WORKED, "reduction-i"))
+    # inside the first component header; 4 of the meta block's 40 payload
+    # bytes; the last component 3 bytes short
+    for cut in (blob[:8], blob[:12], blob[:20], blob[:-3]):
+        with pytest.raises(ValueError, match="truncated"):
+            container.scan_components(cut)
+
+
+@pytest.mark.parametrize("kind", ["meta", "plain", "sparse", "wavelet", "bitplane"])
+def test_a_payload_longer_than_its_contents_is_refused(kind):
+    base = "wavelet" if kind == "wavelet" else "bitplane"
+    blob = container.dumps(build_reduction(WORKED, "reduction-iii", base))
+    off, ln = {name: (off, ln) for name, off, ln in container.scan_components(blob)}[kind]
+    container.loads(blob)
+    grown = (blob[:off - 8] + (ln + 8).to_bytes(8, "little") + blob[off:off + ln]
+             + bytes(8) + blob[off + ln:])
+    with pytest.raises(ValueError, match="wrong size"):
+        container.loads(grown)
+
+
+def test_loaded_word_arrays_are_aligned():
+    # payloads start at odd offsets in the blob; each array must be a copy
+    x = generate(seed=2, n=500, sigma=4, profile="uniform")
+    for base in ("wavelet", "bitplane"):
+        st = container.loads(container.dumps(build_dsd(x, base, block_words=2)))
+        e, b, overflow = st.components()
+        arrays = [e._ones, *(ov._ones for ov in overflow)]
+        if base == "wavelet":
+            arrays += [bv._words for bv in b._levels]
+        else:
+            arrays += [b._low, b._high]
+        r3 = container.loads(container.dumps(build_reduction(x, "reduction-iii", base)))
+        arrays.append(r3._inner._R._words)
+        assert all(a.flags.aligned for a in arrays)
 
 
 def test_padding_bits_are_policed():

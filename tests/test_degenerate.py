@@ -67,6 +67,7 @@ def test_round_trip_random():
     ("4 1\n0 q\n", "bad symbol"),
     # a member must fit the uint64 member array, whatever sigma allows
     ("99999999999999999999999 1\n18446744073709551616\n", "outside"),
+    (b"4 1\n0 \xc3\xa9\n", "not ASCII"),
 ])
 def test_parse_sets_text_errors(text, msg):
     with pytest.raises(ValueError, match=msg):
@@ -113,6 +114,18 @@ def test_from_sets_validation():
 def test_rejects_values_a_narrowing_cast_would_change(symbols, offsets, msg):
     with pytest.raises(ValueError, match=msg):
         DegenerateString(4, symbols, offsets)
+
+
+@pytest.mark.parametrize("sigma,symbols,offsets,msg", [
+    (0, [], [0], "at least 1"),
+    (4, [[0, 1]], [0, 2], "one-dimensional"),
+    (4, [0, 1], [1, 2], "from 0 to len"),
+    (4, [0, 1], [0, 1], "from 0 to len"),
+    (4, [0, 1, 2], [0, 2, 1, 3], "nondecreasing"),
+], ids=["sigma-0", "members-2d", "offsets-from-1", "offsets-short", "offsets-decrease"])
+def test_rejects_malformed_arrays(sigma, symbols, offsets, msg):
+    with pytest.raises(ValueError, match=msg):
+        DegenerateString(sigma, symbols, offsets)
 
 
 def test_members_past_uint32_keep_their_value():
