@@ -251,7 +251,7 @@ class SparseBitvector(_BitQueries):
 
     def _bit(self, p: int) -> int:
         k = int(self._ones.searchsorted(self._key(p)))
-        return 1 if k < self._ones.size and int(self._ones[k]) == p else 0
+        return 1 if k < self._ones.size and self._ones.item(k) == p else 0
 
     def positions(self) -> np.ndarray:
         return self._ones.astype(np.int64)
@@ -270,13 +270,14 @@ class SparseBitvector(_BitQueries):
         return r1 if b else i - r1
 
     def _select(self, j: int, b: int = 1) -> int:
+        ones = self._ones
         if b:
-            return int(self._ones[j - 1])
+            return ones.item(j - 1)
         # count ones whose prefix holds fewer than j zeroes
-        lo, hi = 0, self._ones.size
+        lo, hi = 0, ones.size
         while lo < hi:
             mid = (lo + hi) >> 1
-            if int(self._ones[mid]) - mid < j:
+            if ones.item(mid) - mid < j:
                 lo = mid + 1
             else:
                 hi = mid

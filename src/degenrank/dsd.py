@@ -11,13 +11,20 @@ queried symbol.
 
 Select merges two disjoint sorted lists of nonempty sets: A_c, the sets
 whose kept symbol is c (rank base.rank(p, c), select base.select(k, c)), and
-B_c, the positions of overflow[c]. The number t of B_c elements among the
-first j - 1 sets containing c is found by binary search on
-g(t) = t + rank_A(B_c[t]), which is strictly increasing, over a range of at
-most |A_c| + 1 values. Each step is one base rank and one overflow lookup;
-the answer is B_c[t] when g(t) = j - 1, and otherwise the (j - t)-th element
-of A_c. The empty-set layer then maps it to a set position with one select0
-on E. No index beyond the decomposition is stored.
+B_c, the positions of overflow[c]. g(t) = t + rank_A(B_c[t]) counts the sets
+containing c before B_c[t]; it is strictly increasing, so the j-th such set
+is B_c[t] if some t has g(t) = j - 1, and otherwise the (j - t)-th element
+of A_c for the smallest t with g(t) > j - 1. That t lies in a bracket of
+range <= min(j, |A_c| + 1, |B_c|) candidates, searched by guarded
+interpolation (Perl, Itai and Avni, CACM 1978). Each probe is one overflow
+lookup and one base rank, at the secant guess between the last probes below
+and above j - 1, starting from the ends g(-1) = -1 and
+g(|B_c|) = |A_c| + |B_c|. g is close to linear on any layout that is not
+adversarial, so a probe often lands on g(t) = j - 1, and the search stops
+there. A probe that fails to halve the bracket makes the next one a
+bisection, which bounds the worst case at 2 * ceil(log2(range + 1))
+probes. The empty-set layer then maps the answer to a set position with one
+select0 on E. No index beyond the decomposition is stored.
 """
 
 from __future__ import annotations
@@ -62,43 +69,59 @@ class _Decomposition(_SubsetQueries):
 
     def _select(self, j: int, c: int) -> int:
         ov = self._overflow[c]
-        n_a, n_b = int(self._base.symbol_counts()[c]), ov.ones_count
-        # Smallest t with g(t) >= j - 1; every t below the range has g(t) < j - 1
-        # and every t at or above it is past the end of B_c or has g(t) >= t >= j.
-        lo = j - 1 - n_a if j - 1 > n_a else 0
+        n_a, n_b = self._base.symbol_counts().item(c), ov.ones_count
+        want = j - 1
+        # The answer's t is the smallest t with g(t) >= want: every t below lo
+        # has g(t) < want, and every t at or above hi is past the end of B_c or
+        # has g(t) >= t >= j. The anchors (tl, gl) and (tr, gr) are the last
+        # probes on each side, starting from the ends g(-1) = -1 and
+        # g(n_b) = n_a + n_b.
+        lo = want - n_a if want > n_a else 0
         hi = j if j < n_b else n_b
-        hit = False
+        tl, gl, tr, gr = -1, -1, n_b, n_a + n_b
+        bisect = False
         while lo < hi:
-            mid = (lo + hi) // 2
+            if bisect:
+                mid = (lo + hi) >> 1
+            else:
+                mid = min(max(tl + (want - gl) * (tr - tl) // (gr - gl), lo), hi - 1)
             b = ov._select(mid + 1, 1)
             g = mid + self._base._rank(b, c)
-            if g < j - 1:
-                lo = mid + 1
+            if g == want:
+                return b
+            width = hi - lo
+            if g < want:
+                lo, tl, gl = mid + 1, mid, g
             else:
-                hi, hit, found = mid, g == j - 1, b
-        if hit:
-            return found
+                hi, tr, gr = mid, mid, g
+            bisect = 2 * (hi - lo) > width
         return self._base._select(j - lo, c)
 
     def _select_many(self, j: np.ndarray, c: np.ndarray) -> np.ndarray:
+        # The search of _select for every query at once, each with its own
+        # bracket, anchors and bisect flag. Queries are sorted by symbol, then
+        # by j, so each round reads each overflow list once and passes
+        # increasing keys to the base rank; a query leaves the round it hits
+        # or its bracket closes. The secant guess is taken in float64, where
+        # the int64 product could wrap past n = 2**31; it is clamped into the
+        # bracket, so rounding can cost a round but never change an answer.
+        order = np.lexsort((j, c))
+        want, c = j[order] - 1, c[order]
         n_a = self._base.symbol_counts()[c]
         n_b = self._containing[c] - n_a
-        # The search of _select for every query at once. Queries are sorted
-        # by symbol, then by j, so each round reads each overflow list once
-        # and passes increasing keys to the base rank.
-        order = np.lexsort((j, c))
-        j, c, n_a, n_b = j[order], c[order], n_a[order], n_b[order]
-        lo = np.maximum(0, j - 1 - n_a)
-        hi = np.minimum(j, n_b)
+        t = np.maximum(0, want - n_a)  # lo of every query: its final t unless it hits
+        hi = np.minimum(want + 1, n_b)
         hit = np.zeros(j.size, dtype=bool)
         out = np.empty(j.size, dtype=np.int64)
+        q = np.flatnonzero(t < hi)
+        w, cq, lo, hi = want[q], c[q], t[q], hi[q]
+        tl, gl = np.full(q.size, -1, dtype=np.int64), np.full(q.size, -1, dtype=np.int64)
+        tr, gr = n_b[q], n_a[q] + n_b[q]
+        bisect = np.zeros(q.size, dtype=bool)
         symbols = np.flatnonzero(np.bincount(c, minlength=self.sigma))
-        while True:
-            q = np.flatnonzero(lo < hi)
-            if q.size == 0:
-                break
-            mid = (lo[q] + hi[q]) >> 1
-            cq = c[q]
+        while q.size:
+            guess = np.clip(tl + (w - gl) * ((tr - tl) / (gr - gl)), lo, hi - 1)
+            mid = np.where(bisect, (lo + hi) >> 1, guess.astype(np.int64))
             b = np.empty(q.size, dtype=np.int64)
             ends = np.searchsorted(cq, symbols, side="right")
             start = 0
@@ -107,16 +130,23 @@ class _Decomposition(_SubsetQueries):
                     b[start:end] = self._overflow[cc]._select_many(mid[start:end] + 1, 1)
                 start = end
             g = mid + self._base._rank_many(b, cq)
-            below = g < j[q] - 1
-            lo[q[below]] = mid[below] + 1
-            above = ~below
-            at = q[above]
-            hi[at] = mid[above]
-            hit[at] = g[above] == j[at] - 1
-            out[at] = b[above]
+            width = hi - lo
+            below = g < w
+            lo = np.where(below, mid + 1, lo)
+            hi = np.where(below, hi, mid)
+            tl, gl = np.where(below, mid, tl), np.where(below, g, gl)
+            tr, gr = np.where(below, tr, mid), np.where(below, gr, g)
+            bisect = 2 * (hi - lo) > width
+            found = g == w
+            hit[q[found]] = True
+            out[q[found]] = b[found]
+            t[q] = lo
+            keep = np.flatnonzero((lo < hi) & ~found)
+            q, w, cq, lo, hi, tl, gl, tr, gr, bisect = (
+                x[keep] for x in (q, w, cq, lo, hi, tl, gl, tr, gr, bisect))
         rest = np.flatnonzero(~hit)
         if rest.size:
-            out[rest] = self._base._select_many(j[rest] - lo[rest], c[rest])
+            out[rest] = self._base._select_many(want[rest] + 1 - t[rest], c[rest])
         result = np.empty_like(out)
         result[order] = out
         return result

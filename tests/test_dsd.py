@@ -248,3 +248,88 @@ def test_only_one_select_on_E_per_query():
         calls.clear()
         assert np.array_equal(d.subset_select_many(np.arange(1, pos.size + 1), c), pos)
         assert calls == {"_select_many": 1}
+
+
+def _count_calls(obj, name):
+    """Wrap the kernel obj.name to record the first argument of every call;
+    returns the record."""
+    seen = []
+    kernel = getattr(obj, name)
+
+    def counted(*args):
+        seen.append(args[0])
+        return kernel(*args)
+    setattr(obj, name, counted)
+    return seen
+
+
+def _layout(labels):
+    # symbol 1 is kept by an 'A' set, {1}, and overflows in a 'B' set, {0, 1}
+    return DegenerateString.from_sets(4, [[1] if s == "A" else [0, 1] for s in labels])
+
+
+ADVERSARIAL = {
+    "B-before-A": "B" * 600 + "A" * 600,
+    "A-before-B": "A" * 600 + "B" * 600,
+    "alternating-300": ("A" * 300 + "B" * 300) * 3,
+    "lone-B": "A" * 600 + "B" + "A" * 600,
+    "B-at-powers-of-two": "".join("B" if p & (p - 1) == 0 and p else "A"
+                                  for p in range(2048)),
+}
+
+
+@pytest.mark.parametrize("base", ["wavelet", "bitplane"])
+@pytest.mark.parametrize("layout", sorted(ADVERSARIAL))
+def test_select_rounds_bounded_on_adversarial_layouts(base, layout):
+    # The interpolation search bisects after any probe that fails to halve its
+    # bracket, so it makes at most 2 * ceil(log2(range + 1)) probes, where range
+    # is the width of the bracket of t it starts from.
+    x = _layout(ADVERSARIAL[layout])
+    d = build_dsd(x, base)
+    check_against_oracle(x, d)
+    inner = d._inner
+    n_a, n_b = inner._base.symbol_count(1), inner._overflow[1].ones_count
+    pos = positions_of(x, 1)
+    js = np.arange(1, pos.size + 1)
+    bounds = [2 * (min(j, n_b) - max(0, j - 1 - n_a)).bit_length() + 1 for j in js.tolist()]
+    ranks = _count_calls(inner._base, "_rank")
+    for j, bound in zip(js.tolist(), bounds):
+        ranks.clear()
+        assert d.subset_select(j, 1) == pos[j - 1]
+        assert len(ranks) <= bound, (j, len(ranks), bound)
+    rounds = _count_calls(inner._base, "_rank_many")
+    assert np.array_equal(d.subset_select_many(js, np.ones_like(js)), pos)
+    assert len(rounds) <= max(bounds)
+    rounds.clear()
+    assert np.array_equal(d.subset_select_many(js[::-1], np.ones_like(js)), pos[::-1])
+    assert len(rounds) <= max(bounds)
+
+
+def test_select_probes_few_ranks_and_stops_at_a_hit():
+    # On a uniform instance g(t) is close to linear in t, so the secant guess
+    # lands within a few probes of the answer: about 2.5 here, where a
+    # bisection makes about 5.5.
+    x = generate(3, 2**12, 16, "uniform")
+    d = build_dsd(x)
+    E, inner = d._E, d._inner
+    probes = _count_calls(inner._base, "_rank")
+    base_selects = _count_calls(inner._base, "_select")
+    total = queries = hits = 0
+    for c in range(x.sigma):
+        pos = positions_of(x, c)
+        for j in range(1, pos.size + 1):
+            probes.clear()
+            base_selects.clear()
+            assert d.subset_select(j, c) == pos[j - 1]
+            total += len(probes)
+            queries += 1
+            k = int(pos[j - 1]) - E.rank(int(pos[j - 1]))  # the answer among nonempty sets
+            if inner._overflow[c].bit(k):
+                # the probe that lands on the answer is the last one, and no
+                # base select follows it
+                hits += 1
+                assert probes[-1] == k and base_selects == []
+            else:
+                assert len(base_selects) == 1
+    assert hits > 0
+    assert total / queries <= 4.5, total / queries
