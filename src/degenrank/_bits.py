@@ -211,14 +211,6 @@ def small_batch(a, c, limit: int):
     return a, c, None
 
 
-def rank_list_args(i: list, c: list, limit: int, sigma: int) -> None:
-    """rank_args over the lists of small_batch, on Python ints."""
-    for v in i:
-        index_arg(v, 0, limit, "prefix")
-    for v in c:
-        index_arg(v, 0, sigma - 1, "symbol")
-
-
 def select_list_args(j: list, c: list, counts: np.ndarray) -> None:
     """select_args over the lists of small_batch, on Python ints: every symbol
     is checked before any select index, so a bad symbol's IndexError wins."""

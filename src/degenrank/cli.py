@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -49,13 +50,8 @@ def _env_seed(default: int = 0) -> int:
         raise ValueError(f"DEGEN_SEED must be an integer, got {raw!r}")
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_data(path: str, fmt: str) -> DegenerateString:
-    return parse_degenerate(_read_text(path), fmt)
+    return parse_degenerate(Path(path).read_bytes(), fmt)
 
 
 def _build(x: DegenerateString, structure: str, base: str, block_words: int):
@@ -165,8 +161,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    with open(args.input, "rb") as fh:
-        blob = fh.read()
+    blob = Path(args.input).read_bytes()
     if container.is_container(blob):
         st = container.loads(blob)
     else:

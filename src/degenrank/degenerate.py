@@ -5,16 +5,17 @@ position i a set X_i (possibly empty). The flat representation keeps all
 set members concatenated in one array plus n+1 offsets, so total size N and
 empty-position count n0 are cheap to derive.
 
-Two text formats are supported. "sets-text" is a header line ``sigma n``
-followed by n lines, each the ascending members of one set separated by
-single spaces (an empty line for the empty set), LF line endings.
+Two ASCII text formats are supported. "sets-text" is a header line
+``sigma n`` followed by n lines, line k + 2 the ascending members of set
+k one space apart (an empty line for the empty set): numbers
+``0|[1-9][0-9]*``, LF line ends, the last one optional, and nothing else.
 "dna-text" is a single line over ACGT for the common case of an ordinary
 string: sigma fixed to 4, every set a singleton, A=0 C=1 G=2 T=3.
 """
 
 from __future__ import annotations
 
-import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -52,7 +53,7 @@ class DegenerateString:
 
     def _validate(self, syms: np.ndarray, off: np.ndarray) -> None:
         if self.sigma < 1:
-            raise ValueError("sigma must be at least 1")
+            raise ValueError(f"sigma {self.sigma} out of range: sigma must be at least 1")
         if syms.ndim != 1:
             raise ValueError("set members must be one-dimensional")
         if off.ndim != 1 or off.size < 1 or off[0] != 0 or off[-1] != syms.size:
@@ -61,26 +62,23 @@ class DegenerateString:
             raise ValueError("offsets must be nondecreasing")
         off = off.astype(np.int64)  # now known to lie in [0, len(symbols)]
         if syms.size and (syms.min() < 0 or syms.max() >= self.sigma):
-            raise ValueError(f"set members must lie in [0, {self.sigma})")
+            i = int(np.argmax((syms < 0) | (syms >= self.sigma)))
+            raise ValueError(f"set members must lie in [0, {self.sigma}): "
+                             f"{_member(syms, off, i)} is outside")
         if syms.size:
             # ascending inside each set, strict (no duplicate members), compared
             # in the members' own dtype: a cast to int64 wraps 2**63 negative
             inner = np.ones(syms.size, dtype=bool)
             inner[off[:-1][np.diff(off) > 0]] = False
-            if np.any((syms[1:] <= syms[:-1])[inner[1:]]):
-                raise ValueError("each set must list distinct members in ascending order")
+            bad = np.flatnonzero((syms[1:] <= syms[:-1]) & inner[1:]) + 1
+            if bad.size:
+                raise ValueError(f"each set must list distinct members in ascending order: "
+                                 f"{_member(syms, off, bad[0])} is a duplicate or descends")
 
     @classmethod
     def from_sets(cls, sigma: int, sets) -> "DegenerateString":
-        flat = []
-        offsets = [0]
-        for s in sets:
-            members = sorted(s)
-            if len(set(members)) != len(members):
-                raise ValueError(f"duplicate member in set {len(offsets) - 1}")
-            flat.extend(members)
-            offsets.append(len(flat))
-        return cls(sigma, flat, offsets)
+        sets = [sorted(s) for s in sets]
+        return cls(sigma, [v for s in sets for v in s], np.cumsum([0, *map(len, sets)]))
 
     # -- derived quantities ---------------------------------------------------
 
@@ -108,10 +106,8 @@ class DegenerateString:
         return self.symbols[self.offsets[i]:self.offsets[i + 1]].astype(np.int64)
 
     def sets(self):
-        off = self.offsets
-        syms = self.symbols
-        for i in range(self.n):
-            yield tuple(int(v) for v in syms[off[i]:off[i + 1]])
+        syms, off = self.symbols.tolist(), self.offsets.tolist()
+        return (tuple(syms[a:b]) for a, b in zip(off, off[1:]))
 
     def element_rows(self) -> np.ndarray:
         """Set index of every flat member, length N."""
@@ -131,17 +127,22 @@ class DegenerateString:
         return f"DegenerateString(sigma={self.sigma}, n={self.n}, N={self.N}, n0={self.n0})"
 
 
+def _member(syms: np.ndarray, off: np.ndarray, i: int) -> str:
+    """Flat member i, its set and that set's line in a sets-text file."""
+    k = int(np.searchsorted(off, i, side="right")) - 1
+    return f"member {syms[i]} of set {k} (sets-text line {k + 2})"
+
+
 # -- text formats --------------------------------------------------------------
 
 FORMATS = ("sets-text", "dna-text")
 
 
 def parse_degenerate(data, fmt: str = "sets-text") -> DegenerateString:
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("ascii")
-        except UnicodeDecodeError as e:
-            raise ValueError(f"input is not ASCII text: {e}") from None
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    if not data.isascii():
+        raise _line_error(data, re.search(rb"[\x80-\xff]", data).start(), "input is not ASCII text")
     if fmt == "sets-text":
         return _parse_sets_text(data)
     if fmt == "dna-text":
@@ -157,59 +158,72 @@ def serialize_degenerate(x: DegenerateString, fmt: str = "sets-text") -> bytes:
     raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
 
 
-def _parse_sets_text(text: str) -> DegenerateString:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+def _line_error(data: bytes, pos: int, what: str) -> ValueError:
+    """ValueError(what), naming and quoting the line of data that holds byte pos."""
+    number = data.count(b"\n", 0, pos) + 1
+    line = data[data.rfind(b"\n", 0, pos) + 1:].partition(b"\n")[0]
+    return ValueError(f"line {number}: {what} in {line.decode('ascii', 'backslashreplace')!r}")
+
+
+_NUMBER = re.compile(rb"0|[1-9][0-9]*")
+
+
+def _number_starts(data: bytes, base: int):
+    """Check the set lines, data[base:], which end in LF, against the grammar;
+    the positions in them of the numbers' first digits and of the LFs."""
+    body = np.frombuffer(data, dtype=np.uint8, offset=base)
+    digit = body - np.uint8(48) < 10
+    space, lf = body == 32, body == 10
+    first = digit.copy()
+    first[1:] &= ~digit[:-1]
+    bad = ~(digit | space | lf)  # a byte that no sets-text holds
+    if not bad.any():
+        bad = space.copy()  # a space without a digit on each side
+        bad[1:-1] &= ~(digit[:-2] & digit[2:])
+        bad[:-1] |= first[:-1] & (body[:-1] == 48) & digit[1:]  # a leading zero
+    if bad.any():
+        pos = base + int(np.argmax(bad))
+        raise _line_error(data, pos, f"bad symbol {chr(data[pos])!r}")
+    return np.flatnonzero(first), np.flatnonzero(lf)
+
+
+def _parse_sets_text(data: bytes) -> DegenerateString:
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    if data == b"\n":
         raise ValueError("sets-text input is empty")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"header must be 'sigma n', got {lines[0]!r}")
-    try:
-        sigma, n = int(head[0]), int(head[1])
-    except ValueError:
-        raise ValueError(f"header must be two integers, got {lines[0]!r}") from None
-    if sigma < 1 or n < 0:
-        raise ValueError(f"header values out of range: sigma={sigma}, n={n}")
-    if len(lines) - 1 != n:
-        raise ValueError(f"expected {n} set lines, found {len(lines) - 1}")
-    flat = []
+    head = data[:data.index(b"\n")]
+    fields = head.split(b" ")
+    if len(fields) != 2 or not all(map(_NUMBER.fullmatch, fields)):
+        raise ValueError(f"line 1: header must be two integers 'sigma n', got {head.decode()!r}")
+    sigma, n = map(int, fields)
+    base = len(head) + 1
+    starts, ends = _number_starts(data, base)
+    if ends.size != n:
+        raise ValueError(f"expected {n} set lines, found {ends.size}")
+    # the header's two numbers, then the members: text-mode fromstring reads
+    # them exactly, except every number from 2**64 up, which it reads as 2**64 - 1
+    symbols = np.fromstring(data, dtype=np.uint64, sep=" ")[2:]
+    for pos in (base + starts[symbols == 2**64 - 1]).tolist():
+        if (number := _NUMBER.match(data, pos).group()) != b"18446744073709551615":
+            raise _line_error(data, pos, f"symbol {number.decode()} outside [0, 2**64)")
     offsets = np.zeros(n + 1, dtype=np.int64)
-    top = min(sigma, 1 << 64)  # members are stored as uint64 whatever sigma says
-    for i, line in enumerate(lines[1:]):
-        prev = None
-        if line:
-            for tok in line.split(" "):
-                try:
-                    v = int(tok)
-                except ValueError:
-                    raise ValueError(f"line {i + 2}: bad symbol {tok!r}") from None
-                if not 0 <= v < top:
-                    raise ValueError(f"line {i + 2}: symbol {v} outside [0, {top})")
-                if prev is not None and v <= prev:
-                    raise ValueError(f"line {i + 2}: members must be ascending and distinct")
-                flat.append(v)
-                prev = v
-        offsets[i + 1] = len(flat)
-    symbols = np.array(flat, dtype=np.uint64)
-    return DegenerateString(sigma, symbols, offsets, validate=False)
+    offsets[1:] = np.searchsorted(starts, ends)
+    return DegenerateString(sigma, symbols, offsets)
 
 
 def _serialize_sets_text(x: DegenerateString) -> bytes:
-    out = [f"{x.sigma} {x.n}"]
-    off = x.offsets
-    syms = x.symbols
-    for i in range(x.n):
-        out.append(" ".join(str(int(v)) for v in syms[off[i]:off[i + 1]]))
-    return ("\n".join(out) + "\n").encode("ascii")
+    words = list(map(str, x.symbols.tolist()))
+    off = x.offsets.tolist()
+    lines = [" ".join(words[a:b]) for a, b in zip(off, off[1:])]
+    return "\n".join([f"{x.sigma} {x.n}", *lines, ""]).encode("ascii")
 
 
-def _parse_dna_text(text: str) -> DegenerateString:
-    line = text[:-1] if text.endswith("\n") else text
-    if "\n" in line:
+def _parse_dna_text(data: bytes) -> DegenerateString:
+    line = data[:-1] if data.endswith(b"\n") else data
+    if b"\n" in line:
         raise ValueError("dna-text must be a single line")
-    arr = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
+    arr = np.frombuffer(line, dtype=np.uint8)
     symbols = np.full(arr.size, -1, dtype=np.int64)
     for v, ch in enumerate(DNA_ALPHABET):
         symbols[arr == ord(ch)] = v
@@ -238,7 +252,7 @@ class DegenStats:
     n: int
     N: int
     n0: int
-    size_histogram: np.ndarray       # counts of |X_i| = 0 .. sigma
+    size_histogram: np.ndarray       # counts of |X_i| = 0 .. min(sigma, N)
     distinct_sets: int
     set_entropy_bits: float          # empirical entropy of the set distribution
 
@@ -257,7 +271,7 @@ class DegenStats:
 
 def stats(x: DegenerateString) -> DegenStats:
     sizes = x.set_sizes()
-    hist = np.bincount(sizes, minlength=x.sigma + 1)
+    hist = np.bincount(sizes, minlength=min(x.sigma, x.N) + 1)  # no set holds more
     if x.n == 0:
         return DegenStats(x.sigma, 0, 0, 0, hist, 0, 0.0)
     if x.sigma <= 64:

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bits import (index_arg, rank_arg, rank_args, rank_list_args, select_arg, select_args,
-                    select_list_args, small_batch)
+from ._bits import (index_arg, rank_arg, rank_args, select_arg, select_args, select_list_args,
+                    small_batch)
 from .bitvector import PlainBitvector, SparseBitvector
 from .degenerate import DegenerateString
 from .strrank import BitPlaneRank, WaveletTree
@@ -88,11 +88,10 @@ class _SubsetQueries:
     size_breakdown().
 
     Every query form checks its arguments once: a batch of at most
-    _SCALAR_RANKS ranks or _SCALAR_SELECTS selects on Python ints, then
-    answered one query at a time by the scalar kernels; a larger one as
-    arrays, then answered by the batched kernels. Both raise the same
-    errors and give the same answers in the same int64 array of the
-    broadcast shape."""
+    _SCALAR_RANKS ranks through subset_rank, one of at most _SCALAR_SELECTS
+    selects on Python ints before the scalar kernel, a larger one as arrays
+    before the batched kernels. Both raise the same errors and give the
+    same answers in the same int64 array of the broadcast shape."""
 
     def subset_rank(self, i, c) -> int:
         return self._rank(*rank_arg(i, c, self.n, self.sigma))
@@ -105,8 +104,7 @@ class _SubsetQueries:
         if shape is None:
             i, c, shape = rank_args(i, c, self.n, self.sigma)
             return self._rank_many(i, c).reshape(shape)
-        rank_list_args(i, c, self.n, self.sigma)
-        return _one_by_one(self._rank, i, c, shape)
+        return _one_by_one(self.subset_rank, i, c, shape)
 
     def subset_select_many(self, j, c) -> np.ndarray:
         j, c, shape = small_batch(j, c, _SCALAR_SELECTS)

@@ -34,6 +34,23 @@ def test_gen_stats_roundtrip(tmp_path, capsys):
     assert f"N {x.N}" in out and f"n0 {x.n0}" in out
 
 
+def test_stats_on_a_huge_alphabet(tmp_path, capsys):
+    path = tmp_path / "wide.txt"
+    path.write_bytes(f"{2**62} 2\n1\n0 7\n".encode())
+    code, out, _ = run(capsys, "stats", str(path))
+    assert code == 0
+    assert "size-histogram 0 1 1 0\n" in out  # N + 1 = 4 entries
+
+
+def test_every_command_reads_data_files_alike(tmp_path, capsys):
+    # one reader: a CRLF line end is the same line-numbered error everywhere
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(b"4 2\n0 1\r\n3\r\n")
+    for argv in (["stats"], ["build", "-o", str(tmp_path / "c.dgrs")], ["verify"], ["bench"]):
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2 and "line 2: bad symbol" in err, argv
+
+
 def test_dna_text_format(tmp_path, capsys):
     path = tmp_path / "s.dna"
     path.write_text("ACGTAC\n")

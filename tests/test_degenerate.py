@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from degenrank.degenerate import (
     DegenerateString,
@@ -68,10 +69,69 @@ def test_round_trip_random():
     # a member must fit the uint64 member array, whatever sigma allows
     ("99999999999999999999999 1\n18446744073709551616\n", "outside"),
     (b"4 1\n0 \xc3\xa9\n", "not ASCII"),
+    # only what serialize_degenerate writes: numbers 0|[1-9][0-9]*, one
+    # space apart, LF line ends; the error names the line
+    ("30 1\n1_0\n", "line 2: bad symbol '_'"),
+    ("4 1\n+1\n", r"line 2: bad symbol '\+'"),
+    ("4 1\n01\n", "line 2: bad symbol '0'"),
+    ("10 2\n3\n0 01\n", "line 3: bad symbol '0'"),
+    ("4 2\n0\n\u0661\n", "line 3: input is not ASCII"),
+    ("4 1\n0 \u00e9", r"line 2: input is not ASCII text in '0 \\\\xc3\\\\xa9'$"),
+    ("4_0 1\n0\n", "line 1: header must be two integers"),
+    ("04 1\n0\n", "line 1: header must be two integers"),
+    ("4 1\r\n0\r\n", "line 1: header must be two integers"),
+    ("4 2\n0\r\n\r\n", r"line 2: bad symbol '\\r'"),
+    ("4 2\n0\n\r\n", r"line 3: bad symbol '\\r'"),
+    ("4 1\n0  1\n", "line 2: bad symbol ' '"),
+    ("4 1\n 1\n", "line 2: bad symbol ' '"),
+    ("4 1\n1 \n", "line 2: bad symbol ' '"),
+    ("4 2\n1\n \n", "line 3: bad symbol ' '"),
+    ("4 1\n0\t1\n", r"line 2: bad symbol '\\t'"),
+    ("4 1\t1\n0\n", "line 1: header must be two integers"),
+    ("4  1\n0\n", "line 1: header must be two integers"),
+    ("20000000000000000000 2\n1\n2 99999999999999999999\n", "line 3: symbol 99999999999999999999 outside"),
 ])
 def test_parse_sets_text_errors(text, msg):
     with pytest.raises(ValueError, match=msg):
         parse_degenerate(text)
+
+
+def test_validation_names_the_first_offending_set():
+    # set k is line k + 2 of a sets-text file
+    at_set_2 = r"set 2 \(sets-text line 4\)"
+    for make in (lambda: DegenerateString(4, np.array([0, 1, 9], dtype=np.uint8), [0, 1, 1, 3]),
+                 lambda: DegenerateString.from_sets(4, [[0], [], [1, 4]]),
+                 lambda: parse_degenerate("4 4\n0\n\n1 4\n5\n")):
+        with pytest.raises(ValueError, match=f"lie in.*member [49] of {at_set_2} is outside"):
+            make()
+    for make in (lambda: DegenerateString(4, [0, 1, 2, 2], [0, 2, 2, 4]),
+                 lambda: DegenerateString.from_sets(4, [[0, 1], [], [3, 3]]),
+                 lambda: parse_degenerate("4 4\n0 1\n\n3 2\n1 0\n")):
+        with pytest.raises(ValueError, match=f"ascending.*member [23] of {at_set_2} is a duplicate"):
+            make()
+
+
+_MUTATIONS = st.one_of(st.sampled_from(b"0123456789 \n\r\t+-_"), st.integers(0, 255))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sigma=st.one_of(st.integers(1, 40), st.integers(1, 2**64)),
+       data=st.data())
+def test_a_text_that_parses_is_the_text_serialize_writes(sigma, data):
+    # change one byte of a serialized instance: what the parser accepts
+    # re-serializes to exactly that text, up to the optional final LF
+    sets = [sorted(s) for s in data.draw(st.lists(st.sets(st.integers(0, sigma - 1), max_size=4),
+                                                  max_size=6))]
+    members = np.array([v for s in sets for v in s], dtype=np.uint64)
+    x = DegenerateString(sigma, members, np.cumsum([0, *map(len, sets)]))
+    text = bytearray(serialize_degenerate(x))
+    text[data.draw(st.integers(0, len(text) - 1))] = data.draw(_MUTATIONS)
+    text = bytes(text)
+    try:
+        x = parse_degenerate(text)
+    except ValueError:
+        return
+    assert serialize_degenerate(x) == (text if text.endswith(b"\n") else text + b"\n")
 
 
 def test_parse_dna_errors():
@@ -155,6 +215,13 @@ def test_stats_worked_example():
     assert list(st.size_histogram) == [0, 1, 2, 1, 0]
     assert st.distinct_sets == 4
     assert st.set_entropy_bits == pytest.approx(2.0)
+
+
+def test_stats_histogram_stops_at_the_largest_possible_set():
+    # no set holds more than min(sigma, N) members, whatever sigma says
+    x = parse_degenerate(f"{2**62} 3\n5\n\n1 {2**62 - 1}\n")
+    assert list(stats(x).size_histogram) == [1, 1, 1, 0]
+    assert list(stats(parse_degenerate("4 0\n")).size_histogram) == [0]
 
 
 def test_stats_entropy_cases():
