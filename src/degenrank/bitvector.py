@@ -286,9 +286,10 @@ class SparseBitvector(_BitQueries):
     def _select_many(self, j: np.ndarray, b: int = 1) -> np.ndarray:
         if b:
             return self._ones[j - 1].astype(np.int64)
-        diffs = self._ones.astype(np.int64) - np.arange(self._ones.size, dtype=np.int64)
-        t = np.searchsorted(diffs, j, side="left")
-        return j - 1 + t
+        # the zeros before each one, in the stored dtype: ones[k] >= k, so it
+        # cannot wrap, and every checked j fits it as a search key
+        diffs = self._ones - np.arange(self._ones.size, dtype=self._ones.dtype)
+        return j - 1 + diffs.searchsorted(j.astype(diffs.dtype))
 
     def size_bits(self) -> int:
         return 8 * self._ones.nbytes + 2 * 64

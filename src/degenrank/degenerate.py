@@ -15,6 +15,7 @@ string: sigma fixed to 4, every set a singleton, A=0 C=1 G=2 T=3.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ class DegenerateString:
         self.sigma = int(sigma)
         if validate:
             # before the narrowing casts below, which wrap 256 to 0 and cut 2.7 to 2
-            symbols = integers(symbols, "set members")
+            symbols = integers(_member_array(symbols), "set members")
             offsets = integers(offsets, "offsets")
             self._validate(symbols, offsets)
         self.symbols = np.asarray(symbols, dtype=narrow_uint(self.sigma - 1))
@@ -125,6 +126,20 @@ class DegenerateString:
 
     def __repr__(self) -> str:
         return f"DegenerateString(sigma={self.sigma}, n={self.n}, N={self.N}, n0={self.n0})"
+
+
+def _member_array(values) -> np.ndarray:
+    """Set members as an array. For a list of ints that mixes values below 2**63
+    with values at or above it numpy infers float64; such ints, all in
+    [0, 2**64), make a uint64 array. Anything else keeps numpy's dtype, for
+    the validation to accept or refuse."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "fO" and not isinstance(values, np.ndarray):
+        try:
+            return np.array([operator.index(v) for v in values], dtype=np.uint64)
+        except (TypeError, OverflowError):  # a non-integer, a negative, or 2**64 and past
+            pass
+    return arr
 
 
 def _member(syms: np.ndarray, off: np.ndarray, i: int) -> str:

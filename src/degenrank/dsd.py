@@ -56,6 +56,7 @@ class _Decomposition(_SubsetQueries):
         self.base_name = base.base_name
         self.block_words = base.block_words
         self._containing = base.symbol_counts()[:self.sigma] + over
+        self._first = np.cumsum(self._containing) - self._containing
 
     def _rank(self, i: int, c: int) -> int:
         return self._base._rank(i, c) + self._overflow[c]._rank(i, 1)
@@ -99,13 +100,14 @@ class _Decomposition(_SubsetQueries):
 
     def _select_many(self, j: np.ndarray, c: np.ndarray) -> np.ndarray:
         # The search of _select for every query at once, each with its own
-        # bracket, anchors and bisect flag. Queries are sorted by symbol, then
-        # by j, so each round reads each overflow list once and passes
-        # increasing keys to the base rank; a query leaves the round it hits
-        # or its bracket closes. The secant guess is taken in float64, where
-        # the int64 product could wrap past n = 2**31; it is clamped into the
-        # bracket, so rounding can cost a round but never change an answer.
-        order = np.lexsort((j, c))
+        # bracket, anchors and bisect flag. Queries are sorted by the one key
+        # _first[c] + j, which orders them by symbol, then by j, so each round
+        # reads each overflow list once and passes increasing keys to the base
+        # rank; a query leaves the round it hits or its bracket closes. The
+        # secant guess is taken in float64, where the int64 product could wrap
+        # past n = 2**31; it is clamped into the bracket, so rounding can cost
+        # a round but never change an answer.
+        order = np.argsort(self._first[c] + j)
         want, c = j[order] - 1, c[order]
         n_a = self._base.symbol_counts()[c]
         n_b = self._containing[c] - n_a

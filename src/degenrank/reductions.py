@@ -81,17 +81,32 @@ def _one_by_one(kernel, a: list, c: list, shape) -> np.ndarray:
     return np.array(list(map(kernel, a, c)), dtype=np.int64).reshape(shape)
 
 
+def _in_key_order(kernel, a: np.ndarray, c: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """kernel's answers to the queries (a, c), asked in the order of key and
+    put back in the order given."""
+    order = np.argsort(key)
+    out = np.empty(key.size, dtype=np.int64)
+    out[order] = kernel(a[order], c[order])
+    return out
+
+
 class _SubsetQueries:
     """Checked subset queries over the kernels _rank, _select, _rank_many and
-    _select_many; a subclass sets sigma, n, N, n0, base_name and
-    _containing, the number of sets that contain each symbol, and defines
-    size_breakdown().
+    _select_many; a subclass sets sigma, n, N, n0, base_name, _containing,
+    the number of sets that contain each symbol, and _first, its exclusive
+    prefix sums, and defines size_breakdown().
 
     Every query form checks its arguments once: a batch of at most
     _SCALAR_RANKS ranks through subset_rank, one of at most _SCALAR_SELECTS
     selects on Python ints before the scalar kernel, a larger one as arrays
     before the batched kernels. Both raise the same errors and give the
-    same answers in the same int64 array of the broadcast shape."""
+    same answers in the same int64 array of the broadcast shape.
+
+    A larger batch runs in key order: one argsort puts ranks in order of i
+    and selects in order of (c, j), by the key _first[c] + j, one per
+    (c, j) and at most N. Every layer below then searches its arrays with
+    increasing keys, which branch predictors and caches favour, and the
+    answers are scattered back to the caller's order once."""
 
     def subset_rank(self, i, c) -> int:
         return self._rank(*rank_arg(i, c, self.n, self.sigma))
@@ -103,14 +118,14 @@ class _SubsetQueries:
         i, c, shape = small_batch(i, c, _SCALAR_RANKS)
         if shape is None:
             i, c, shape = rank_args(i, c, self.n, self.sigma)
-            return self._rank_many(i, c).reshape(shape)
+            return _in_key_order(self._rank_many, i, c, i).reshape(shape)
         return _one_by_one(self.subset_rank, i, c, shape)
 
     def subset_select_many(self, j, c) -> np.ndarray:
         j, c, shape = small_batch(j, c, _SCALAR_SELECTS)
         if shape is None:
             j, c, shape = select_args(j, c, self._containing)
-            return self._select_many(j, c).reshape(shape)
+            return _in_key_order(self._select_many, j, c, self._first[c] + j).reshape(shape)
         select_list_args(j, c, self._containing)
         return _one_by_one(self._select, j, c, shape)
 
@@ -126,8 +141,7 @@ class _SubsetQueries:
         sets containing c, which select lists in ascending order."""
         counts = self._containing
         c = np.repeat(np.arange(self.sigma, dtype=np.int64), counts)
-        before = np.repeat(np.cumsum(counts) - counts, counts)  # occurrences of smaller symbols
-        j = np.arange(1, c.size + 1, dtype=np.int64) - before
+        j = np.arange(1, c.size + 1, dtype=np.int64) - np.repeat(self._first, counts)
         sets = self._select_many(j, c)
         offsets = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(sets, minlength=self.n), out=offsets[1:])
@@ -159,6 +173,7 @@ class _Empties(_SubsetQueries):
         self.base_name = inner.base_name
         self.block_words = inner.block_words
         self._containing = inner._containing
+        self._first = inner._first
 
     def _rank(self, i: int, c: int) -> int:
         return self._inner._rank(i - self._E._rank(i, 1), c)
@@ -197,6 +212,7 @@ class ReductionI(_SubsetQueries):
         self.base_name = S.base_name
         self.block_words = S.block_words
         self._containing = counts[:self.sigma]  # each occurrence in S is one set
+        self._first = np.cumsum(self._containing) - self._containing
 
     def _rank(self, i: int, c: int) -> int:
         return self._S._rank(self._R._select(i + 1, 1), c)  # S up to the start of set i

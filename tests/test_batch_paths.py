@@ -1,9 +1,9 @@
 """The two ways a batch is answered: a batch of at most _SCALAR_RANKS ranks
 or _SCALAR_SELECTS selects is checked on Python ints and answered by the
 scalar kernels, one query at a time, a larger one is checked as arrays and
-answered by the batched kernels. Both must raise the same errors and give
-the same answers, dtype and shape, and the batched kernels keep their own
-coverage at every small size."""
+answered by the batched kernels, in key order. Both must raise the same
+errors and give the same answers, dtype and shape, in the caller's order,
+and the batched kernels keep their own coverage at every small size."""
 
 import numpy as np
 import pytest
@@ -164,3 +164,62 @@ def test_both_paths_raise_the_same_errors(structure, base, monkeypatch):
                 with pytest.raises(error):
                     fn(a, c)
                     pytest.fail(f"case {n} raised nothing (k={k}, limit={limit})")
+
+
+def arrangements(a, c, rng):
+    """The batch (a, c) shuffled, reversed, full of duplicates and stacked
+    with its reverse into two rows."""
+    shuffle = rng.permutation(a.size)
+    repeats = rng.integers(0, min(a.size, 4), a.size)
+    yield a[shuffle], c[shuffle]
+    yield a[::-1], c[::-1]
+    yield a[repeats], c[repeats]
+    yield np.stack([a, a[::-1]]), np.stack([c, c[::-1]])
+
+
+@pytest.mark.parametrize("structure,base,empties", CASES)
+def test_large_batches_come_back_in_the_callers_order(structure, base, empties):
+    x = instance(empties)
+    st = build(structure, base, x)
+    table = rank_table(x)
+    positions = [positions_of(x, c) for c in range(x.sigma)]
+    rng = np.random.default_rng(13)
+    for k in (9, 17, 8192):
+        i, rc, j, sc = queries(x, k, rng)
+        for a, c in arrangements(i, rc, rng):
+            got = st.subset_rank_many(a, c)
+            assert got.shape == a.shape and np.array_equal(got, table[a, c]), k
+        for a, c in arrangements(j, sc, rng):
+            want = [positions[cc][jj - 1] for jj, cc in zip(a.ravel(), c.ravel())]
+            got = st.subset_select_many(a, c)
+            assert got.shape == a.shape and np.array_equal(got.ravel(), want), k
+
+
+def record_batched_kernels(st) -> dict:
+    """Wrap the batched kernels of st in place; the dict lists the arguments
+    of every call."""
+    seen = {"_rank_many": [], "_select_many": []}
+    for name, calls in seen.items():
+        def recorded(a, c, _calls=calls, _fn=getattr(st, name)):
+            _calls.append((a.copy(), c.copy()))
+            return _fn(a, c)
+        setattr(st, name, recorded)
+    return seen
+
+
+@pytest.mark.parametrize("structure,base,empties", CASES)
+def test_batched_kernels_see_the_queries_in_key_order(structure, base, empties):
+    x = instance(empties)
+    st = build(structure, base, x)
+    seen = record_batched_kernels(st)
+    rng = np.random.default_rng(17)
+    for k in (17, 8192):
+        i, rc, j, sc = queries(x, k, rng)
+        st.subset_rank_many(i[::-1], rc[::-1])
+        st.subset_select_many(j[::-1], sc[::-1])
+    assert len(seen["_rank_many"]) == len(seen["_select_many"]) == 2
+    for i, _ in seen["_rank_many"]:
+        assert np.all(np.diff(i) >= 0)
+    for j, c in seen["_select_many"]:
+        dc, dj = np.diff(c), np.diff(j)
+        assert np.all((dc > 0) | ((dc == 0) & (dj >= 0)))

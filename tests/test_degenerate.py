@@ -209,6 +209,22 @@ def test_uint64_members_past_int64_are_checked_in_their_own_dtype():
         DegenerateString(2**64, np.array([2**63 + 5, big], dtype=np.uint64), [0, 2])
 
 
+def test_lists_that_mix_members_below_and_past_2_63_are_read_as_uint64():
+    # numpy infers float64 for such a list; the members are built as uint64
+    x = DegenerateString.from_sets(2**64, [[1, 2**63], [], [2**64 - 1]])
+    assert list(x.sets()) == [(1, 2**63), (), (2**64 - 1,)]
+    assert x == parse_degenerate(f"{2**64} 3\n1 {2**63}\n\n{2**64 - 1}\n")
+    assert DegenerateString(2**64, [1, 2**63], [0, 2]) == DegenerateString.from_sets(
+        2**64, [[2**63, 1]])
+    for members, msg in [([-1, 2**63], "integers"), ([1.5, 2**63], "integers"),
+                         ([np.float64(1.0), 2**63], "integers"), ([1, 2**64], "integers"),
+                         ([2**63, 2**63], "duplicate")]:
+        with pytest.raises(ValueError, match=msg):
+            DegenerateString.from_sets(2**64, [members])
+        with pytest.raises(ValueError, match=msg):
+            DegenerateString(2**64, members, [0, 2])
+
+
 def test_stats_worked_example():
     st = stats(parse_degenerate(FIG_TEXT))
     assert (st.sigma, st.n, st.N, st.n0) == (4, 4, 8, 0)
