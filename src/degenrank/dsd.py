@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._bits import narrow_uint
 from .bitvector import SparseBitvector
 from .degenerate import DegenerateString
 from .reductions import _build_base, _check_alphabet, _Empties, _SubsetQueries
@@ -62,10 +63,21 @@ class _Decomposition(_SubsetQueries):
         return self._base._rank(i, c) + self._overflow[c]._rank(i, 1)
 
     def _rank_many(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
+        # The overflow ranks grouped by symbol: one stable sort of c, a radix
+        # sort in its narrowest dtype, keeps each symbol's queries in the
+        # order they came, which is i order on the public path. Each symbol
+        # that occurs then ranks its contiguous slice once, and the answers
+        # go back in one scatter.
         out = self._base._rank_many(i, c)
-        for cc in np.flatnonzero(np.bincount(c, minlength=self.sigma)):
-            m = c == cc
-            out[m] += self._overflow[cc]._rank_many(i[m], 1)
+        order = np.argsort(c.astype(narrow_uint(self.sigma - 1)), kind="stable")
+        cs, io = c[order], i[order]
+        over = np.empty(c.size, dtype=np.int64)
+        start = 0
+        for end in np.append(np.flatnonzero(cs[1:] != cs[:-1]) + 1, c.size).tolist():
+            if end > start:
+                over[start:end] = self._overflow[cs.item(start)]._rank_many(io[start:end], 1)
+            start = end
+        out[order] += over
         return out
 
     def _select(self, j: int, c: int) -> int:

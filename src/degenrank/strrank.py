@@ -7,11 +7,13 @@ Two interchangeable backends:
 * BitPlaneRank is a flat-layout alternative fixed to sigma <= 4. Symbols are
   split into a low and a high bit plane; a block of 512 * block_words symbols
   keeps one absolute count per symbol, and each 512-symbol sub-block one
-  count per symbol relative to its block. A query reads the two counts
-  before its sub-block, then scans the at most 8 plane words from the
-  sub-block start through its own word and popcounts the bits that match
-  its symbol c = 2h + l: `NOT((high XOR h) OR (low XOR l))`, the comparison
-  that wide-register scans batch.
+  count per symbol relative to its block. Each plane is kept as rows of 8
+  words, one row per sub-block. A query reads the two counts before its
+  sub-block and the sub-block's row of each plane, and popcounts the bits
+  that match its symbol c = 2h + l: `NOT((high XOR h) OR (low XOR l))`, the
+  comparison that wide-register scans batch. A batch masks a rank's row
+  with one row of a table of 512 prefix masks and adds the row's eight
+  popcounts in SIMD-within-a-register (SWAR) lanes of one uint64.
 
 Both use the same conventions as the bitvectors: rank(i, c) counts symbol c
 in [0, i), select(j, c) is 0-indexed with 1-indexed j. Both check arguments
@@ -24,13 +26,21 @@ from bisect import bisect_left
 
 import numpy as np
 
-from ._bits import (FULL_WORD, MASK_LOW, index_arg, integers, narrow_uint, pack_bits,
-                    packed_payload, popcount, rank_arg, rank_args, select_arg, select_args,
-                    select_in_word, select_in_words)
+from ._bits import (FULL_WORD, index_arg, integers, narrow_uint, pack_bits, packed_payload,
+                    rank_arg, rank_args, select_arg, select_args, select_in_word,
+                    select_in_words)
 from .bitvector import PlainBitvector
 
 _MAX_SIGMA = 1 << 32  # the largest alphabet a wavelet base takes; its symbols fit uint32
 _SUB_WORDS = 8  # plane words per bitplane sub-block, 512 symbols
+# _PREFIX[k] is a sub-block row with its k lowest bits set, 32 KiB.
+_PREFIX = np.packbits(np.tri(512, 512, -1, dtype=bool), axis=1,
+                      bitorder="little").view("<u8").astype(np.uint64, copy=False)
+# 16-bit lanes: a 1 in each, the top bit of each. Four popcount sums of at
+# most 512 fill one uint64 with bit 15 of every lane free.
+_ONES16 = 0x0001000100010001
+_MSBS16 = _ONES16 << 15
+_BYTES16 = 0x00FF00FF00FF00FF  # the low byte of every 16-bit lane
 
 
 def _as_symbols(symbols, sigma: int) -> np.ndarray:
@@ -195,15 +205,19 @@ class BitPlaneRank(_StringQueries):
     512 * (block_words - 1); every block of 512 * block_words symbols stores
     the absolute counts (Vigna's rank9, over four symbols). So block_words
     sets the space of the block table only: larger blocks shrink it, and no
-    query scans more than the 8 plane words of one sub-block, matched as
-    NOT((high XOR h) OR (low XOR l)) for c = 2h + l. The block counts are
-    symbol-major, and row c is offset by c * (length + 1): the rows form one
-    ascending array, which a batched select searches once for every symbol.
+    query reads more than the 8 plane words of one sub-block, matched as
+    NOT((high XOR h) OR (low XOR l)) for c = 2h + l. Each plane is stored as
+    rows of 8 words, one per sub-block, zero-padded to whole rows (at most 7
+    words a plane); _low and _high are views of the length // 64 + 1 words
+    of the payload. The block counts are symbol-major, and row c is offset
+    by c * (length + 1): the rows form one ascending array, which a batched
+    select searches once for every symbol.
     """
 
     SIGMA = 4
     base_name = "bitplane"
     MAX_BLOCK_WORDS = (2**63 - 1) // 512  # a block of 512 * block_words symbols fits in int64
+    _chunk = (1 << 16) // _SUB_WORDS  # queries per batch chunk
 
     def __init__(self, symbols, block_words: int = 8):
         syms = _as_symbols(symbols, self.SIGMA)
@@ -223,21 +237,22 @@ class BitPlaneRank(_StringQueries):
     def _build_counts(self, block_words) -> None:
         self.block_words = bw = index_arg(block_words, 1, self.MAX_BLOCK_WORDS, "block_words",
                                           ValueError)
-        # The scalar kernels read the plane bytes in place, which needs them contiguous.
-        self._low, self._high = np.ascontiguousarray(self._low), np.ascontiguousarray(self._high)
+        # The planes as rows, one per sub-block; the last one holds position length.
+        n_sub = self.length // (64 * _SUB_WORDS) + 1
+        self._rows = np.zeros((2, n_sub, _SUB_WORDS), dtype=np.uint64)
+        planes = self._rows.reshape(2, -1)[:, :self._low.size]
+        planes[0], planes[1] = self._low, self._high
+        self._low, self._high = planes  # contiguous, so the scalar kernels read them in place
         self._low_bytes, self._high_bytes = (memoryview(p).cast("B")
                                              for p in (self._low, self._high))
-        # A query scans at most one sub-block of plane words, nor more than the string has.
-        self._scan_words = min(_SUB_WORDS, self._low.size)
-        self._chunk = max(1, (1 << 16) // self._scan_words)  # queries per batch chunk
-        # One row per symbol; the padding bits of the last word match symbol 0.
-        m = _match_words(self._low, self._high, np.arange(self.SIGMA)[:, None])
-        m[:, -1] &= MASK_LOW[self.length & 63]
-        # The c's before each sub-block; the last sub-block holds position length.
-        n_sub = self.length // (64 * _SUB_WORDS) + 1
+        # The c's in each sub-block, then before each one. The zero padding,
+        # 512 * n_sub - length bits of the last row, matches symbol 0.
+        low, high = self._rows
+        pops = np.array([_row_popcounts(_match_words(low.copy(), high.copy(), c))
+                         for c in range(self.SIGMA)])
+        pops[0, -1] -= 512 * n_sub - self.length
         before = np.zeros((self.SIGMA, n_sub + 1), dtype=np.int64)
-        np.cumsum(np.add.reduceat(popcount(m), np.arange(0, m.shape[1], _SUB_WORDS), axis=1),
-                  axis=1, out=before[:, 1:])
+        np.cumsum(pops, axis=1, out=before[:, 1:])
         self._totals = before[:, -1].copy()
         n_blocks = -(-self.length // (512 * bw))
         blocks = before[:, np.minimum(np.arange(n_blocks + 1) * bw, n_sub)]
@@ -282,12 +297,11 @@ class BitPlaneRank(_StringQueries):
 
     def _rank_chunk(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
         s = i >> 9
-        w0, m = self._window(s, c)
-        last = (i >> 6) - w0  # the column of the word that holds i
-        m[np.arange(self._scan_words) > last[:, None]] = 0
-        m[np.arange(i.size), last] &= MASK_LOW[i & 63]
+        low, high = self._rows
+        m = _match_words(low.take(s, axis=0), high.take(s, axis=0), c)
+        m &= _PREFIX.take(i & 511, axis=0)  # the zero padding matches symbol 0, and lies past i
         return (self._counts[c, s // self.block_words] - c * (self.length + 1)
-                + self._sub[c, s] + popcount(m).sum(axis=1))
+                + self._sub[c, s] + _row_popcounts(m))
 
     # Both selects search row c of the block counts for the last block with
     # fewer than j c's before it, then that block's sub-block counts for the
@@ -333,25 +347,26 @@ class BitPlaneRank(_StringQueries):
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         target -= sub[lo]
-        w0, m = self._window(lo - c * n_sub, c)
-        pops = popcount(m)
-        cum = np.cumsum(pops, axis=1)
-        idx = (cum < target[:, None]).sum(axis=1)
-        rows = np.arange(j.size)
-        r = target - 1 - (cum[rows, idx] - pops[rows, idx])
-        return (w0 + idx) * 64 + select_in_words(m[rows, idx], r)
-
-    def _window(self, s: np.ndarray, c: np.ndarray):
-        """w0, the first plane word of each query's sub-block s, and the
-        _scan_words words from w0 matched against c, one row per query. Columns
-        past the last plane word repeat it; they follow every position a query
-        reads."""
-        w0 = s * _SUB_WORDS
-        cols = np.minimum(w0[:, None] + np.arange(self._scan_words), self._low.size - 1)
-        return w0, _match_words(self._low[cols], self._high[cols], c[:, None])
+        s = lo - c * n_sub
+        low, high = self._rows
+        m = _match_words(low.take(s, axis=0), high.take(s, axis=0), c)
+        # The popcounts before each word of the row, in 16-bit lanes, four
+        # words a uint64; word k holds the target when k + 1 of them are
+        # below it. Bit 15 of a lane of (target - 1 | 0x8000) - before stays
+        # set when before <= target - 1, and no lane borrows from the next.
+        pops = np.bitwise_count(m).astype(np.uint16).view(np.uint64)
+        sums = pops * _ONES16
+        before = sums << 16
+        before[:, 1] += (sums[:, 0] >> 48) * _ONES16
+        below = (((target - 1).astype(np.uint64) * _ONES16)[:, None] | _MSBS16) - before
+        below &= _MSBS16
+        k = np.bitwise_count(below[:, 0] >> 1 | below[:, 1]).astype(np.int64) - 1
+        at = np.arange(0, m.size, _SUB_WORDS) + k  # the word k of each row
+        r = target - 1 - before.view(np.uint16).take(at)
+        return (s * _SUB_WORDS + k) * 64 + select_in_words(m.take(at), r)
 
     def _by_chunks(self, kernel, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """kernel over _chunk queries at a time, which bounds its window matrices."""
+        """kernel over _chunk queries at a time, which bounds its (Q, 8) matrices."""
         out = np.empty(a.shape, dtype=np.int64)
         for s in range(0, a.size, self._chunk):
             sl = slice(s, s + self._chunk)
@@ -359,7 +374,7 @@ class BitPlaneRank(_StringQueries):
         return out
 
     def size_bits(self) -> int:
-        total = 64 * (self._low.size + self._high.size)
+        total = 64 * self._rows.size
         total += 8 * (self._counts.nbytes + self._sub.nbytes + self._totals.nbytes)
         total += 3 * 64  # length, block_words, sigma scalars
         return total
@@ -368,13 +383,28 @@ class BitPlaneRank(_StringQueries):
         return f"BitPlaneRank(length={self.length}, block_words={self.block_words})"
 
 
-_FILL = np.array([0, 2**64 - 1], dtype=np.uint64)  # a plane word of all 0s, of all 1s
+# A row of plane words of all 0s, of all 1s.
+_FILL = np.array([[0] * _SUB_WORDS, [FULL_WORD] * _SUB_WORDS], dtype=np.uint64)
 
 
 def _match_words(low, high, c):
-    """Words whose symbol equals c: NOT((low XOR fill(c0)) OR (high XOR fill(c1))),
-    where c is an int or an int array that broadcasts against the words."""
-    return ~((low ^ _FILL[c & 1]) | (high ^ _FILL[c >> 1]))
+    """Rows of plane words whose symbol equals c: NOT((low XOR fill(c0)) OR
+    (high XOR fill(c1))), for an int c or one c per row. It works in place on
+    rows that the caller gathered or copied: the result is low, and high is
+    overwritten."""
+    low ^= _FILL.take(c & 1, axis=0)
+    high ^= _FILL.take(c >> 1, axis=0)
+    low |= high
+    return np.invert(low, out=low)
+
+
+def _row_popcounts(m):
+    """The set bits of each row of a (Q, 8) uint64 matrix, as int64: its byte
+    popcounts viewed as one uint64 a row, added in pairs into 16-bit lanes,
+    then the four lanes summed into the top one by one multiply."""
+    b = np.bitwise_count(m).view(np.uint64)[..., 0]
+    b = (b & _BYTES16) + (b >> 8 & _BYTES16)
+    return (b * _ONES16 >> 48).view(np.int64)
 
 
 def _match_int(low: memoryview, high: memoryview, s: int, c: int) -> int:

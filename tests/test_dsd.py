@@ -208,6 +208,26 @@ def test_select_batches_against_oracle(base):
     assert np.array_equal(d.subset_select_many(j[c == 2], 2), want[c == 2])
 
 
+@pytest.mark.parametrize("sigma, base, symbols", [
+    (6, "wavelet", [0, 3, 5]),  # symbols 1, 2 and 4 absent from the batch
+    (4, "bitplane", [2]),  # one symbol only
+    (1, "wavelet", [0]),
+    (300, "wavelet", None),  # c sorts as uint16
+])
+def test_rank_batches_against_oracle(sigma, base, symbols):
+    # the overflow ranks are grouped by symbol: shuffled batches larger than
+    # the scalar path takes, through the public path and the unsorted kernel
+    x = generate(17 + sigma, 500, sigma)
+    d = build_dsd(x, base)
+    table = rank_table(x)
+    rng = np.random.default_rng(sigma)
+    for q in (9, 300):
+        i = rng.integers(0, x.n + 1, size=q)
+        c = rng.integers(0, sigma, size=q) if symbols is None else rng.choice(symbols, size=q)
+        assert np.array_equal(d.subset_rank_many(i, c), table[i, c]), q
+        assert np.array_equal(d._rank_many(i, c), table[i, c]), q
+
+
 def test_constructor_rejects_parts_that_do_not_fit():
     x = generate(5, 200, 4, size_probs=[0.2] * 5)
     E, base, overflow = build_dsd(x).components()

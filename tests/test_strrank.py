@@ -89,16 +89,23 @@ def test_wavelet_matrix_layout(sigma):
     assert wt.size_bits() == level_bits + 64 * (nbits + 2 * sigma) + 192
 
 
-@pytest.mark.parametrize("block_words", [1, 2, 8, 16, 32, 2**40])
+@pytest.mark.parametrize("block_words", [1, 2, 3, 8, 16, 32, 2**40])
 def test_bitplane_matches_linear_scan(block_words):
     rng = np.random.default_rng(90 + block_words)
-    lengths = [0, 1, 63, 64, 511, 512, 513, 512 * block_words - 1,
-               512 * block_words, 512 * block_words + 1, 3000]
+    lengths = [0, 1, 63, 64, 65, 511, 512, 513, 512 * block_words - 1,
+               512 * block_words, 512 * block_words + 1, 3000, 4095, 4096, 4097]
+    # the last sub-block row padded with every count of zero words from 7 down to 0
+    lengths += [1024 + 64 * k + 5 for k in range(8)]
     lengths = [n for n in lengths if n <= 3 * 2**14]  # the block edges of 2**40 are too far
     for n in lengths:
         syms = random_symbols(rng, n, 4, skew=[0.7, 0.2, 0.07, 0.03])
         bp = BitPlaneRank(syms, block_words=block_words)
-        idx = np.arange(n + 1)
+        length, _, low, high = bp.plane_payload()
+        assert length == n and low.shape == high.shape == (n // 64 + 1,)
+        # the zero padding past length matches symbol 0, and no rank counts it
+        again = BitPlaneRank.from_planes(*bp.plane_payload())
+        assert again.rank_many([n, n], [0, 0]).tolist() == [int((syms == 0).sum())] * 2
+        idx = np.arange(n + 1)  # every word and sub-block edge
         for c in range(4):
             expect = np.cumsum(np.concatenate([[0], (syms == c).astype(np.int64)]))
             assert np.array_equal(bp.rank_many(idx, c), expect), (block_words, n, c)
@@ -336,7 +343,7 @@ def test_bitplane_matches_one_window_per_query(monkeypatch):
 
     for block_words in (1, 8, 32, 2**40):
         bp = BitPlaneRank(syms, block_words=block_words)
-        assert bp._scan_words <= 8, block_words
+        assert bp._rows.shape[-1] <= 8, block_words
         for i in (0, 64, 511, 512, 1000, 2048, 3000):
             assert count(bp.rank, i, 2) == 1, (block_words, i)
         for c in range(4):
