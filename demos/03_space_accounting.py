@@ -31,7 +31,7 @@ for line in meta.lines():
 print()
 
 # the same instance under four structures; the decomposition pays for its
-# per-symbol overflow position lists, which dominates at this density
+# overflow rows, one array of set positions, which dominates at this density
 candidates = [
     ("sentinel + wavelet      ", build_reduction(x, "reduction-ii", "wavelet")),
     ("empties + wavelet       ", build_reduction(x, "reduction-iii", "wavelet")),

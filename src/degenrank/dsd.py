@@ -1,30 +1,30 @@
 """Dense-sparse decomposition for subset rank-select.
 
 Keep one symbol per nonempty set, its minimum, in a regular base string
-of length n - n0, and record every removed symbol c as a set bit at its set
-position in a per-symbol sparse bitvector. Both are indexed by nonempty set:
-the overflow vectors have length n - n0. DsdStructure is reduction iii's
-empty-set layer (reductions._Empties, the only layer that queries E) over
-this decomposition, so a subset-rank query is one rank on E to skip the
-empties, then one on the base string and one on the overflow vector of the
-queried symbol.
+of length n - n0, and list every removed symbol c by its row, the index of
+its set among the nonempty sets. The rows of all symbols sit in one array,
+each symbol's run sorted, with sigma + 1 bounds marking where the runs
+start. DsdStructure is reduction iii's empty-set layer (reductions._Empties,
+the only layer that queries E) over this decomposition, so a subset-rank
+query is one rank on E to skip the empties, then one on the base string and
+one search of the queried symbol's run.
 
 Select merges two disjoint sorted lists of nonempty sets: A_c, the sets
 whose kept symbol is c (rank base.rank(p, c), select base.select(k, c)), and
-B_c, the positions of overflow[c]. g(t) = t + rank_A(B_c[t]) counts the sets
-containing c before B_c[t]; it is strictly increasing, so the j-th such set
-is B_c[t] if some t has g(t) = j - 1, and otherwise the (j - t)-th element
-of A_c for the smallest t with g(t) > j - 1. That t lies in a bracket of
-range <= min(j, |A_c| + 1, |B_c|) candidates, searched by guarded
-interpolation (Perl, Itai and Avni, CACM 1978). Each probe is one overflow
-lookup and one base rank, at the secant guess between the last probes below
-and above j - 1, starting from the ends g(-1) = -1 and
-g(|B_c|) = |A_c| + |B_c|. g is close to linear on any layout that is not
-adversarial, so a probe often lands on g(t) = j - 1, and the search stops
-there. A probe that fails to halve the bracket makes the next one a
-bisection, which bounds the worst case at 2 * ceil(log2(range + 1))
-probes. The empty-set layer then maps the answer to a set position with one
-select0 on E. No index beyond the decomposition is stored.
+B_c, the run of c. g(t) = t + rank_A(B_c[t]) counts the sets containing c
+before B_c[t]; it is strictly increasing, so the j-th such set is B_c[t] if
+some t has g(t) = j - 1, and otherwise the (j - t)-th element of A_c for the
+smallest t with g(t) > j - 1. That t lies in a bracket of range
+<= min(j, |A_c| + 1, |B_c|) candidates, searched by guarded interpolation
+(Perl, Itai and Avni, CACM 1978). Each probe is one row lookup and one base
+rank, at the secant guess between the last probes below and above j - 1,
+starting from the ends g(-1) = -1 and g(|B_c|) = |A_c| + |B_c|. g is close
+to linear on any layout that is not adversarial, so a probe often lands on
+g(t) = j - 1, and the search stops there. A probe that fails to halve the
+bracket makes the next one a bisection, which bounds the worst case at
+2 * ceil(log2(range + 1)) probes. The empty-set layer then maps the answer
+to a set position with one select0 on E. No index beyond the decomposition
+is stored.
 """
 
 from __future__ import annotations
@@ -38,51 +38,57 @@ from .reductions import _build_base, _check_alphabet, _Empties, _SubsetQueries
 
 
 class _Decomposition(_SubsetQueries):
-    """The base string of kept symbols and one overflow vector per symbol,
-    over the nonempty sets; sigma is the number of overflow vectors."""
+    """The base string of kept symbols and the overflow rows over the
+    nonempty sets: symbol c's run is _rows[_bounds[c]:_bounds[c + 1]], and
+    _runs[c] is a view of it; sigma is the number of runs."""
 
     n0 = 0
 
     def __init__(self, base, overflow):
-        self._base = base
-        self._overflow = list(overflow)
-        self.sigma = len(self._overflow)
-        if any(ov.length != base.length for ov in self._overflow):
+        self.sigma = len(overflow)
+        if any(ov.length != base.length for ov in overflow):
             raise ValueError(f"every overflow vector must have length {base.length}, "
                              "one bit per nonempty set")
         _check_alphabet(base, self.sigma)
+        self._base = base
+        # the empty head keeps the vectors' dtype when sigma is 0
+        self._rows = np.concatenate([np.empty(0, narrow_uint(base.length)),
+                                     *(ov._ones for ov in overflow)])
+        self._bounds = np.zeros(self.sigma + 1, dtype=np.int64)
+        np.cumsum([ov.ones_count for ov in overflow], out=self._bounds[1:])
+        self._runs = [self._rows[self._bounds[c]:self._bounds[c + 1]] for c in range(self.sigma)]
+        self._key = self._rows.dtype.type  # a key of another dtype casts the whole run
         self.n = base.length
-        over = np.array([ov.ones_count for ov in self._overflow], dtype=np.int64)
-        self.N = base.length + int(over.sum())
+        self.N = base.length + self._rows.size
         self.base_name = base.base_name
         self.block_words = base.block_words
-        self._containing = base.symbol_counts()[:self.sigma] + over
+        self._containing = base.symbol_counts()[:self.sigma] + np.diff(self._bounds)
         self._first = np.cumsum(self._containing) - self._containing
 
     def _rank(self, i: int, c: int) -> int:
-        return self._base._rank(i, c) + self._overflow[c]._rank(i, 1)
+        return self._base._rank(i, c) + int(self._runs[c].searchsorted(self._key(i)))
 
     def _rank_many(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
         # The overflow ranks grouped by symbol: one stable sort of c, a radix
         # sort in its narrowest dtype, keeps each symbol's queries in the
         # order they came, which is i order on the public path. Each symbol
-        # that occurs then ranks its contiguous slice once, and the answers
-        # go back in one scatter.
+        # that occurs then searches its run once, and the answers go back in
+        # one scatter.
         out = self._base._rank_many(i, c)
         order = np.argsort(c.astype(narrow_uint(self.sigma - 1)), kind="stable")
-        cs, io = c[order], i[order]
+        cs, io = c[order], i[order].astype(self._rows.dtype)
         over = np.empty(c.size, dtype=np.int64)
         start = 0
         for end in np.append(np.flatnonzero(cs[1:] != cs[:-1]) + 1, c.size).tolist():
             if end > start:
-                over[start:end] = self._overflow[cs.item(start)]._rank_many(io[start:end], 1)
+                over[start:end] = self._runs[cs.item(start)].searchsorted(io[start:end])
             start = end
         out[order] += over
         return out
 
     def _select(self, j: int, c: int) -> int:
-        ov = self._overflow[c]
-        n_a, n_b = self._base.symbol_counts().item(c), ov.ones_count
+        rows, at = self._rows, self._bounds.item(c)
+        n_a, n_b = self._base.symbol_counts().item(c), self._bounds.item(c + 1) - at
         want = j - 1
         # The answer's t is the smallest t with g(t) >= want: every t below lo
         # has g(t) < want, and every t at or above hi is past the end of B_c or
@@ -98,7 +104,7 @@ class _Decomposition(_SubsetQueries):
                 mid = (lo + hi) >> 1
             else:
                 mid = min(max(tl + (want - gl) * (tr - tl) // (gr - gl), lo), hi - 1)
-            b = ov._select(mid + 1, 1)
+            b = rows.item(at + mid)
             g = mid + self._base._rank(b, c)
             if g == want:
                 return b
@@ -112,37 +118,29 @@ class _Decomposition(_SubsetQueries):
 
     def _select_many(self, j: np.ndarray, c: np.ndarray) -> np.ndarray:
         # The search of _select for every query at once, each with its own
-        # bracket, anchors and bisect flag. Queries are sorted by the one key
-        # _first[c] + j, which orders them by symbol, then by j, so each round
-        # reads each overflow list once and passes increasing keys to the base
-        # rank; a query leaves the round it hits or its bracket closes. The
-        # secant guess is taken in float64, where the int64 product could wrap
-        # past n = 2**31; it is clamped into the bracket, so rounding can cost
-        # a round but never change an answer.
-        order = np.argsort(self._first[c] + j)
-        want, c = j[order] - 1, c[order]
+        # bracket, anchors and bisect flag, in whatever order the queries
+        # come. A round probes every live query with one gather from _rows
+        # and one base rank; a query leaves the round it hits or its bracket
+        # closes. The secant guess is taken in float64, where the int64
+        # product could wrap past n = 2**31; it is clamped into the bracket,
+        # so rounding can cost a round but never change an answer.
+        want = j - 1
         n_a = self._base.symbol_counts()[c]
-        n_b = self._containing[c] - n_a
+        at = self._bounds[c]
+        n_b = self._bounds[c + 1] - at
         t = np.maximum(0, want - n_a)  # lo of every query: its final t unless it hits
-        hi = np.minimum(want + 1, n_b)
+        hi = np.minimum(j, n_b)
         hit = np.zeros(j.size, dtype=bool)
         out = np.empty(j.size, dtype=np.int64)
         q = np.flatnonzero(t < hi)
-        w, cq, lo, hi = want[q], c[q], t[q], hi[q]
+        w, cq, at, lo, hi = want[q], c[q], at[q], t[q], hi[q]
         tl, gl = np.full(q.size, -1, dtype=np.int64), np.full(q.size, -1, dtype=np.int64)
         tr, gr = n_b[q], n_a[q] + n_b[q]
         bisect = np.zeros(q.size, dtype=bool)
-        symbols = np.flatnonzero(np.bincount(c, minlength=self.sigma))
         while q.size:
             guess = np.clip(tl + (w - gl) * ((tr - tl) / (gr - gl)), lo, hi - 1)
             mid = np.where(bisect, (lo + hi) >> 1, guess.astype(np.int64))
-            b = np.empty(q.size, dtype=np.int64)
-            ends = np.searchsorted(cq, symbols, side="right")
-            start = 0
-            for cc, end in zip(symbols.tolist(), ends.tolist()):
-                if end > start:
-                    b[start:end] = self._overflow[cc]._select_many(mid[start:end] + 1, 1)
-                start = end
+            b = self._rows[at + mid].astype(np.int64)
             g = mid + self._base._rank_many(b, cq)
             width = hi - lo
             below = g < w
@@ -156,25 +154,22 @@ class _Decomposition(_SubsetQueries):
             out[q[found]] = b[found]
             t[q] = lo
             keep = np.flatnonzero((lo < hi) & ~found)
-            q, w, cq, lo, hi, tl, gl, tr, gr, bisect = (
-                x[keep] for x in (q, w, cq, lo, hi, tl, gl, tr, gr, bisect))
+            q, w, cq, at, lo, hi, tl, gl, tr, gr, bisect = (
+                x[keep] for x in (q, w, cq, at, lo, hi, tl, gl, tr, gr, bisect))
         rest = np.flatnonzero(~hit)
         if rest.size:
-            out[rest] = self._base._select_many(want[rest] + 1 - t[rest], c[rest])
-        result = np.empty_like(out)
-        result[order] = out
-        return result
+            out[rest] = self._base._select_many(j[rest] - t[rest], c[rest])
+        return out
 
     def size_breakdown(self) -> dict:
-        out = {"base": self._base.size_bits()}
-        for c, ov in enumerate(self._overflow):
-            out[f"overflow[{c}]"] = ov.size_bits()
-        return out
+        return {"base": self._base.size_bits(),
+                "overflow": 8 * (self._rows.nbytes + self._bounds.nbytes)}
 
 
 class DsdStructure(_Empties):
     """Built from E, the base string of kept symbols and one overflow vector
-    of length n - n0 per symbol; sigma is the number of overflow vectors."""
+    of length n - n0 per symbol, whose ones are the symbol's rows; sigma is
+    the number of overflow vectors. components() gives the same parts back."""
 
     structure_name = "dsd"
 
@@ -182,10 +177,11 @@ class DsdStructure(_Empties):
         super().__init__(E, _Decomposition(base, overflow))
 
     def overflow_counts(self) -> np.ndarray:
-        return self._containing - self._inner._base.symbol_counts()[:self.sigma]
+        return np.diff(self._inner._bounds)
 
     def components(self):
-        return self._E, self._inner._base, self._inner._overflow
+        inner = self._inner
+        return self._E, inner._base, [SparseBitvector(inner.n, run) for run in inner._runs]
 
 
 def build_dsd(x: DegenerateString, base: str = "wavelet",

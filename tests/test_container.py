@@ -165,8 +165,8 @@ def test_loaded_word_arrays_are_aligned():
     x = generate(seed=2, n=500, sigma=4, profile="uniform")
     for base in ("wavelet", "bitplane"):
         st = container.loads(container.dumps(build_dsd(x, base, block_words=2)))
-        e, b, overflow = st.components()
-        arrays = [e._ones, *(ov._ones for ov in overflow)]
+        e, b, _ = st.components()
+        arrays = [e._ones, st._inner._rows]
         if base == "wavelet":
             arrays += [bv._words for bv in b._levels]
         else:

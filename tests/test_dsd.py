@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from degenrank import container
 from degenrank.bitvector import SparseBitvector
-from degenrank.degenerate import DegenerateString, generate, parse_degenerate
+from degenrank.degenerate import GENOMIC_SIZE_PROBS, DegenerateString, generate, parse_degenerate
 from degenrank.dsd import DsdStructure, build_dsd
 from degenrank.oracle import positions_of, rank_table
 from degenrank.reductions import build_reduction
@@ -143,6 +144,11 @@ def test_empty_and_all_empty():
         with pytest.raises(ValueError):
             d.subset_select_many([1], [0])
         assert d.subset_select_many([], []).size == 0
+    # no overflow vectors at all: sigma 0 over an all-empty instance
+    E, base, _ = build_dsd(DegenerateString.from_sets(1, [[], []])).components()
+    d = DsdStructure(E, base, [])
+    assert d.sigma == 0 and d.components()[2] == []
+    assert container.loads(container.dumps(d)).components()[2] == []
 
 
 def test_space_accounting():
@@ -150,7 +156,7 @@ def test_space_accounting():
     d = build_dsd(x, "bitplane", block_words=8)
     parts = d.size_breakdown()
     assert d.size_bits() == sum(parts.values())
-    assert set(parts) == {"E", "base"} | {f"overflow[{c}]" for c in range(4)}
+    assert set(parts) == {"E", "base", "overflow"}
     # the all-singleton case needs little more than the two planes
     y = generate(3, 10**6, 4, size_probs=[0, 1, 0, 0, 0])
     dy = build_dsd(y, "bitplane", block_words=8)
@@ -190,22 +196,43 @@ def test_select_when_a_list_is_empty():
     assert build_dsd(instances[1]).components()[1].symbol_count(3) == 0
 
 
-@pytest.mark.parametrize("base", ["wavelet", "bitplane"])
-def test_select_batches_against_oracle(base):
-    x = generate(83, 400, 4, profile="genomic-like")
+@pytest.mark.parametrize("seed, n, sigma, base, symbols, rows", [
+    pytest.param(83, 400, 4, "wavelet", None, np.uint16, id="wavelet"),
+    pytest.param(83, 400, 4, "bitplane", None, np.uint16, id="bitplane"),
+    pytest.param(30, 200, 1, "wavelet", None, np.uint8, id="sigma1-uint8"),
+    pytest.param(35, 200, 6, "wavelet", [0, 3, 5], np.uint8, id="absent-uint8"),
+    pytest.param(329, 200, 300, "wavelet", None, np.uint8, id="sigma300-uint8"),
+    pytest.param(30, 90_000, 1, "wavelet", None, np.uint32, id="sigma1-uint32"),
+    pytest.param(35, 90_000, 6, "wavelet", [0, 3, 5], np.uint32, id="absent-uint32"),
+    pytest.param(329, 90_000, 300, "wavelet", None, np.uint32, id="sigma300-uint32"),
+])
+def test_select_batches_against_oracle(seed, n, sigma, base, symbols, rows):
+    # The select kernel takes queries in whatever order they come, and the
+    # public path hands it key order, so a shuffled batch goes through both,
+    # at the narrowest and the widest row dtype. Set sizes follow the
+    # genomic-like profile, cut or padded to sigma; in the absent cases the
+    # batch leaves symbols 1, 2 and 4 out.
+    x = generate(seed, n, sigma, size_probs=(list(GENOMIC_SIZE_PROBS) + [0] * sigma)[:sigma + 1])
     d = build_dsd(x, base, block_words=1)
-    check_against_oracle(x, d)
-    pos = [positions_of(x, c) for c in range(4)]
-    # a batch of one, then a shuffled batch mixing every symbol
-    assert d.subset_select_many([2], [1]).tolist() == [pos[1][1]]
+    assert d._inner._rows.dtype == rows
+    if x.n * sigma <= 10**6:  # the full sweep, where its rank table is small
+        check_against_oracle(x, d)
+    pos = [positions_of(x, c) for c in range(sigma)]
+    counts = np.array([p.size for p in pos])
+    live = np.flatnonzero(counts) if symbols is None else np.array(symbols)
+    # a batch of one, then a shuffled batch mixing every symbol drawn
+    c1 = live[min(1, live.size - 1)]
+    j1 = min(2, counts[c1])
+    assert d.subset_select_many([j1], [c1]).tolist() == [pos[c1][j1 - 1]]
     rng = np.random.default_rng(5)
-    c = rng.integers(0, 4, size=300)
-    j = rng.integers(1, np.array([p.size for p in pos])[c] + 1)
+    c = rng.choice(live, size=300)
+    j = rng.integers(1, counts[c] + 1)
     want = np.array([pos[cc][jj - 1] for cc, jj in zip(c, j)])
     assert np.array_equal(d.subset_select_many(j, c), want)
+    assert np.array_equal(d._select_many(j, c), want)
     assert np.array_equal(d.subset_select_many(j.reshape(20, 15), c.reshape(20, 15)),
                           want.reshape(20, 15))
-    assert np.array_equal(d.subset_select_many(j[c == 2], 2), want[c == 2])
+    assert np.array_equal(d.subset_select_many(j[c == c1], c1), want[c == c1])
 
 
 @pytest.mark.parametrize("sigma, base, symbols", [
@@ -308,7 +335,7 @@ def test_select_rounds_bounded_on_adversarial_layouts(base, layout):
     d = build_dsd(x, base)
     check_against_oracle(x, d)
     inner = d._inner
-    n_a, n_b = inner._base.symbol_count(1), inner._overflow[1].ones_count
+    n_a, n_b = inner._base.symbol_count(1), d.components()[2][1].ones_count
     pos = positions_of(x, 1)
     js = np.arange(1, pos.size + 1)
     bounds = [2 * (min(j, n_b) - max(0, j - 1 - n_a)).bit_length() + 1 for j in js.tolist()]
@@ -332,6 +359,7 @@ def test_select_probes_few_ranks_and_stops_at_a_hit():
     x = generate(3, 2**12, 16, "uniform")
     d = build_dsd(x)
     E, inner = d._E, d._inner
+    overflow = d.components()[2]
     probes = _count_calls(inner._base, "_rank")
     base_selects = _count_calls(inner._base, "_select")
     total = queries = hits = 0
@@ -344,7 +372,7 @@ def test_select_probes_few_ranks_and_stops_at_a_hit():
             total += len(probes)
             queries += 1
             k = int(pos[j - 1]) - E.rank(int(pos[j - 1]))  # the answer among nonempty sets
-            if inner._overflow[c].bit(k):
+            if overflow[c].bit(k):
                 # the probe that lands on the answer is the last one, and no
                 # base select follows it
                 hits += 1
