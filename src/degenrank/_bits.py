@@ -207,7 +207,10 @@ def small_batch(a, c, limit: int):
         except ValueError:  # shapes that do not broadcast
             return a, c, None
         if la.size <= limit:
-            return la.ravel().tolist(), lc.ravel().tolist(), la.shape
+            shape = la.shape
+            if la.ndim != 1:  # tolist nests lists, and gives a scalar at 0-d
+                la, lc = la.ravel(), lc.ravel()
+            return la.tolist(), lc.tolist(), shape
     return a, c, None
 
 

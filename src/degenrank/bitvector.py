@@ -6,9 +6,15 @@ of the j-th occurrence (j >= 1). Out-of-range i raises IndexError, while a
 select argument beyond the number of occurrences raises ValueError.
 Both classes check arguments in the public methods of _BitQueries and
 answer in the unchecked kernels _rank, _select, _rank_many and _select_many.
+The scalar kernels read the stored arrays as Python ints through
+memoryviews, made once where a vector is built or loaded, and search them
+with the C bisect module: a numpy call on a numpy scalar costs about 1 us,
+a memoryview subscript a small fraction of that.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -128,6 +134,10 @@ class PlainBitvector(_BitQueries):
                         ones.astype(dtype))
         self._block9 = np.bitwise_or.reduce((mat[:, 1:] - mat[:, :1]) << _SHIFT9_WORDS[1:],
                                             axis=1)
+        # the same arrays as the scalar kernels read them
+        self._words_mv = memoryview(words)
+        self._before_mv = tuple(map(memoryview, self._before))
+        self._block9_mv = memoryview(self._block9)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -146,7 +156,7 @@ class PlainBitvector(_BitQueries):
         return self._total_ones if b else self.length - self._total_ones
 
     def _bit(self, p: int) -> int:
-        return (int(self._words[p >> 6]) >> (p & 63)) & 1
+        return (self._words_mv[p >> 6] >> (p & 63)) & 1
 
     def bits(self) -> np.ndarray:
         return unpack_bits(self._words, self.length)
@@ -156,9 +166,9 @@ class PlainBitvector(_BitQueries):
     def _rank(self, i: int, b: int = 1) -> int:
         w = i >> 6
         sb = i >> 9
-        rel = (self._block9.item(sb) >> _SHIFT9[w & 7]) & 511
-        part = (int(self._words[w]) & ((1 << (i & 63)) - 1)).bit_count()
-        r1 = self._before[1].item(sb) + rel + part
+        rel = (self._block9_mv[sb] >> _SHIFT9[w & 7]) & 511
+        part = (self._words_mv[w] & ((1 << (i & 63)) - 1)).bit_count()
+        r1 = self._before_mv[1][sb] + rel + part
         return r1 if b else i - r1
 
     def _rank_many(self, i: np.ndarray, b: int = 1) -> np.ndarray:
@@ -172,20 +182,21 @@ class PlainBitvector(_BitQueries):
     # -- select ------------------------------------------------------------
 
     # Both kernels search the counts of bit b for the last superblock with
-    # fewer than j b-bits before it. The key takes the dtype of the counts:
-    # any other key makes numpy cast every count on each call. Inside the
+    # fewer than j b-bits before it: the scalar one with bisect, the batched
+    # one with searchsorted and a key in the dtype of the counts, since any
+    # other key makes numpy cast every count on each call. Inside the
     # superblock, the word is the number of 9-bit word counts of bit b at or
     # below the rank r left to find (Vigna's select9): one broadword
     # comparison of all seven against r * ONES9, then a popcount.
 
     def _select(self, j: int, b: int = 1) -> int:
-        counts = self._before[b]
-        sb = int(counts.searchsorted(counts.dtype.type(j))) - 1
-        r = j - 1 - counts.item(sb)
-        x = self._block9.item(sb) if b else _ZERO9 - self._block9.item(sb)
+        counts = self._before_mv[b]
+        sb = bisect_left(counts, j) - 1
+        r = j - 1 - counts[sb]
+        x = self._block9_mv[sb] if b else _ZERO9 - self._block9_mv[sb]
         t = _le9(x, r * _ONES9).bit_count()
         w_idx = sb * _WORDS_PER_SUPER + t
-        w = self._words.item(w_idx)
+        w = self._words_mv[w_idx]
         return w_idx * 64 + select_in_word(w if b else ~w & FULL_WORD,
                                            r - ((x >> _SHIFT9[t]) & 511))
 
@@ -214,10 +225,20 @@ class SparseBitvector(_BitQueries):
     """Position-list bitvector for vectors with few ones.
 
     Stores the sorted positions of the ones in the narrowest unsigned dtype
-    that can hold the vector length; rank is a binary search and select is a
-    table lookup. select(j, 0) uses the identity that the prefix ending at
-    the k-th one contains position-minus-index zeroes, so it needs no stored
-    zero positions.
+    that can hold the vector length. rank is a binary search of the
+    positions, select1 a lookup, and select0 needs no stored zero positions:
+    the zeros before the k-th one are d(k) = ones[k] - k, which never falls
+    as k grows, so select0(j) is j - 1 + t for t = #{k : d(k) < j}, the ones
+    before the j-th zero.
+
+    The scalar select0 starts from the density guess g = (j - 1) * m //
+    (length - m + 1), close to t when the ones are spread evenly, and makes
+    one C bisect for f = rank1(j + g). That bounds t on one side: t <= f
+    when f <= g, since d(f) >= j + g - f >= j, and t >= f otherwise, since
+    d(f - 1) < j + g - f + 1 <= j. f = g does not settle t: d(k) = j can hold
+    for more than one k. From f it gallops away in the open direction, then
+    bisects the bracket, in at most 2 * ceil(log2(m + 1)) more probes of the
+    positions.
     """
 
     def __init__(self, length: int, ones):
@@ -227,8 +248,20 @@ class SparseBitvector(_BitQueries):
             raise ValueError("ones must be one-dimensional")
         if np.any(np.diff(ones) <= 0):
             raise ValueError("one positions must be strictly increasing")
+        self._set_ones(length, ones.astype(narrow_uint(length)))
+
+    @classmethod
+    def _from_sorted(cls, length: int, ones: np.ndarray) -> "SparseBitvector":
+        """A vector over positions that are already checked, strictly
+        increasing and of dtype narrow_uint(length), kept as given."""
+        self = cls.__new__(cls)
+        self._set_ones(length, ones)
+        return self
+
+    def _set_ones(self, length: int, ones: np.ndarray) -> None:
         self.length = length
-        self._ones = ones.astype(narrow_uint(length))
+        self._ones = ones
+        self._ones_mv = memoryview(ones)  # as the scalar kernels read it
 
     @classmethod
     def from_bits(cls, bits) -> "SparseBitvector":
@@ -250,19 +283,14 @@ class SparseBitvector(_BitQueries):
         return self.ones_count if b else self.zeros_count
 
     def _bit(self, p: int) -> int:
-        k = int(self._ones.searchsorted(self._key(p)))
-        return 1 if k < self._ones.size and self._ones.item(k) == p else 0
+        k = bisect_left(self._ones_mv, p)
+        return 1 if k < self._ones.size and self._ones_mv[k] == p else 0
 
     def positions(self) -> np.ndarray:
         return self._ones.astype(np.int64)
 
-    def _key(self, i: int):
-        # A search key of another dtype makes numpy cast the whole position
-        # array on every call; any checked i <= length fits the stored dtype.
-        return self._ones.dtype.type(i)
-
     def _rank(self, i: int, b: int = 1) -> int:
-        r1 = int(self._ones.searchsorted(self._key(i)))
+        r1 = bisect_left(self._ones_mv, i)
         return r1 if b else i - r1
 
     def _rank_many(self, i: np.ndarray, b: int = 1) -> np.ndarray:
@@ -270,14 +298,30 @@ class SparseBitvector(_BitQueries):
         return r1 if b else i - r1
 
     def _select(self, j: int, b: int = 1) -> int:
-        ones = self._ones
+        ones = self._ones_mv
         if b:
-            return ones.item(j - 1)
-        # count ones whose prefix holds fewer than j zeroes
-        lo, hi = 0, ones.size
+            return ones[j - 1]
+        m = self._ones.size
+        g = (j - 1) * m // (self.length - m + 1)
+        f = bisect_left(ones, j + g)
+        # every k < lo has d(k) < j, every k >= hi has d(k) >= j
+        if f > g:
+            lo, hi, k, step = f, m, f, 1
+            while k < hi:
+                if ones[k] - k >= j:
+                    hi = k
+                    break
+                lo, k, step = k + 1, k + step, 2 * step
+        else:
+            lo, hi, k, step = 0, f, f - 1, 1
+            while k >= lo:
+                if ones[k] - k < j:
+                    lo = k + 1
+                    break
+                hi, k, step = k, k - step, 2 * step
         while lo < hi:
             mid = (lo + hi) >> 1
-            if ones.item(mid) - mid < j:
+            if ones[mid] - mid < j:
                 lo = mid + 1
             else:
                 hi = mid

@@ -228,7 +228,11 @@ def _parse_sets_text(data: bytes) -> DegenerateString:
 
 
 def _serialize_sets_text(x: DegenerateString) -> bytes:
-    words = list(map(str, x.symbols.tolist()))
+    members = x.symbols.tolist()
+    if x.sigma <= x.N:  # str() of each symbol once, then a lookup per member
+        words = list(map([str(v) for v in range(x.sigma)].__getitem__, members))
+    else:
+        words = list(map(str, members))
     off = x.offsets.tolist()
     lines = [" ".join(words[a:b]) for a, b in zip(off, off[1:])]
     return "\n".join([f"{x.sigma} {x.n}", *lines, ""]).encode("ascii")

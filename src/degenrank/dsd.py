@@ -29,6 +29,8 @@ is stored.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from ._bits import narrow_uint
@@ -40,7 +42,10 @@ from .reductions import _build_base, _check_alphabet, _Empties, _SubsetQueries
 class _Decomposition(_SubsetQueries):
     """The base string of kept symbols and the overflow rows over the
     nonempty sets: symbol c's run is _rows[_bounds[c]:_bounds[c + 1]], and
-    _runs[c] is a view of it; sigma is the number of runs."""
+    _runs[c] is a view of it; sigma is the number of runs. The scalar
+    kernels read _rows, _bounds and the base's symbol counts as Python ints
+    through memoryviews: rank bisects c's run in place with the C bisect
+    module, and a select probe is one subscript."""
 
     n0 = 0
 
@@ -57,7 +62,8 @@ class _Decomposition(_SubsetQueries):
         self._bounds = np.zeros(self.sigma + 1, dtype=np.int64)
         np.cumsum([ov.ones_count for ov in overflow], out=self._bounds[1:])
         self._runs = [self._rows[self._bounds[c]:self._bounds[c + 1]] for c in range(self.sigma)]
-        self._key = self._rows.dtype.type  # a key of another dtype casts the whole run
+        self._rows_mv, self._bounds_mv = memoryview(self._rows), memoryview(self._bounds)
+        self._kept_mv = memoryview(base.symbol_counts())
         self.n = base.length
         self.N = base.length + self._rows.size
         self.base_name = base.base_name
@@ -66,7 +72,9 @@ class _Decomposition(_SubsetQueries):
         self._first = np.cumsum(self._containing) - self._containing
 
     def _rank(self, i: int, c: int) -> int:
-        return self._base._rank(i, c) + int(self._runs[c].searchsorted(self._key(i)))
+        at = self._bounds_mv[c]
+        return (self._base._rank(i, c)
+                + bisect_left(self._rows_mv, i, at, self._bounds_mv[c + 1]) - at)
 
     def _rank_many(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
         # The overflow ranks grouped by symbol: one stable sort of c, a radix
@@ -87,8 +95,8 @@ class _Decomposition(_SubsetQueries):
         return out
 
     def _select(self, j: int, c: int) -> int:
-        rows, at = self._rows, self._bounds.item(c)
-        n_a, n_b = self._base.symbol_counts().item(c), self._bounds.item(c + 1) - at
+        rows, at = self._rows_mv, self._bounds_mv[c]
+        n_a, n_b = self._kept_mv[c], self._bounds_mv[c + 1] - at
         want = j - 1
         # The answer's t is the smallest t with g(t) >= want: every t below lo
         # has g(t) < want, and every t at or above hi is past the end of B_c or
@@ -102,9 +110,10 @@ class _Decomposition(_SubsetQueries):
         while lo < hi:
             if bisect:
                 mid = (lo + hi) >> 1
-            else:
-                mid = min(max(tl + (want - gl) * (tr - tl) // (gr - gl), lo), hi - 1)
-            b = rows.item(at + mid)
+            else:  # the secant guess, clamped into the bracket
+                mid = tl + (want - gl) * (tr - tl) // (gr - gl)
+                mid = lo if mid < lo else hi - 1 if mid >= hi else mid
+            b = rows[at + mid]
             g = mid + self._base._rank(b, c)
             if g == want:
                 return b
@@ -181,7 +190,9 @@ class DsdStructure(_Empties):
 
     def components(self):
         inner = self._inner
-        return self._E, inner._base, [SparseBitvector(inner.n, run) for run in inner._runs]
+        # the runs were checked when the structure was built or loaded
+        return self._E, inner._base, [SparseBitvector._from_sorted(inner.n, run)
+                                      for run in inner._runs]
 
 
 def build_dsd(x: DegenerateString, base: str = "wavelet",

@@ -71,14 +71,17 @@ def _check_alphabet(S, sigma: int) -> None:
 # A batch of at most _SCALAR_RANKS ranks or _SCALAR_SELECTS selects is checked
 # on Python ints and answered one query at a time by the scalar kernels: each
 # numpy call of a batched kernel costs about 1 us however small the batch. A
-# sweep of 1 to 64 queries on every benchmark structure put the crossover at 8
-# to 16 ranks, and at 16 to 64 selects, whose batched kernels make more calls.
-_SCALAR_RANKS = 8
-_SCALAR_SELECTS = 16
+# sweep of 1 to 64 queries on every benchmark structure put the crossover at 16
+# to 20 ranks, and at 24 to 48 selects on the reductions, whose batched kernels
+# make more calls; a DSD select batch gains from the batched kernels only past
+# about 64.
+_SCALAR_RANKS = 16
+_SCALAR_SELECTS = 32
 
 
 def _one_by_one(kernel, a: list, c: list, shape) -> np.ndarray:
-    return np.array(list(map(kernel, a, c)), dtype=np.int64).reshape(shape)
+    out = np.array(list(map(kernel, a, c)), dtype=np.int64)
+    return out if out.shape == shape else out.reshape(shape)
 
 
 def _in_key_order(kernel, a: np.ndarray, c: np.ndarray, key: np.ndarray) -> np.ndarray:

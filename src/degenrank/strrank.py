@@ -17,7 +17,10 @@ Two interchangeable backends:
 
 Both use the same conventions as the bitvectors: rank(i, c) counts symbol c
 in [0, i), select(j, c) is 0-indexed with 1-indexed j. Both check arguments
-in the public methods of _StringQueries and answer in unchecked kernels.
+in the public methods of _StringQueries and answer in unchecked kernels. As
+in the bitvectors, the scalar kernels read the stored arrays as Python ints
+through memoryviews made once at construction, and search them with the C
+bisect module.
 """
 
 from __future__ import annotations
@@ -130,6 +133,7 @@ class WaveletTree(_StringQueries):
             runs = np.stack((runs - ones, z + ones), axis=1).reshape(-1, 2)
         self._start = runs[: self.sigma, 0].copy()
         self._counts = runs[: self.sigma, 1] - self._start
+        self._start_mv = memoryview(self._start)
 
     def level_payload(self):
         return [(bv.length, bv._words) for bv in self._levels]
@@ -155,7 +159,7 @@ class WaveletTree(_StringQueries):
                 p = self._zeros[k] + bv._rank(p)
             else:
                 p = bv._rank(p, 0)
-        return p - self._start.item(c)
+        return p - self._start_mv[c]
 
     def _rank_many(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
         p = i
@@ -166,7 +170,7 @@ class WaveletTree(_StringQueries):
         return p - self._start[c]
 
     def _select(self, j: int, c: int) -> int:
-        p = self._start.item(c) + j - 1
+        p = self._start_mv[c] + j - 1
         for k in reversed(range(self.nbits)):
             bv = self._levels[k]
             if (c >> (self.nbits - 1 - k)) & 1:
@@ -211,7 +215,9 @@ class BitPlaneRank(_StringQueries):
     words a plane); _low and _high are views of the length // 64 + 1 words
     of the payload. The block counts are symbol-major, and row c is offset
     by c * (length + 1): the rows form one ascending array, which a batched
-    select searches once for every symbol.
+    select searches once for every symbol. The scalar kernels read the
+    planes' bytes and each symbol's row of both count levels through
+    memoryviews.
     """
 
     SIGMA = 4
@@ -266,6 +272,9 @@ class BitPlaneRank(_StringQueries):
         self._counts = (blocks + offset).astype(
             np.uint32 if 4 * (self.length + 1) <= 1 << 32 else np.int64)
         self._rounds = (min(bw, n_sub) - 1).bit_length()  # bisection rounds inside one block
+        # A 2-D memoryview cannot give a row to bisect: one per symbol row.
+        self._counts_mv = [memoryview(row) for row in self._counts]
+        self._sub_mv = [memoryview(row) for row in self._sub]
 
     def plane_payload(self):
         return (self.length, self.block_words, self._low, self._high)
@@ -281,16 +290,14 @@ class BitPlaneRank(_StringQueries):
         return self._totals
 
     def _access(self, p: int) -> int:
-        w, o = p >> 6, p & 63
-        lo = (int(self._low[w]) >> o) & 1
-        hi = (int(self._high[w]) >> o) & 1
-        return hi * 2 + lo
+        b, o = p >> 3, p & 7
+        return ((self._high_bytes[b] >> o) & 1) * 2 + ((self._low_bytes[b] >> o) & 1)
 
     def _rank(self, i: int, c: int) -> int:
         s = i >> 9
         m = _match_int(self._low_bytes, self._high_bytes, s, c) & ((1 << (i & 511)) - 1)
-        return (self._counts.item(c, s // self.block_words) - c * (self.length + 1)
-                + self._sub.item(c, s) + m.bit_count())
+        return (self._counts_mv[c][s // self.block_words] - c * (self.length + 1)
+                + self._sub_mv[c][s] + m.bit_count())
 
     def _rank_many(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
         return self._by_chunks(self._rank_chunk, i, c)
@@ -306,18 +313,20 @@ class BitPlaneRank(_StringQueries):
     # Both selects search row c of the block counts for the last block with
     # fewer than j c's before it, then that block's sub-block counts for the
     # last sub-block with fewer than the rest; the first holds 0, so one is
-    # found. Padding bits match symbol 0, but they follow every real
+    # found. The scalar one bisects the rows' memoryviews, the batched one
+    # searches the flat block counts once and bisects the sub-block counts
+    # in rounds. Padding bits match symbol 0, but they follow every real
     # position, and the target lies in this sub-block: the scan needs no mask.
 
     def _select(self, j: int, c: int) -> int:
-        row = self._counts[c]
+        row, sub = self._counts_mv[c], self._sub_mv[c]
         key = j + c * (self.length + 1)
-        block = int(row.searchsorted(row.dtype.type(key))) - 1
-        target = key - row.item(block)
+        block = bisect_left(row, key) - 1
+        target = key - row[block]
         lo, n_sub = block * self.block_words, self._sub.shape[1]
         hi = lo + self.block_words
-        s = bisect_left(self._sub[c], target, lo, hi if hi < n_sub else n_sub) - 1
-        target -= self._sub.item(c, s)
+        s = bisect_left(sub, target, lo, hi if hi < n_sub else n_sub) - 1
+        target -= sub[s]
         m = _match_int(self._low_bytes, self._high_bytes, s, c)
         w = s * _SUB_WORDS
         while True:

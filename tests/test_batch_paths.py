@@ -184,7 +184,7 @@ def test_large_batches_come_back_in_the_callers_order(structure, base, empties):
     table = rank_table(x)
     positions = [positions_of(x, c) for c in range(x.sigma)]
     rng = np.random.default_rng(13)
-    for k in (9, 17, 8192):
+    for k in (_SCALAR_RANKS + 1, max(_SCALAR_RANKS, _SCALAR_SELECTS) + 1, 8192):
         i, rc, j, sc = queries(x, k, rng)
         for a, c in arrangements(i, rc, rng):
             got = st.subset_rank_many(a, c)
@@ -213,7 +213,7 @@ def test_batched_kernels_see_the_queries_in_key_order(structure, base, empties):
     st = build(structure, base, x)
     seen = record_batched_kernels(st)
     rng = np.random.default_rng(17)
-    for k in (17, 8192):
+    for k in (max(_SCALAR_RANKS, _SCALAR_SELECTS) + 1, 8192):  # the smallest batched batch
         i, rc, j, sc = queries(x, k, rng)
         st.subset_rank_many(i[::-1], rc[::-1])
         st.subset_select_many(j[::-1], sc[::-1])

@@ -4,8 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from degenrank import build_reduction, dumps, loads
 from degenrank._bits import select_in_word, select_in_words
 from degenrank.bitvector import _MSBS9, _ZERO9, PlainBitvector, SparseBitvector
+from degenrank.degenerate import DegenerateString
 
 
 def ref_rank(bits, i, b):
@@ -162,6 +164,7 @@ def test_wide_counts_answer_the_same():
     bits = random_bits(np.random.default_rng(47), 5000, 0.3)
     narrow, wide = PlainBitvector(bits), PlainBitvector(bits)
     wide._before = tuple(c.astype(np.int64) for c in wide._before)
+    wide._before_mv = tuple(map(memoryview, wide._before))  # as the scalar kernels read them
     idx = np.arange(bits.size + 1)
     for b in (0, 1):
         assert np.array_equal(wide.rank_many(idx, b), narrow.rank_many(idx, b))
@@ -377,3 +380,112 @@ def test_select_of_either_bit_across_word_counts_past_255(length):
             assert bv.select_many(js, b).tolist() == pos, (density, b)
             assert [bv.select(j, b) for j in js] == pos, (density, b)
     assert top_bit_seen == [True, True]
+
+
+def loaded_vector(cls, bits):
+    """A vector of these bits as container.loads rebuilds it inside a
+    structure: a wavelet level of one-symbol sets, whose words are read-only
+    views of the blob, or E of sets that are empty where a bit is set."""
+    if cls is PlainBitvector:
+        x = DegenerateString.from_sets(2, [[b] for b in bits.tolist()])
+        return loads(dumps(build_reduction(x, "reduction-i", "wavelet")))._S._levels[0]
+    x = DegenerateString.from_sets(1, [[] if b else [0] for b in bits.tolist()])
+    return loads(dumps(build_reduction(x, "reduction-iii", "wavelet")))._E
+
+
+def make_vector(cls, bits, loaded):
+    if loaded:
+        return loaded_vector(cls, bits)
+    return cls(bits) if cls is PlainBitvector else SparseBitvector.from_bits(bits)
+
+
+def check_scalar_kernels(bv, bits):
+    """Every scalar _rank, _select and _bit of bv against the batched
+    kernels, which must match a scan of bits."""
+    idx = np.arange(bits.size + 1)
+    assert [bv._bit(p) for p in range(bits.size)] == bits.tolist()
+    for b in (0, 1):
+        ranks = bv._rank_many(idx, b)
+        assert ranks.tolist() == np.cumsum(np.concatenate([[0], bits == b])).tolist()
+        assert [bv._rank(i, b) for i in range(bits.size + 1)] == ranks.tolist(), b
+        js = np.arange(1, bv.count(b) + 1)
+        selects = bv._select_many(js, b)
+        assert selects.tolist() == ref_positions(bits, b).tolist()
+        assert [bv._select(j, b) for j in range(1, js.size + 1)] == selects.tolist(), b
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("cls", [PlainBitvector, SparseBitvector])
+def test_scalar_kernels_match_batched_kernels(cls, loaded):
+    # lengths at word and superblock edges; 0, 1, half, all but one and all ones
+    rng = np.random.default_rng(61)
+    for length in (0, 1, 2, 63, 64, 65, 127, 128, 129, 511, 512, 513, 1023, 1024, 1025, 1537):
+        for ones in sorted({0, min(1, length), length // 2, max(length - 1, 0), length}):
+            bits = np.zeros(length, dtype=np.uint8)
+            bits[rng.choice(length, ones, replace=False)] = 1
+            bv = make_vector(cls, bits, loaded)
+            assert isinstance(bv, cls) and len(bv) == length
+            check_scalar_kernels(bv, bits)
+
+
+def select0_layouts():
+    """(length, one positions): ones at the front, at the back, alternating,
+    one run in the middle, and m = 0, 1 and length - 1, at several lengths."""
+    for u in (1, 2, 3, 10, 64, 100, 513, 1000):
+        half = u // 2
+        yield u, range(half)
+        yield u, range(u - half, u)
+        yield u, range(0, u, 2)
+        yield u, range(1, u, 2)
+        yield u, range(u // 4, u // 4 + half)
+        yield u, ()
+        yield u, (u // 3,)
+        yield u, (0,)
+        yield u, (u - 1,)
+        yield u, [p for p in range(u) if p != u // 3]
+        yield u, range(1, u)
+        yield u, range(u - 1)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_sparse_select0_on_every_layout(loaded):
+    for u, ones in select0_layouts():
+        bits = np.zeros(u, dtype=np.uint8)
+        bits[list(ones)] = 1
+        check_scalar_kernels(make_vector(SparseBitvector, bits, loaded), bits)
+
+
+def test_sparse_select0_is_not_settled_by_the_guess():
+    # d(k) = ones[k] - k is 5 for k = 0: rank1(j + x) = x holds at x = 0
+    # and at x = 1, and the answer is the first, position 4
+    sv = SparseBitvector(10, [5])
+    assert sv._select(5, 0) == 4
+    assert [sv._select(j, 0) for j in range(1, 10)] == [0, 1, 2, 3, 4, 6, 7, 8, 9]
+
+
+class CountingSequence(list):
+    """A list that counts its item reads, the C bisect's included."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        CountingSequence.reads += 1
+        return super().__getitem__(k)
+
+
+def test_sparse_select0_probes_are_logarithmic():
+    # one bisect of the positions, then a gallop and a bisection of the
+    # bracket: each reads at most bit_length(m) positions
+    layouts = list(select0_layouts())
+    rng = np.random.default_rng(67)
+    clustered = np.sort(rng.choice(1 << 16, 4096, replace=False) // 64 * 16)
+    layouts += [(1 << 16, np.unique(clustered)), (1 << 16, range(0, 1 << 16, 3))]
+    for u, ones in layouts:
+        sv = SparseBitvector(u, list(ones))
+        want = sv._select_many(np.arange(1, sv.zeros_count + 1), 0).tolist()
+        m = sv.ones_count
+        sv._ones_mv = CountingSequence(sv._ones_mv.tolist())
+        for j in range(1, sv.zeros_count + 1):
+            CountingSequence.reads = 0
+            assert sv._select(j, 0) == want[j - 1]
+            assert CountingSequence.reads <= 3 * m.bit_length(), (u, m, j)

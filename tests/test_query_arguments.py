@@ -168,3 +168,15 @@ def test_components_reject_non_integers():
         assert bv.select_many([[2, 1]], 0).tolist() == [[4, 1]]
         with pytest.raises(IndexError):
             bv.rank_many(U64_MAX)
+
+
+def test_a_scalar_select0_makes_one_c_call():
+    # E's select0 reads the positions as Python ints: one C bisect for the
+    # density guess, then a gallop and a bisection over memoryview subscripts
+    rng = np.random.default_rng(71)
+    for u, ones in ((1000, []), (1000, [999]), (1000, range(0, 1000, 2)),
+                    (1000, range(500)), (1000, range(500, 1000)),
+                    (1 << 16, np.sort(rng.choice(1 << 16, 300, replace=False)))):
+        sv = SparseBitvector(u, ones)
+        for j in (1, sv.zeros_count // 3, sv.zeros_count):
+            assert count_c_calls(sv._select, j, 0) <= 1, (u, j)
