@@ -176,11 +176,12 @@ def rank_arg(i, c, limit: int, sigma: int) -> tuple[int, int]:
     return index_arg(i, 0, limit, "prefix"), index_arg(c, 0, sigma - 1, "symbol")
 
 
-def select_arg(j, c, counts: np.ndarray) -> tuple[int, int]:
+def select_arg(j, c, counts) -> tuple[int, int]:
     """Scalar select arguments: IndexError unless 0 <= c < len(counts),
-    ValueError unless 1 <= j <= counts[c]."""
-    c = index_arg(c, 0, counts.size - 1, "symbol")
-    return index_arg(j, 1, int(counts[c]), "select index", ValueError), c
+    ValueError unless 1 <= j <= counts[c]. counts is an int64 array or a
+    memoryview of one, which a scalar query reads faster."""
+    c = index_arg(c, 0, len(counts) - 1, "symbol")
+    return index_arg(j, 1, counts[c], "select index", ValueError), c
 
 
 def rank_args(i, c, limit: int, sigma: int):
@@ -214,13 +215,15 @@ def small_batch(a, c, limit: int):
     return a, c, None
 
 
-def select_list_args(j: list, c: list, counts: np.ndarray) -> None:
-    """select_args over the lists of small_batch, on Python ints: every symbol
-    is checked before any select index, so a bad symbol's IndexError wins."""
+def select_list_args(j: list, c: list, counts) -> None:
+    """select_args over the lists of small_batch, on Python ints, with counts
+    as select_arg takes them: every symbol is checked before any select
+    index, so a bad symbol's IndexError wins."""
+    top = len(counts) - 1
     for v in c:
-        index_arg(v, 0, counts.size - 1, "symbol")
+        index_arg(v, 0, top, "symbol")
     for v, b in zip(j, c):
-        index_arg(v, 1, counts.item(b), "select index", ValueError)
+        index_arg(v, 1, counts[b], "select index", ValueError)
 
 
 def _flat(a: np.ndarray, c: np.ndarray):

@@ -76,14 +76,6 @@ def _symbol_totals(st) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _chunk_plan(total: int):
-    at = 0
-    while at < total:
-        take = min(_CHUNK, total - at)
-        yield at, take
-        at += take
-
-
 def run_bench(st, config: BenchConfig) -> BenchResult:
     """Time batched queries against st; returns the best repeat."""
     cfg = config.validated()
@@ -99,7 +91,8 @@ def run_bench(st, config: BenchConfig) -> BenchResult:
         rng = np.random.default_rng(cfg.seed)
         elapsed = 0.0
         fold = _U64(0)
-        for at, take in _chunk_plan(cfg.query_count):
+        for at in range(0, cfg.query_count, _CHUNK):
+            take = min(_CHUNK, cfg.query_count - at)
             if cfg.query_kind == "rank":
                 i = rng.integers(0, st.n + 1, take)
                 c = rng.integers(0, st.sigma, take)

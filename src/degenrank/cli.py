@@ -72,12 +72,6 @@ def _add_data_args(p, with_structure=True):
                             "query scans at most 8 plane words at any size")
 
 
-def _rank_column(x: DegenerateString, c: int) -> np.ndarray:
-    col = np.zeros(x.n + 1, dtype=np.int64)
-    col[positions_of(x, c) + 1] = 1
-    return np.cumsum(col)
-
-
 def cmd_build(args) -> int:
     x = _load_data(args.input, args.format)
     st = _build(x, args.structure, args.base, args.block_words)
@@ -99,14 +93,13 @@ def _mismatch(kind, c, where, got, want) -> None:
 def _verify_symbol(x, st, c, idx, js) -> int | None:
     """Check the ranks at idx and the selects at the js that c has; the
     number of queries checked, or None after printing the first mismatch."""
-    col = _rank_column(x, c)
+    pos = positions_of(x, c)  # the sets that contain c, the one oracle for both
     got = st.subset_rank_many(idx, np.full(idx.size, c))
-    want = col[idx]
+    want = np.searchsorted(pos, idx)  # the sets before idx that contain c
     bad = np.flatnonzero(got != want)
     if bad.size:
         k = bad[0]
         return _mismatch("rank", c, int(idx[k]), int(got[k]), int(want[k]))
-    pos = positions_of(x, c)
     js = js[js <= pos.size]
     if js.size:
         got = st.subset_select_many(js, np.full(js.size, c))
@@ -140,9 +133,8 @@ def cmd_verify(args) -> int:
     checked = 0
     if args.exhaustive:
         idx = np.arange(x.n + 1)
-        for c in range(x.sigma):
-            m = int(positions_of(x, c).size)
-            done = _verify_symbol(x, st, c, idx, np.arange(1, m + 1))
+        for c in range(x.sigma):  # every j up to n: _verify_symbol keeps those c has
+            done = _verify_symbol(x, st, c, idx, idx[1:])
             if done is None:
                 return 1
             checked += done

@@ -30,6 +30,7 @@ is stored.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import pairwise
 
 import numpy as np
 
@@ -41,8 +42,8 @@ from .reductions import _build_base, _check_alphabet, _Empties, _SubsetQueries
 
 class _Decomposition(_SubsetQueries):
     """The base string of kept symbols and the overflow rows over the
-    nonempty sets: symbol c's run is _rows[_bounds[c]:_bounds[c + 1]], and
-    _runs[c] is a view of it; sigma is the number of runs. The scalar
+    nonempty sets: symbol c's run is _rows[_bounds[c]:_bounds[c + 1]], the
+    one index of the runs, and sigma >= 1 is the number of runs. The scalar
     kernels read _rows, _bounds and the base's symbol counts as Python ints
     through memoryviews: rank bisects c's run in place with the C bisect
     module, and a select probe is one subscript."""
@@ -50,26 +51,24 @@ class _Decomposition(_SubsetQueries):
     n0 = 0
 
     def __init__(self, base, overflow):
+        if not overflow:
+            raise ValueError("a DSD needs one overflow vector per symbol, at least one")
         self.sigma = len(overflow)
         if any(ov.length != base.length for ov in overflow):
             raise ValueError(f"every overflow vector must have length {base.length}, "
                              "one bit per nonempty set")
         _check_alphabet(base, self.sigma)
         self._base = base
-        # the empty head keeps the vectors' dtype when sigma is 0
-        self._rows = np.concatenate([np.empty(0, narrow_uint(base.length)),
-                                     *(ov._ones for ov in overflow)])
+        self._rows = np.concatenate([ov._ones for ov in overflow])
         self._bounds = np.zeros(self.sigma + 1, dtype=np.int64)
         np.cumsum([ov.ones_count for ov in overflow], out=self._bounds[1:])
-        self._runs = [self._rows[self._bounds[c]:self._bounds[c + 1]] for c in range(self.sigma)]
         self._rows_mv, self._bounds_mv = memoryview(self._rows), memoryview(self._bounds)
         self._kept_mv = memoryview(base.symbol_counts())
         self.n = base.length
         self.N = base.length + self._rows.size
         self.base_name = base.base_name
         self.block_words = base.block_words
-        self._containing = base.symbol_counts()[:self.sigma] + np.diff(self._bounds)
-        self._first = np.cumsum(self._containing) - self._containing
+        self._set_containing(base.symbol_counts()[:self.sigma] + np.diff(self._bounds))
 
     def _rank(self, i: int, c: int) -> int:
         at = self._bounds_mv[c]
@@ -86,10 +85,12 @@ class _Decomposition(_SubsetQueries):
         order = np.argsort(c.astype(narrow_uint(self.sigma - 1)), kind="stable")
         cs, io = c[order], i[order].astype(self._rows.dtype)
         over = np.empty(c.size, dtype=np.int64)
+        rows, bounds = self._rows, self._bounds_mv
         start = 0
         for end in np.append(np.flatnonzero(cs[1:] != cs[:-1]) + 1, c.size).tolist():
             if end > start:
-                over[start:end] = self._runs[cs.item(start)].searchsorted(io[start:end])
+                sym = cs.item(start)
+                over[start:end] = rows[bounds[sym]:bounds[sym + 1]].searchsorted(io[start:end])
             start = end
         out[order] += over
         return out
@@ -139,8 +140,7 @@ class _Decomposition(_SubsetQueries):
         n_b = self._bounds[c + 1] - at
         t = np.maximum(0, want - n_a)  # lo of every query: its final t unless it hits
         hi = np.minimum(j, n_b)
-        hit = np.zeros(j.size, dtype=bool)
-        out = np.empty(j.size, dtype=np.int64)
+        out = np.full(j.size, -1, dtype=np.int64)  # a row once the query hits
         q = np.flatnonzero(t < hi)
         w, cq, at, lo, hi = want[q], c[q], at[q], t[q], hi[q]
         tl, gl = np.full(q.size, -1, dtype=np.int64), np.full(q.size, -1, dtype=np.int64)
@@ -159,13 +159,12 @@ class _Decomposition(_SubsetQueries):
             tr, gr = np.where(below, tr, mid), np.where(below, gr, g)
             bisect = 2 * (hi - lo) > width
             found = g == w
-            hit[q[found]] = True
             out[q[found]] = b[found]
             t[q] = lo
             keep = np.flatnonzero((lo < hi) & ~found)
             q, w, cq, at, lo, hi, tl, gl, tr, gr, bisect = (
                 x[keep] for x in (q, w, cq, at, lo, hi, tl, gl, tr, gr, bisect))
-        rest = np.flatnonzero(~hit)
+        rest = np.flatnonzero(out < 0)
         if rest.size:
             out[rest] = self._base._select_many(j[rest] - t[rest], c[rest])
         return out
@@ -177,8 +176,8 @@ class _Decomposition(_SubsetQueries):
 
 class DsdStructure(_Empties):
     """Built from E, the base string of kept symbols and one overflow vector
-    of length n - n0 per symbol, whose ones are the symbol's rows; sigma is
-    the number of overflow vectors. components() gives the same parts back."""
+    of length n - n0 per symbol, whose ones are the symbol's rows; sigma >= 1
+    is the number of overflow vectors. components() gives the same parts back."""
 
     structure_name = "dsd"
 
@@ -191,8 +190,8 @@ class DsdStructure(_Empties):
     def components(self):
         inner = self._inner
         # the runs were checked when the structure was built or loaded
-        return self._E, inner._base, [SparseBitvector._from_sorted(inner.n, run)
-                                      for run in inner._runs]
+        return self._E, inner._base, [SparseBitvector._from_sorted(inner.n, inner._rows[a:b])
+                                      for a, b in pairwise(inner._bounds_mv)]
 
 
 def build_dsd(x: DegenerateString, base: str = "wavelet",

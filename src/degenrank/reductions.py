@@ -41,7 +41,7 @@ from ._bits import (index_arg, rank_arg, rank_args, select_arg, select_args, sel
                     small_batch)
 from .bitvector import PlainBitvector, SparseBitvector
 from .degenerate import DegenerateString
-from .strrank import BitPlaneRank, WaveletTree
+from .strrank import _MAX_SIGMA, BitPlaneRank, WaveletTree
 
 BASES = ("wavelet", "bitplane")
 VARIANTS = ("reduction-i", "reduction-ii", "reduction-iii")
@@ -49,7 +49,7 @@ VARIANTS = ("reduction-i", "reduction-ii", "reduction-iii")
 
 def _build_base(symbols: np.ndarray, sigma: int, base: str, block_words: int):
     if base == "wavelet":
-        return WaveletTree(symbols, max(sigma, 1))
+        return WaveletTree(symbols, sigma)
     if base == "bitplane":
         if sigma > BitPlaneRank.SIGMA:
             raise ValueError(
@@ -63,7 +63,7 @@ def _check_alphabet(S, sigma: int) -> None:
     """Reject a base string with a symbol >= sigma or a wavelet matrix over another
     alphabet. A wavelet matrix counts only the symbols below its own sigma, so
     one whose levels hold a bigger symbol has counts that sum short of its length."""
-    if ((S.base_name == "wavelet" and S.sigma != max(sigma, 1)) or sigma > S.sigma
+    if ((S.base_name == "wavelet" and S.sigma != sigma) or sigma > S.sigma
             or S.symbol_counts()[:sigma].sum() != S.length):
         raise ValueError(f"base string does not fit the alphabet of size {sigma}")
 
@@ -95,9 +95,9 @@ def _in_key_order(kernel, a: np.ndarray, c: np.ndarray, key: np.ndarray) -> np.n
 
 class _SubsetQueries:
     """Checked subset queries over the kernels _rank, _select, _rank_many and
-    _select_many; a subclass sets sigma, n, N, n0, base_name, _containing,
-    the number of sets that contain each symbol, and _first, its exclusive
-    prefix sums, and defines size_breakdown().
+    _select_many; a subclass sets sigma, n, N, n0 and base_name, passes
+    _set_containing the number of sets that contain each symbol, and defines
+    size_breakdown().
 
     Every query form checks its arguments once: a batch of at most
     _SCALAR_RANKS ranks through subset_rank, one of at most _SCALAR_SELECTS
@@ -115,7 +115,7 @@ class _SubsetQueries:
         return self._rank(*rank_arg(i, c, self.n, self.sigma))
 
     def subset_select(self, j, c) -> int:
-        return self._select(*select_arg(j, c, self._containing))
+        return self._select(*select_arg(j, c, self._containing_mv))
 
     def subset_rank_many(self, i, c) -> np.ndarray:
         i, c, shape = small_batch(i, c, _SCALAR_RANKS)
@@ -129,19 +129,27 @@ class _SubsetQueries:
         if shape is None:
             j, c, shape = select_args(j, c, self._containing)
             return _in_key_order(self._select_many, j, c, self._first[c] + j).reshape(shape)
-        select_list_args(j, c, self._containing)
+        select_list_args(j, c, self._containing_mv)
         return _one_by_one(self._select, j, c, shape)
 
     def containing_count(self, c) -> int:
         """Number of sets containing c (the select upper bound)."""
-        return int(self._containing[index_arg(c, 0, self.sigma - 1, "symbol")])
+        return self._containing_mv[index_arg(c, 0, self.sigma - 1, "symbol")]
+
+    def _set_containing(self, counts: np.ndarray) -> None:
+        """_containing, the sets that contain each symbol, with the memoryview
+        that the scalar checks read, and _first, its exclusive prefix sums."""
+        self._containing, self._containing_mv = counts, memoryview(counts)
+        self._first = np.cumsum(counts) - counts
 
     def size_bits(self) -> int:
         return sum(self.size_breakdown().values())
 
     def decompose(self) -> DegenerateString:
         """Read the instance back: set k holds c exactly when k is one of the
-        sets containing c, which select lists in ascending order."""
+        sets containing c, which select lists in ascending order. It is checked
+        as every DegenerateString is, so parts that disagree, such as a DSD
+        overflow row that repeats its set's kept symbol, raise ValueError."""
         counts = self._containing
         c = np.repeat(np.arange(self.sigma, dtype=np.int64), counts)
         j = np.arange(1, c.size + 1, dtype=np.int64) - np.repeat(self._first, counts)
@@ -149,8 +157,7 @@ class _SubsetQueries:
         offsets = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(sets, minlength=self.n), out=offsets[1:])
         # a stable sort by set keeps the members of each set in symbol order
-        return DegenerateString(self.sigma, c[np.argsort(sets, kind="stable")], offsets,
-                                validate=False)
+        return DegenerateString(self.sigma, c[np.argsort(sets, kind="stable")], offsets)
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(sigma={self.sigma}, n={self.n}, N={self.N}, "
@@ -175,8 +182,7 @@ class _Empties(_SubsetQueries):
         self.n0 = E.ones_count
         self.base_name = inner.base_name
         self.block_words = inner.block_words
-        self._containing = inner._containing
-        self._first = inner._first
+        self._set_containing(inner._containing)
 
     def _rank(self, i: int, c: int) -> int:
         return self._inner._rank(i - self._E._rank(i, 1), c)
@@ -204,8 +210,8 @@ class ReductionI(_SubsetQueries):
         if S.length != R.length - 1 or not (R._bit(0) and R._bit(R.length - 1)):
             raise ValueError("R must hold one bit per symbol of S plus one, "
                              "set at both ends")
-        _check_alphabet(S, sigma + self._sentinels)
-        self.sigma = int(sigma)
+        self.sigma = index_arg(sigma, 1, _MAX_SIGMA, "sigma", ValueError)
+        _check_alphabet(S, self.sigma + self._sentinels)
         self._S = S
         self._R = R
         self.n = R.ones_count - 1
@@ -214,8 +220,7 @@ class ReductionI(_SubsetQueries):
         self.N = R.length - 1 - self.n0
         self.base_name = S.base_name
         self.block_words = S.block_words
-        self._containing = counts[:self.sigma]  # each occurrence in S is one set
-        self._first = np.cumsum(self._containing) - self._containing
+        self._set_containing(counts[:self.sigma])  # each occurrence in S is one set
 
     def _rank(self, i: int, c: int) -> int:
         return self._S._rank(self._R._select(i + 1, 1), c)  # S up to the start of set i

@@ -184,12 +184,9 @@ class WaveletTree(_StringQueries):
         for k in reversed(range(self.nbits)):
             bv = self._levels[k]
             bit = (c >> (self.nbits - 1 - k)) & 1
-            hi = np.flatnonzero(bit)
-            if hi.size:
-                p[hi] = bv._select_many(p[hi] - self._zeros[k] + 1, 1)
-            lo = np.flatnonzero(bit ^ 1)
-            if lo.size:
-                p[lo] = bv._select_many(p[lo] + 1, 0)
+            hi, lo = np.flatnonzero(bit), np.flatnonzero(bit ^ 1)
+            p[hi] = bv._select_many(p[hi] - self._zeros[k] + 1, 1)
+            p[lo] = bv._select_many(p[lo] + 1, 0)
         return p
 
     def size_bits(self) -> int:
@@ -307,8 +304,10 @@ class BitPlaneRank(_StringQueries):
         low, high = self._rows
         m = _match_words(low.take(s, axis=0), high.take(s, axis=0), c)
         m &= _PREFIX.take(i & 511, axis=0)  # the zero padding matches symbol 0, and lies past i
-        return (self._counts[c, s // self.block_words] - c * (self.length + 1)
-                + self._sub[c, s] + _row_popcounts(m))
+        counts, sub = self._counts, self._sub  # row c of each, by a flat take
+        return (counts.ravel().take(c * counts.shape[1] + s // self.block_words)
+                - c * (self.length + 1) + sub.ravel().take(c * sub.shape[1] + s)
+                + _row_popcounts(m))
 
     # Both selects search row c of the block counts for the last block with
     # fewer than j c's before it, then that block's sub-block counts for the

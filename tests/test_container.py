@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from degenrank import container
-from degenrank.degenerate import generate, parse_degenerate
+from degenrank.degenerate import DegenerateString, generate, parse_degenerate
 from degenrank.dsd import build_dsd
 from degenrank.oracle import positions_of, rank_table
 from degenrank.reductions import build_reduction
@@ -109,7 +111,11 @@ def test_corrupted_payload_changes_answers():
         bad_table = np.column_stack(
             [bad.subset_rank_many(idx, np.full(idx.size, c)) for c in range(x.sigma)])
         assert not np.array_equal(bad_table, table)
-        assert bad.decompose() != x
+        if base == "wavelet":  # this flip repeats a member, which decompose() refuses
+            with pytest.raises(ValueError, match="distinct members"):
+                bad.decompose()
+        else:
+            assert bad.decompose() != x
 
 
 def test_rejects_malformed_blobs():
@@ -219,3 +225,54 @@ def test_meta_edits_and_foreign_components_are_rejected(kind, base):
     off, ln = comps[base]
     with pytest.raises(ValueError):
         container.loads(blob[:off - 9] + donor[d_off - 9:d_off + d_ln] + blob[off + ln:])
+
+
+@pytest.mark.parametrize("sets", [[[], []], [[0], [], [0, 1], [1]]])
+def test_a_container_declaring_sigma_0_is_refused(sets):
+    # sigma is the first u64 of the meta block; no alphabet is empty
+    for st in build_all(DegenerateString.from_sets(2, sets)):
+        blob = bytearray(container.dumps(st))
+        (name, off, _), *_ = container.scan_components(blob)
+        assert name == "meta"
+        blob[off:off + 8] = bytes(8)
+        with pytest.raises(ValueError):
+            container.loads(bytes(blob))
+
+
+# SHA-256 of dumps for every structure x base that builds, at the default
+# block_words, on generate(7, n, sigma, profile): the container v2 bytes stay
+# the same whatever the code that writes them.
+PINNED_INSTANCES = {"dna": (3000, 4, "genomic-like"), "wide": (2000, 16, "uniform")}
+PINNED_DIGESTS = {
+    ("dna", "reduction-ii", "wavelet"):
+        "18f1b66a1923025361df42de0538fad440b8f6ab94f14e59a438ed783ea3cd81",
+    ("dna", "reduction-iii", "wavelet"):
+        "fcfb3db6c9cd8d77d0597011588f924b1d5b7dc9752aec7a9471a085283e966a",
+    ("dna", "reduction-iii", "bitplane"):
+        "11af01a7c9df57cbe8ff7e61840085572ba5fdcd8bb5412d5b36115129b2e51c",
+    ("dna", "dsd", "wavelet"):
+        "5a6d35907458dda97e3200a73234cb2f9830dbba99900a556f7e3eaac1457bf5",
+    ("dna", "dsd", "bitplane"):
+        "0e12439a1e16071f3922e9e18baa699e31a9358cbcc1e284863c0986c6932628",
+    ("wide", "reduction-ii", "wavelet"):
+        "741b0753c70e1e553d7f6f170d74d4a7cad253305744c5d95c9dbddad65c2b2a",
+    ("wide", "reduction-iii", "wavelet"):
+        "7d3e03fb50af7a3e6caed9d09fe4cc1b04613b995535014f39164814e60d0363",
+    ("wide", "dsd", "wavelet"):
+        "e1aecdf6fbfb8cdcd3406d5f11ee7bae0a4d98ecf7260d38301abf99c6e7314f",
+}
+
+
+def test_container_bytes_are_pinned():
+    digests = {}
+    for name, args in PINNED_INSTANCES.items():
+        x = generate(7, *args)
+        for structure in ("reduction-i", "reduction-ii", "reduction-iii", "dsd"):
+            for base in ("wavelet", "bitplane"):
+                try:
+                    st = (build_dsd(x, base) if structure == "dsd"
+                          else build_reduction(x, structure, base))
+                except ValueError:  # empty sets for reduction-i, sigma past the bitplane's
+                    continue
+                digests[name, structure, base] = hashlib.sha256(container.dumps(st)).hexdigest()
+    assert digests == PINNED_DIGESTS

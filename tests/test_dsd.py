@@ -144,11 +144,10 @@ def test_empty_and_all_empty():
         with pytest.raises(ValueError):
             d.subset_select_many([1], [0])
         assert d.subset_select_many([], []).size == 0
-    # no overflow vectors at all: sigma 0 over an all-empty instance
+    # no overflow vectors at all would be sigma 0, which no instance has
     E, base, _ = build_dsd(DegenerateString.from_sets(1, [[], []])).components()
-    d = DsdStructure(E, base, [])
-    assert d.sigma == 0 and d.components()[2] == []
-    assert container.loads(container.dumps(d)).components()[2] == []
+    with pytest.raises(ValueError, match="at least one"):
+        DsdStructure(E, base, [])
 
 
 def test_space_accounting():
@@ -381,3 +380,17 @@ def test_select_probes_few_ranks_and_stops_at_a_hit():
                 assert len(base_selects) == 1
     assert hits > 0
     assert total / queries <= 4.5, total / queries
+
+
+@pytest.mark.parametrize("base", ["wavelet", "bitplane"])
+def test_decompose_refuses_an_overflow_row_that_repeats_the_kept_symbol(base):
+    # set 1 keeps symbol 1 in the base; an overflow[1] that also marks row 1
+    # passes every constructor check, and set 1 would read back as (1, 1)
+    x = DegenerateString.from_sets(3, [[0, 1], [1], [2], [0, 2]])
+    E, kept, overflow = build_dsd(x, base).components()
+    assert overflow[1].positions().tolist() == [0]
+    overflow[1] = SparseBitvector(overflow[1].length, [0, 1])
+    for d in (DsdStructure(E, kept, overflow),
+              container.loads(container.dumps(DsdStructure(E, kept, overflow)))):
+        with pytest.raises(ValueError, match="distinct members"):
+            d.decompose()

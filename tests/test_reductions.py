@@ -259,3 +259,18 @@ def test_constructors_reject_parts_that_do_not_fit():
     assert ReductionII(4, ii._S, ii._R).n0 == x.n0
     with pytest.raises(ValueError):
         ReductionI(4, ii._S, ii._R)
+
+
+@pytest.mark.parametrize("variant", ["reduction-i", "reduction-ii", "reduction-iii"])
+@pytest.mark.parametrize("base", ["wavelet", "bitplane"])
+def test_constructors_take_sigma_as_an_integer_of_at_least_1(variant, base):
+    sets = [[0, 1], [2], [1, 2]] + ([] if variant == "reduction-i" else [[]])
+    x = DegenerateString.from_sets(3, sets)
+    st = build_reduction(x, variant, base)
+    parts = ((st._inner._S, st._inner._R, st._E) if variant == "reduction-iii"
+             else (st._S, st._R))
+    cls = type(st)
+    assert cls(np.int64(3), *parts).decompose() == x
+    for bad in (0, -1, 3.0, "3"):
+        with pytest.raises(ValueError, match="sigma"):
+            cls(bad, *parts)
