@@ -11,9 +11,11 @@ and a corrupt or non-equivalent structure cannot go unnoticed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from ._bits import INT64_MAX, index_arg
 
 CSV_HEADER = "structure,base,n,N,n0,sigma,query_kind,ns_per_query,bits_per_symbol,checksum"
 
@@ -21,7 +23,6 @@ QUERY_KINDS = ("rank", "select")
 
 _CHUNK = 1 << 20
 _U64 = np.uint64
-_MOD = 1 << 64
 
 
 @dataclass
@@ -35,11 +36,9 @@ class BenchConfig:
         if self.query_kind not in QUERY_KINDS:
             raise ValueError(f"query_kind must be one of {QUERY_KINDS}, "
                              f"got {self.query_kind!r}")
-        if self.query_count < 1:
-            raise ValueError("query_count must be positive")
-        if self.repeats < 1:
-            raise ValueError("repeats must be positive")
-        return self
+        count = index_arg(self.query_count, 1, INT64_MAX, "query_count", ValueError)
+        repeats = index_arg(self.repeats, 1, INT64_MAX, "repeats", ValueError)
+        return replace(self, query_count=count, repeats=repeats)
 
 
 @dataclass
@@ -85,8 +84,7 @@ def run_bench(st, config: BenchConfig) -> BenchResult:
         if eligible.size == 0:
             raise ValueError("select benchmark needs at least one symbol "
                              "that occurs in some set")
-    best = None
-    checksum = 0
+    best = float("inf")
     for rep in range(cfg.repeats):
         rng = np.random.default_rng(cfg.seed)
         elapsed = 0.0
@@ -109,9 +107,8 @@ def run_bench(st, config: BenchConfig) -> BenchResult:
                 idx = np.arange(at, at + take, dtype=_U64)
                 fold = fold + (ans.astype(_U64) ^ idx).sum(dtype=_U64)
         if rep == 0:
-            checksum = int(fold) % _MOD
-        if best is None or elapsed < best:
-            best = elapsed
+            checksum = int(fold)  # the uint64 sum wraps mod 2**64
+        best = min(best, elapsed)
     return BenchResult(
         structure=st.structure_name,
         base=st.base_name,

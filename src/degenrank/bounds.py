@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._bits import index_arg
 from .degenerate import DegenStats
 
 
@@ -55,10 +56,8 @@ class LowerBoundReport:
 
 def lower_bound(N: int, sigma: int) -> LowerBoundReport:
     """Worst-case bits needed by any subset-rank structure on (N, sigma)."""
-    if N < 2:
-        raise ValueError(f"N must be at least 2, got {N}")
-    if sigma < 2:
-        raise ValueError(f"sigma must be at least 2, got {sigma}")
+    N = index_arg(N, 2, math.inf, "N", ValueError)
+    sigma = index_arg(sigma, 2, math.inf, "sigma", ValueError)
     k = N.bit_length() - 1  # floor(log2 N)
     if sigma < k:
         raise ValueError(f"sigma must be at least log2(N) = {k}, got {sigma}")

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
+from ._bits import INT64_MAX, index_arg
 from .bench import QUERY_KINDS, CSV_HEADER, BenchConfig, run_bench
 from .bounds import lower_bound, space_audit
 from .degenerate import (
@@ -35,7 +36,7 @@ from .degenerate import (
 )
 from .dsd import build_dsd
 from .oracle import positions_of
-from .reductions import BASES, VARIANTS, build_reduction, normalize_variant
+from .reductions import BASES, VARIANTS, build_reduction
 
 STRUCTURES = VARIANTS + ("dsd",)
 
@@ -57,7 +58,7 @@ def _load_data(path: str, fmt: str) -> DegenerateString:
 def _build(x: DegenerateString, structure: str, base: str, block_words: int):
     if structure == "dsd":
         return build_dsd(x, base, block_words)
-    return build_reduction(x, normalize_variant(structure), base, block_words)
+    return build_reduction(x, structure, base, block_words)
 
 
 def _add_data_args(p, with_structure=True):
@@ -112,8 +113,7 @@ def _verify_symbol(x, st, c, idx, js) -> int | None:
 
 
 def cmd_verify(args) -> int:
-    if args.sample < 1:
-        raise ValueError("--sample must be positive")
+    index_arg(args.sample, 1, INT64_MAX, "--sample", ValueError)
     x = _load_data(args.input, args.format)
     if args.container:
         try:

@@ -15,6 +15,7 @@ string: sigma fixed to 4, every set a singleton, A=0 C=1 G=2 T=3.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from collections import Counter
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import integers, narrow_uint
+from ._bits import INT64_MAX, index_arg, integers, narrow_uint
 
 DNA_ALPHABET = "ACGT"
 
@@ -37,44 +38,26 @@ class DegenerateString:
     """Flat storage for a sequence of symbol sets.
 
     symbols holds the members of every set back to back, ascending inside
-    each set; offsets[i]:offsets[i+1] delimits set i.
+    each set; offsets[i]:offsets[i+1] delimits set i. The constructor checks
+    all three; generate and the dna-text parser, valid by construction, skip it.
     """
 
     __slots__ = ("sigma", "symbols", "offsets")
 
-    def __init__(self, sigma: int, symbols, offsets, *, validate: bool = True):
-        self.sigma = int(sigma)
-        if validate:
-            # before the narrowing casts below, which wrap 256 to 0 and cut 2.7 to 2
-            symbols = integers(_member_array(symbols), "set members")
-            offsets = integers(offsets, "offsets")
-            self._validate(symbols, offsets)
-        self.symbols = np.asarray(symbols, dtype=narrow_uint(self.sigma - 1))
-        self.offsets = np.asarray(offsets, dtype=np.int64)
+    def __init__(self, sigma: int, symbols, offsets):
+        self._store(*_checked(sigma, symbols, offsets))
 
-    def _validate(self, syms: np.ndarray, off: np.ndarray) -> None:
-        if self.sigma < 1:
-            raise ValueError(f"sigma {self.sigma} out of range: sigma must be at least 1")
-        if syms.ndim != 1:
-            raise ValueError("set members must be one-dimensional")
-        if off.ndim != 1 or off.size < 1 or off[0] != 0 or off[-1] != syms.size:
-            raise ValueError("offsets must run from 0 to len(symbols)")
-        if np.any(off[1:] < off[:-1]):
-            raise ValueError("offsets must be nondecreasing")
-        off = off.astype(np.int64)  # now known to lie in [0, len(symbols)]
-        if syms.size and (syms.min() < 0 or syms.max() >= self.sigma):
-            i = int(np.argmax((syms < 0) | (syms >= self.sigma)))
-            raise ValueError(f"set members must lie in [0, {self.sigma}): "
-                             f"{_member(syms, off, i)} is outside")
-        if syms.size:
-            # ascending inside each set, strict (no duplicate members), compared
-            # in the members' own dtype: a cast to int64 wraps 2**63 negative
-            inner = np.ones(syms.size, dtype=bool)
-            inner[off[:-1][np.diff(off) > 0]] = False
-            bad = np.flatnonzero((syms[1:] <= syms[:-1]) & inner[1:]) + 1
-            if bad.size:
-                raise ValueError(f"each set must list distinct members in ascending order: "
-                                 f"{_member(syms, off, bad[0])} is a duplicate or descends")
+    @classmethod
+    def _trusted(cls, sigma: int, symbols, offsets) -> "DegenerateString":
+        """An instance of arrays that are valid by construction, kept unchecked."""
+        self = cls.__new__(cls)
+        self._store(sigma, symbols, offsets)
+        return self
+
+    def _store(self, sigma: int, symbols, offsets) -> None:
+        self.sigma = sigma
+        self.symbols = np.asarray(symbols, dtype=narrow_uint(sigma - 1))
+        self.offsets = np.asarray(offsets, dtype=np.int64)
 
     @classmethod
     def from_sets(cls, sigma: int, sets) -> "DegenerateString":
@@ -142,10 +125,37 @@ def _member_array(values) -> np.ndarray:
     return arr
 
 
-def _member(syms: np.ndarray, off: np.ndarray, i: int) -> str:
-    """Flat member i, its set and that set's line in a sets-text file."""
-    k = int(np.searchsorted(off, i, side="right")) - 1
-    return f"member {syms[i]} of set {k} (sets-text line {k + 2})"
+def _checked(sigma, symbols, offsets, in_file: bool = False):
+    """sigma as an int, the members and offsets as integer arrays, or ValueError
+    naming the first bad member, its set, and with in_file that set's line."""
+    sigma = index_arg(sigma, 1, math.inf, "sigma", ValueError)
+    # before the narrowing casts of _store, which wrap 256 to 0 and cut 2.7 to 2
+    syms = integers(_member_array(symbols), "set members")
+    off = integers(offsets, "offsets")
+    if syms.ndim != 1:
+        raise ValueError("set members must be one-dimensional")
+    if off.ndim != 1 or off.size < 1 or off[0] != 0 or off[-1] != syms.size:
+        raise ValueError("offsets must run from 0 to len(symbols)")
+    if np.any(off[1:] < off[:-1]):
+        raise ValueError("offsets must be nondecreasing")
+    off = off.astype(np.int64)  # now known to lie in [0, len(symbols)]
+
+    def member(i):
+        k = int(np.searchsorted(off, i, side="right")) - 1
+        return f"member {syms[i]} of set {k}" + (f" (sets-text line {k + 2})" if in_file else "")
+
+    if syms.size and (syms.min() < 0 or syms.max() >= sigma):
+        i = int(np.argmax((syms < 0) | (syms >= sigma)))
+        raise ValueError(f"set members must lie in [0, {sigma}): {member(i)} is outside")
+    # ascending inside each set, strict (no duplicate members), compared in
+    # the members' own dtype: a cast to int64 wraps 2**63 negative
+    inner = np.ones(syms.size, dtype=bool)
+    inner[off[:-1][np.diff(off) > 0]] = False
+    bad = np.flatnonzero((syms[1:] <= syms[:-1]) & inner[1:]) + 1
+    if bad.size:
+        raise ValueError(f"each set must list distinct members in ascending order: "
+                         f"{member(bad[0])} is a duplicate or descends")
+    return sigma, syms, off
 
 
 # -- text formats --------------------------------------------------------------
@@ -224,7 +234,7 @@ def _parse_sets_text(data: bytes) -> DegenerateString:
             raise _line_error(data, pos, f"symbol {number.decode()} outside [0, 2**64)")
     offsets = np.zeros(n + 1, dtype=np.int64)
     offsets[1:] = np.searchsorted(starts, ends)
-    return DegenerateString(sigma, symbols, offsets)
+    return DegenerateString._trusted(*_checked(sigma, symbols, offsets, in_file=True))
 
 
 def _serialize_sets_text(x: DegenerateString) -> bytes:
@@ -250,7 +260,7 @@ def _parse_dna_text(data: bytes) -> DegenerateString:
         bad = chr(arr[int(np.argmax(symbols < 0))])
         raise ValueError(f"dna-text admits only ACGT, found {bad!r}")
     offsets = np.arange(arr.size + 1, dtype=np.int64)
-    return DegenerateString(4, symbols, offsets, validate=False)
+    return DegenerateString._trusted(4, symbols, offsets)
 
 
 def _serialize_dna_text(x: DegenerateString) -> bytes:
@@ -320,10 +330,8 @@ def generate(seed: int, n: int, sigma: int, profile: str = "uniform",
     on sizes 0..sigma. "genomic-like" fixes sigma=4 and uses
     GENOMIC_SIZE_PROBS. Deterministic for a given (seed, n, sigma, probs).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if sigma < 1:
-        raise ValueError("sigma must be at least 1")
+    n = index_arg(n, 0, INT64_MAX, "n", ValueError)
+    sigma = index_arg(sigma, 1, math.inf, "sigma", ValueError)
     if profile == "genomic-like":
         if sigma != 4:
             raise ValueError("genomic-like profile requires sigma 4")
@@ -356,4 +364,4 @@ def generate(seed: int, n: int, sigma: int, profile: str = "uniform",
     symbols = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
-    return DegenerateString(sigma, symbols, offsets, validate=False)
+    return DegenerateString._trusted(sigma, symbols, offsets)

@@ -23,10 +23,12 @@ queries E.
 
 Each class is built from its components, S and R (and E for ReductionIII),
 and derives n, N and n0 from them; build_reduction and container.loads
-both end in these constructors. The public queries of _SubsetQueries check
-their arguments against the public alphabet once; below them every class
-calls only the unchecked kernels of its components. decompose, size_bits
-and repr are defined once, on _SubsetQueries, over those kernels.
+both end in these constructors. The builders take the variant and base
+names exactly as VARIANTS and BASES spell them. The public queries of
+_SubsetQueries check their arguments against the public alphabet once;
+below them every class calls only the unchecked kernels of its
+components. decompose, size_bits and repr are defined once, on
+_SubsetQueries, over those kernels.
 
 All queries are 0-indexed with half-open rank prefixes, like the rest of
 the package; the worked-example test pins the conversion from the common
@@ -48,6 +50,9 @@ VARIANTS = ("reduction-i", "reduction-ii", "reduction-iii")
 
 
 def _build_base(symbols: np.ndarray, sigma: int, base: str, block_words: int):
+    # block_words is checked on both bases, though only the bitplane base uses it
+    block_words = index_arg(block_words, 1, BitPlaneRank.MAX_BLOCK_WORDS, "block_words",
+                            ValueError)
     if base == "wavelet":
         return WaveletTree(symbols, sigma)
     if base == "bitplane":
@@ -254,19 +259,6 @@ class ReductionIII(_Empties):
         super().__init__(E, ReductionI(sigma, S, R))
 
 
-def normalize_variant(variant: str) -> str:
-    v = variant.strip().lower()
-    aliases = {
-        "i": "reduction-i", "1": "reduction-i",
-        "ii": "reduction-ii", "2": "reduction-ii",
-        "iii": "reduction-iii", "3": "reduction-iii",
-    }
-    v = aliases.get(v, v)
-    if v not in VARIANTS:
-        raise ValueError(f"unknown reduction variant {variant!r}")
-    return v
-
-
 def _concat(symbols: np.ndarray, offsets: np.ndarray, sigma: int, base: str,
             block_words: int):
     """S and R over the sets of (symbols, offsets); empty sets leave no trace."""
@@ -279,15 +271,16 @@ def _concat(symbols: np.ndarray, offsets: np.ndarray, sigma: int, base: str,
 def build_reduction(x: DegenerateString, variant: str, base: str = "wavelet",
                     block_words: int = 8):
     """Build the requested reduction over x; see the class docstrings."""
-    v = normalize_variant(variant)
-    if v == "reduction-ii":  # a sentinel sigma in place of every empty set
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown reduction variant {variant!r}, expected one of {VARIANTS}")
+    if variant == "reduction-ii":  # a sentinel sigma in place of every empty set
         empty = x.set_sizes() == 0
         symbols = np.insert(x.symbols.astype(np.int64), x.offsets[:-1][empty], x.sigma)
         offsets = x.offsets + np.concatenate([[0], np.cumsum(empty)])
         return ReductionII(x.sigma, *_concat(symbols, offsets, x.sigma + 1, base, block_words))
-    if v == "reduction-i" and x.n0:
+    if variant == "reduction-i" and x.n0:
         raise ValueError(f"reduction-i requires no empty sets, instance has {x.n0}")
     S, R = _concat(x.symbols, x.offsets, x.sigma, base, block_words)
-    if v == "reduction-i":
+    if variant == "reduction-i":
         return ReductionI(x.sigma, S, R)
     return ReductionIII(x.sigma, S, R, SparseBitvector(x.n, np.flatnonzero(x.set_sizes() == 0)))

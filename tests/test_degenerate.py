@@ -97,17 +97,18 @@ def test_parse_sets_text_errors(text, msg):
 
 
 def test_validation_names_the_first_offending_set():
-    # set k is line k + 2 of a sets-text file
-    at_set_2 = r"set 2 \(sets-text line 4\)"
-    for make in (lambda: DegenerateString(4, np.array([0, 1, 9], dtype=np.uint8), [0, 1, 1, 3]),
-                 lambda: DegenerateString.from_sets(4, [[0], [], [1, 4]]),
-                 lambda: parse_degenerate("4 4\n0\n\n1 4\n5\n")):
-        with pytest.raises(ValueError, match=f"lie in.*member [49] of {at_set_2} is outside"):
+    # set k is line k + 2 of a sets-text file, which only the parser names
+    at_set_2, in_file = r"set 2", r"set 2 \(sets-text line 4\)"
+    for make, where in ((lambda: DegenerateString(4, np.array([0, 1, 9], dtype=np.uint8),
+                                                  [0, 1, 1, 3]), at_set_2),
+                        (lambda: DegenerateString.from_sets(4, [[0], [], [1, 4]]), at_set_2),
+                        (lambda: parse_degenerate("4 4\n0\n\n1 4\n5\n"), in_file)):
+        with pytest.raises(ValueError, match=f"lie in.*member [49] of {where} is outside"):
             make()
-    for make in (lambda: DegenerateString(4, [0, 1, 2, 2], [0, 2, 2, 4]),
-                 lambda: DegenerateString.from_sets(4, [[0, 1], [], [3, 3]]),
-                 lambda: parse_degenerate("4 4\n0 1\n\n3 2\n1 0\n")):
-        with pytest.raises(ValueError, match=f"ascending.*member [23] of {at_set_2} is a duplicate"):
+    for make, where in ((lambda: DegenerateString(4, [0, 1, 2, 2], [0, 2, 2, 4]), at_set_2),
+                        (lambda: DegenerateString.from_sets(4, [[0, 1], [], [3, 3]]), at_set_2),
+                        (lambda: parse_degenerate("4 4\n0 1\n\n3 2\n1 0\n"), in_file)):
+        with pytest.raises(ValueError, match=f"ascending.*member [23] of {where} is a duplicate"):
             make()
 
 
@@ -177,7 +178,7 @@ def test_rejects_values_a_narrowing_cast_would_change(symbols, offsets, msg):
 
 
 @pytest.mark.parametrize("sigma,symbols,offsets,msg", [
-    (0, [], [0], "at least 1"),
+    (0, [], [0], "sigma 0 out of range"),
     (4, [[0, 1]], [0, 2], "one-dimensional"),
     (4, [0, 1], [1, 2], "from 0 to len"),
     (4, [0, 1], [0, 1], "from 0 to len"),

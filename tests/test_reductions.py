@@ -9,7 +9,6 @@ from degenrank.reductions import (
     ReductionII,
     ReductionIII,
     build_reduction,
-    normalize_variant,
 )
 from degenrank.strrank import WaveletTree
 
@@ -215,16 +214,6 @@ def test_empty_and_all_empty_instances():
         assert st.decompose() == hollow
         with pytest.raises(ValueError):
             st.subset_select(1, 1)
-
-
-def test_variant_parsing():
-    assert normalize_variant("II") == "reduction-ii"
-    assert normalize_variant("reduction-iii") == "reduction-iii"
-    assert normalize_variant("1") == "reduction-i"
-    with pytest.raises(ValueError):
-        normalize_variant("reduction-iv")
-    with pytest.raises(ValueError):
-        build_reduction(WORKED, "reduction-i", base="rrr")
 
 
 def test_space_genomic_variant_iii_bitplane():
