@@ -153,6 +153,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    index_arg(args.queries, 1, INT64_MAX, "--queries", ValueError)
+    index_arg(args.repeats, 1, INT64_MAX, "--repeats", ValueError)
     blob = Path(args.input).read_bytes()
     if container.is_container(blob):
         st = container.loads(blob)

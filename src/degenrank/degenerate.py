@@ -79,7 +79,12 @@ class DegenerateString:
     @property
     def n0(self) -> int:
         """Number of empty sets."""
-        return int((np.diff(self.offsets) == 0).sum())
+        return int(np.count_nonzero(self._empty()))
+
+    def _empty(self) -> np.ndarray:
+        """True at every empty set: one compare of neighbouring offsets, where
+        set_sizes() would build an int64 difference of all of them."""
+        return self.offsets[1:] == self.offsets[:-1]
 
     def set_sizes(self) -> np.ndarray:
         return np.diff(self.offsets)

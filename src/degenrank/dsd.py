@@ -197,21 +197,26 @@ class DsdStructure(_Empties):
 def build_dsd(x: DegenerateString, base: str = "wavelet",
               block_words: int = 8) -> DsdStructure:
     """Keep the smallest member of every nonempty set in the base string and
-    move the other members to the overflow vectors of their symbols."""
-    sizes = x.set_sizes()
-    nonempty = sizes > 0
-    E = SparseBitvector(x.n, np.flatnonzero(~nonempty))
-    kept_at = x.offsets[:-1][nonempty]
-    removed = np.ones(x.N, dtype=bool)
-    removed[kept_at] = False
-    # one stable sort groups the removed members by symbol, rows ascending;
-    # they are all but the first member of each nonempty set, in order
-    syms = x.symbols[removed]
+    move the other members to the overflow vectors of their symbols.
+
+    The split takes no boolean index. One scatter of every set's start marks
+    the kept members, the first of each nonempty set, since an empty set
+    starts where the next nonempty set does, or at N. The q-th removed
+    member, at position p, lies in row p - q - 1: the kept members up to p,
+    less one. One stable argsort of the removed members' symbols, a radix
+    sort in their narrow dtype, groups them by symbol with rows ascending.
+    """
+    E = SparseBitvector(x.n, np.flatnonzero(x._empty()))
+    kept = np.zeros(x.N + 1, dtype=bool)  # slot N takes the starts of trailing empty sets
+    kept[x.offsets[:-1]] = True
+    kept = kept[:-1]
+    moved = np.flatnonzero(~kept)
+    syms = x.symbols.take(moved)
     order = np.argsort(syms, kind="stable")
-    rows = np.repeat(np.arange(kept_at.size, dtype=np.int64), sizes[nonempty] - 1)[order]
+    rows = (moved - np.arange(1, moved.size + 1))[order]
     bounds = np.zeros(x.sigma + 1, dtype=np.int64)
     np.cumsum(np.bincount(syms, minlength=x.sigma), out=bounds[1:])
-    overflow = [SparseBitvector(kept_at.size, rows[bounds[c]:bounds[c + 1]])
+    overflow = [SparseBitvector(E.zeros_count, rows[bounds[c]:bounds[c + 1]])
                 for c in range(x.sigma)]
-    return DsdStructure(E, _build_base(x.symbols[kept_at], x.sigma, base, block_words),
+    return DsdStructure(E, _build_base(x.symbols.compress(kept), x.sigma, base, block_words),
                         overflow)

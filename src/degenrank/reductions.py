@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bits import (index_arg, rank_arg, rank_args, select_arg, select_args, select_list_args,
-                    small_batch)
+from ._bits import (index_arg, narrow_uint, rank_arg, rank_args, select_arg, select_args,
+                    select_list_args, small_batch)
 from .bitvector import PlainBitvector, SparseBitvector
 from .degenerate import DegenerateString
 from .strrank import _MAX_SIGMA, BitPlaneRank, WaveletTree
@@ -274,13 +274,15 @@ def build_reduction(x: DegenerateString, variant: str, base: str = "wavelet",
     if variant not in VARIANTS:
         raise ValueError(f"unknown reduction variant {variant!r}, expected one of {VARIANTS}")
     if variant == "reduction-ii":  # a sentinel sigma in place of every empty set
-        empty = x.set_sizes() == 0
-        symbols = np.insert(x.symbols.astype(np.int64), x.offsets[:-1][empty], x.sigma)
-        offsets = x.offsets + np.concatenate([[0], np.cumsum(empty)])
+        empty = x._empty()
+        symbols = np.insert(x.symbols.astype(narrow_uint(x.sigma), copy=False),
+                            x.offsets[:-1].compress(empty), x.sigma)
+        offsets = x.offsets.copy()
+        offsets[1:] += np.cumsum(empty)
         return ReductionII(x.sigma, *_concat(symbols, offsets, x.sigma + 1, base, block_words))
     if variant == "reduction-i" and x.n0:
         raise ValueError(f"reduction-i requires no empty sets, instance has {x.n0}")
     S, R = _concat(x.symbols, x.offsets, x.sigma, base, block_words)
     if variant == "reduction-i":
         return ReductionI(x.sigma, S, R)
-    return ReductionIII(x.sigma, S, R, SparseBitvector(x.n, np.flatnonzero(x.set_sizes() == 0)))
+    return ReductionIII(x.sigma, S, R, SparseBitvector(x.n, np.flatnonzero(x._empty())))

@@ -52,7 +52,7 @@ def _as_symbols(symbols, sigma: int) -> np.ndarray:
         raise ValueError("symbols must be one-dimensional")
     if arr.size and (arr.min() < 0 or arr.max() >= sigma):
         raise ValueError(f"symbols must lie in [0, {sigma})")
-    # the narrowest unsigned dtype, on which a stable argsort is a radix sort
+    # the narrowest unsigned dtype, in which a level partition moves the fewest bytes
     return arr.astype(narrow_uint(sigma - 1), copy=False)
 
 
@@ -91,6 +91,10 @@ class WaveletTree(_StringQueries):
     bit is 0 and to zeros_k + rank1(p) when it is 1, so a query costs one
     bitvector rank or select per level and needs only the zero count of
     each level and where each symbol's run begins after the last level.
+
+    The build makes that partition level by level without sorting: the
+    symbols whose level bit is 0, then those whose bit is 1, each side in
+    order by one np.compress into a buffer of the symbols' length.
     """
 
     base_name = "wavelet"
@@ -102,10 +106,14 @@ class WaveletTree(_StringQueries):
         nbits = (sigma - 1).bit_length()
         level_words = []
         for k in range(nbits):
-            bit = (keys >> (nbits - 1 - k)) & 1
-            level_words.append(pack_bits(bit))
-            if k + 1 < nbits:
-                keys = keys[np.argsort(bit, kind="stable")]
+            bit = (keys & (1 << (nbits - 1 - k))) != 0
+            level_words.append(pack_bits(bit.view(np.uint8)))
+            if k + 1 < nbits:  # the stable partition by bit, zeros first
+                part = np.empty_like(keys)
+                zeros = keys.size - np.count_nonzero(bit)
+                np.compress(~bit, keys, out=part[:zeros])
+                np.compress(bit, keys, out=part[zeros:])
+                keys = part
         self._set_levels(sigma, keys.size, level_words)
 
     @classmethod

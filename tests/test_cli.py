@@ -229,6 +229,14 @@ def test_verify_rejects_a_sample_below_one(tmp_path, capsys, sample):
     assert code == 2 and "--sample" in err and "ok:" not in out
 
 
+@pytest.mark.parametrize("flag, value", [("--queries", "0"), ("--queries", "-3"),
+                                         ("--repeats", "0"), ("--repeats", "-1")])
+def test_bench_rejects_counts_below_one_before_reading(tmp_path, capsys, flag, value):
+    # checked before the input is read: the file does not exist
+    code, out, err = run(capsys, "bench", str(tmp_path / "missing.txt"), flag, value)
+    assert code == 2 and f"{flag} {value} out of range" in err and not out
+
+
 def test_verify_counts_the_ranks_and_selects_it_checked(tmp_path, capsys):
     path = gen_file(tmp_path, capsys, sigma=4)
     x = parse_degenerate(path.read_text())

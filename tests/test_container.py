@@ -276,3 +276,64 @@ def test_container_bytes_are_pinned():
                     continue
                 digests[name, structure, base] = hashlib.sha256(container.dumps(st)).hexdigest()
     assert digests == PINNED_DIGESTS
+
+
+def edge_instances():
+    sets = list(generate(7, 1000, 4, "genomic-like").sets())
+    return {
+        # empty sets at both ends and in runs of 2 and 6 between
+        "empty-runs": DegenerateString.from_sets(
+            4, [()] * 3 + sets[:400] + [()] * 6 + sets[400:700] + [()] * 2 + sets[700:]
+            + [()] * 4),
+        "all-empty": DegenerateString(4, [], np.zeros(51, dtype=np.int64)),
+        # nine wavelet levels over uint16 symbols, ten for reduction ii's sentinel 257
+        "sigma-257": generate(7, 1500, 257, "uniform", size_probs=[1, 4, 2, 1] + [0] * 254),
+    }
+
+
+# SHA-256 of dumps on the instances above, as the builds that sorted the
+# wavelet levels and indexed the DSD split with boolean masks wrote them.
+PINNED_EDGE_DIGESTS = {
+    ("empty-runs", "reduction-ii", "wavelet"):
+        "7f6876a2d87a4ce9b3a99814090a6dee9be0eec5903b279412ce0b5f2151983b",
+    ("empty-runs", "reduction-iii", "wavelet"):
+        "d69d82597295d6894b33511da2918b9ab7d95ab5fa9e830ffb3f4551fe2e35df",
+    ("empty-runs", "reduction-iii", "bitplane"):
+        "13c47738a2cc0e1bd79bb0297007cc0483bca1b51c0e1577e0c857cff659ab0f",
+    ("empty-runs", "dsd", "wavelet"):
+        "88e40f77c690b0e365810e83fdd24fcef29c15c650543e8c91d47c5dd2c850fb",
+    ("empty-runs", "dsd", "bitplane"):
+        "77c0b546de56080438f2e5b973377473d7a738b09c0b48c64afa0805ad7cda13",
+    ("all-empty", "reduction-ii", "wavelet"):
+        "0881619d600efb69b737b8ee6b8cac3ce2684a84693174dc858e7f63e0b946aa",
+    ("all-empty", "reduction-iii", "wavelet"):
+        "81dc74d5278ff5ee222aadd46758da42bd3e13834d070f1155716043413a53ff",
+    ("all-empty", "reduction-iii", "bitplane"):
+        "22b5e424fffec574e9c379e27e99c08812bf81f94ebecdae2c061878753f6665",
+    ("all-empty", "dsd", "wavelet"):
+        "c36b8631333ea0a0ccf0018262fec9d7fc0650733cfbe5830f3fa8f2dd95d755",
+    ("all-empty", "dsd", "bitplane"):
+        "d76d7c19609695a249fa791238213b15ce78998eddd029d7a55eb43d84481452",
+    ("sigma-257", "reduction-ii", "wavelet"):
+        "d481f685bd087cd274010ce420e3937c502ca6e115822a311dd8ba0b7755d059",
+    ("sigma-257", "reduction-iii", "wavelet"):
+        "159bad60a1f5fd8795dc7f22252ecd1cfc228089efa4e1dc207bd0d32ed1f9b7",
+    ("sigma-257", "dsd", "wavelet"):
+        "30e759ef6d8aa5ac77c38fa5877430be02284b1cc8b882f61261c241003f3d0f",
+}
+
+
+def test_container_bytes_are_pinned_on_edge_instances():
+    digests = {}
+    for name, x in edge_instances().items():
+        for structure in ("reduction-i", "reduction-ii", "reduction-iii", "dsd"):
+            for base in ("wavelet", "bitplane"):
+                try:
+                    st = (build_dsd(x, base) if structure == "dsd"
+                          else build_reduction(x, structure, base))
+                except ValueError:  # empty sets for reduction-i, sigma past the bitplane's
+                    continue
+                digests[name, structure, base] = hashlib.sha256(container.dumps(st)).hexdigest()
+    assert digests == PINNED_EDGE_DIGESTS
+    x = edge_instances()["sigma-257"]
+    assert x.symbols.dtype == np.uint16 and 256 in x.symbols

@@ -69,24 +69,29 @@ def test_wavelet_matches_linear_scan(sigma):
                 assert wt.access(int(p)) == syms[p]
 
 
-@pytest.mark.parametrize("sigma", [3, 5, 16, 17])
+@pytest.mark.parametrize("sigma", [1, 2, 3, 4, 5, 16, 17, 256, 257])
 def test_wavelet_matrix_layout(sigma):
     # level k holds bit nbits-1-k of every symbol, stably sorted by the bits
-    # above it with the nearest one most significant: zeros first at each level
+    # above it with the nearest one most significant: zeros first at each level.
+    # sigma 1 and 2 make no partition, a constant string and lengths 0 and 1
+    # leave a side of every partition empty, and sigma 256 and 257 key uint16.
     rng = np.random.default_rng(50 + sigma)
-    syms = [int(s) for s in rng.integers(0, sigma, size=700)]
     nbits = (sigma - 1).bit_length()
-    levels = []
-    for k in range(nbits):
-        above = [nbits - 1 - m for m in reversed(range(k))]
-        order = sorted(syms, key=lambda s: [(s >> b) & 1 for b in above])
-        levels.append([(s >> (nbits - 1 - k)) & 1 for s in order])
-    wt = WaveletTree(syms, sigma)
-    payload = wt.level_payload()
-    assert [unpack_bits(words, length).tolist() for length, words in payload] == levels
-    level_bits = sum(PlainBitvector.from_words(length, words).size_bits()
-                     for length, words in payload)
-    assert wt.size_bits() == level_bits + 64 * (nbits + 2 * sigma) + 192
+    strings = [[int(s) for s in rng.integers(0, sigma, size=700)], [sigma - 1] * 300, [],
+               [sigma // 2]]
+    for syms in strings:
+        levels = []
+        for k in range(nbits):
+            above = [nbits - 1 - m for m in reversed(range(k))]
+            order = sorted(syms, key=lambda s: [(s >> b) & 1 for b in above])
+            levels.append([(s >> (nbits - 1 - k)) & 1 for s in order])
+        wt = WaveletTree(syms, sigma)
+        payload = wt.level_payload()
+        assert [unpack_bits(words, length).tolist() for length, words in payload] == levels
+        level_bits = sum(PlainBitvector.from_words(length, words).size_bits()
+                         for length, words in payload)
+        assert wt.size_bits() == level_bits + 64 * (nbits + 2 * sigma) + 192
+        assert wt.symbol_counts().tolist() == np.bincount(syms, minlength=sigma).tolist()
 
 
 @pytest.mark.parametrize("block_words", [1, 2, 3, 8, 16, 32, 2**40])
