@@ -70,20 +70,16 @@ class BenchResult:
         ]
 
 
-def _symbol_totals(st) -> np.ndarray:
-    return np.array([st.containing_count(c) for c in range(st.sigma)],
-                    dtype=np.int64)
-
-
 def run_bench(st, config: BenchConfig) -> BenchResult:
     """Time batched queries against st; returns the best repeat."""
     cfg = config.validated()
     if cfg.query_kind == "select":
-        totals = _symbol_totals(st)
+        totals = np.array([st.containing_count(c) for c in range(st.sigma)], dtype=np.int64)
         eligible = np.flatnonzero(totals)
         if eligible.size == 0:
             raise ValueError("select benchmark needs at least one symbol "
                              "that occurs in some set")
+    query = st.subset_rank_many if cfg.query_kind == "rank" else st.subset_select_many
     best = float("inf")
     for rep in range(cfg.repeats):
         rng = np.random.default_rng(cfg.seed)
@@ -91,18 +87,15 @@ def run_bench(st, config: BenchConfig) -> BenchResult:
         fold = _U64(0)
         for at in range(0, cfg.query_count, _CHUNK):
             take = min(_CHUNK, cfg.query_count - at)
-            if cfg.query_kind == "rank":
-                i = rng.integers(0, st.n + 1, take)
+            if cfg.query_kind == "rank":  # prefixes i, then symbols c
+                a = rng.integers(0, st.n + 1, take)
                 c = rng.integers(0, st.sigma, take)
-                t0 = time.perf_counter()
-                ans = st.subset_rank_many(i, c)
-                elapsed += time.perf_counter() - t0
-            else:
+            else:  # symbols c, then select indexes j
                 c = eligible[rng.integers(0, eligible.size, take)]
-                j = rng.integers(1, totals[c] + 1)
-                t0 = time.perf_counter()
-                ans = st.subset_select_many(j, c)
-                elapsed += time.perf_counter() - t0
+                a = rng.integers(1, totals[c] + 1)
+            t0 = time.perf_counter()
+            ans = query(a, c)
+            elapsed += time.perf_counter() - t0
             if rep == 0:
                 idx = np.arange(at, at + take, dtype=_U64)
                 fold = fold + (ans.astype(_U64) ^ idx).sum(dtype=_U64)

@@ -62,7 +62,18 @@ def as_bit_array(bits) -> np.ndarray:
 
 
 class _BitQueries:
-    """Checked rank, select and bit over the kernels of a bitvector."""
+    """Checked rank, select and bit over the kernels of a bitvector, and its
+    counts over its length and ones_count."""
+
+    def __len__(self) -> int:
+        return self.length
+
+    @property
+    def zeros_count(self) -> int:
+        return self.length - self.ones_count
+
+    def count(self, b: int) -> int:
+        return self.ones_count if b else self.zeros_count
 
     def rank(self, i, b: int = 1) -> int:
         _check_bit_value(b)
@@ -141,19 +152,9 @@ class PlainBitvector(_BitQueries):
 
     # -- basic accessors ---------------------------------------------------
 
-    def __len__(self) -> int:
-        return self.length
-
     @property
     def ones_count(self) -> int:
         return self._total_ones
-
-    @property
-    def zeros_count(self) -> int:
-        return self.length - self._total_ones
-
-    def count(self, b: int) -> int:
-        return self._total_ones if b else self.length - self._total_ones
 
     def _bit(self, p: int) -> int:
         return (self._words_mv[p >> 6] >> (p & 63)) & 1
@@ -268,19 +269,9 @@ class SparseBitvector(_BitQueries):
         arr = as_bit_array(bits)
         return cls(arr.size, np.flatnonzero(arr))
 
-    def __len__(self) -> int:
-        return self.length
-
     @property
     def ones_count(self) -> int:
-        return int(self._ones.size)
-
-    @property
-    def zeros_count(self) -> int:
-        return self.length - self._ones.size
-
-    def count(self, b: int) -> int:
-        return self.ones_count if b else self.zeros_count
+        return self._ones.size
 
     def _bit(self, p: int) -> int:
         k = bisect_left(self._ones_mv, p)

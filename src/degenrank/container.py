@@ -22,8 +22,8 @@ One codec frames every component: _parts lists them in container order,
 _encode writes one and _Reader reads them back. Each reader is bounded, to
 the blob or to one payload, so a cut inside a header or a payload is a
 ValueError, as is a payload that its decoder does not consume exactly.
-Word arrays decode from a bytes copy of their payload, not from a view of
-the blob: payloads start at odd offsets, and a view would be unaligned.
+dumps joins every header and word array into the blob once. loads copies
+each array out of it once: as one aligned copy, or in its constructor.
 
 Only payloads are stored; rank/select support structures are rebuilt on
 load, which keeps the format small and makes every loaded structure
@@ -72,22 +72,22 @@ def _parts(st) -> list:
     return [_meta(st), st._S, st._R]
 
 
-def _encode(comp) -> bytes:
-    """Sub-tag, payload length and payload of one component."""
+def _encode(comp) -> list:
+    """One component: sub-tag, payload length and header fields packed, then its words."""
     if isinstance(comp, tuple):
         tag, head, arrays = 1, comp, ()
     elif isinstance(comp, PlainBitvector):
         tag, head, arrays = 2, (comp.length,), (comp._words,)
     elif isinstance(comp, SparseBitvector):
-        tag, head, arrays = 3, (comp.length, comp.ones_count), (comp.positions(),)
+        tag, head, arrays = 3, (comp.length, comp.ones_count), (comp._ones,)
     elif isinstance(comp, WaveletTree):
         tag, head, arrays = 4, (comp.sigma, comp.length), [w for _, w in comp.level_payload()]
     else:
         length, bw, low, high = comp.plane_payload()
         tag, head, arrays = 5, (length, bw), (low, high)
-    payload = struct.pack(f"<{len(head)}Q", *head) + b"".join(
-        [np.ascontiguousarray(a, dtype="<u8").tobytes() for a in arrays])
-    return struct.pack("<BQ", tag, len(payload)) + payload
+    arrays = [np.ascontiguousarray(a, dtype="<u8") for a in arrays]
+    size = 8 * len(head) + sum(a.nbytes for a in arrays)
+    return [struct.pack(f"<BQ{len(head)}Q", tag, size, *head), *arrays]
 
 
 def dumps(st) -> bytes:
@@ -96,7 +96,7 @@ def dumps(st) -> bytes:
     if name not in _STRUCTS:
         raise ValueError(f"cannot serialize {type(st).__name__}")
     head = MAGIC + bytes([VERSION, _STRUCTS.index(name) + 1, _BASES.index(st.base_name)])
-    return b"".join([head, *map(_encode, _parts(st))])
+    return b"".join([head, *(piece for comp in _parts(st) for piece in _encode(comp))])
 
 
 class _Reader:
@@ -112,19 +112,18 @@ class _Reader:
         self.at += n
         return self.at - n
 
-    def take(self, n: int) -> bytes:
-        # a bytes slice is a copy, so the words decoded from it are aligned
-        return self.blob[self.skip(n):self.at]
-
     def u64s(self, count: int) -> tuple:
-        return struct.unpack(f"<{count}Q", self.take(8 * count))
+        return struct.unpack_from(f"<{count}Q", self.blob, self.skip(8 * count))
+
+    def view(self, count: int) -> np.ndarray:
+        return np.frombuffer(self.blob, "<u8", count, self.skip(8 * count))
 
     def words(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<u8").astype(np.uint64, copy=False)
+        return self.view(count).astype(np.uint64)  # aligned, and not tied to the blob
 
     def header(self):
         """The next component's sub-tag, and a reader bounded to its payload."""
-        tag, ln = struct.unpack("<BQ", self.take(9))
+        tag, ln = struct.unpack_from("<BQ", self.blob, self.skip(9))
         return tag, _Reader(self.blob, self.skip(ln), self.at)
 
     def component(self, tag: int):
@@ -141,7 +140,7 @@ class _Reader:
             out = PlainBitvector.from_words(length, r.words(length // 64 + 1))
         elif tag == 3:
             length, m = r.u64s(2)
-            out = SparseBitvector(length, r.words(m).astype(np.int64))
+            out = SparseBitvector(length, r.view(m))
         elif tag == 4:
             sigma, length = r.u64s(2)
             levels = [r.words(length // 64 + 1) for _ in range((sigma - 1).bit_length())]
@@ -149,7 +148,7 @@ class _Reader:
         else:
             length, bw = r.u64s(2)
             per_plane = length // 64 + 1
-            out = BitPlaneRank.from_planes(length, bw, r.words(per_plane), r.words(per_plane))
+            out = BitPlaneRank.from_planes(length, bw, r.view(per_plane), r.view(per_plane))
         if r.at != r.end:
             raise ValueError(f"{_COMP_NAMES[tag]} component has wrong size")
         return out
@@ -160,7 +159,7 @@ def _open(blob: bytes):
     if blob[:4] != MAGIC:
         raise ValueError("not a structure container (bad magic)")
     r = _Reader(blob, 4, len(blob))
-    return (r, *r.take(3))
+    return (r, *struct.unpack_from("<3B", blob, r.skip(3)))
 
 
 def loads(blob: bytes):

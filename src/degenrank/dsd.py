@@ -37,7 +37,7 @@ import numpy as np
 from ._bits import narrow_uint
 from .bitvector import SparseBitvector
 from .degenerate import DegenerateString
-from .reductions import _build_base, _check_alphabet, _Empties, _SubsetQueries
+from .reductions import _build_base, _check_alphabet, _check_base, _Empties, _SubsetQueries
 
 
 class _Decomposition(_SubsetQueries):
@@ -206,6 +206,7 @@ def build_dsd(x: DegenerateString, base: str = "wavelet",
     less one. One stable argsort of the removed members' symbols, a radix
     sort in their narrow dtype, groups them by symbol with rows ascending.
     """
+    block_words = _check_base(x.sigma, base, block_words)
     E = SparseBitvector(x.n, np.flatnonzero(x._empty()))
     kept = np.zeros(x.N + 1, dtype=bool)  # slot N takes the starts of trailing empty sets
     kept[x.offsets[:-1]] = True

@@ -49,19 +49,24 @@ BASES = ("wavelet", "bitplane")
 VARIANTS = ("reduction-i", "reduction-ii", "reduction-iii")
 
 
-def _build_base(symbols: np.ndarray, sigma: int, base: str, block_words: int):
-    # block_words is checked on both bases, though only the bitplane base uses it
+def _check_base(sigma: int, base: str, block_words: int) -> int:
+    """block_words as an int, once base is a base that takes sigma symbols;
+    block_words is checked on both bases, though only the bitplane base uses it."""
     block_words = index_arg(block_words, 1, BitPlaneRank.MAX_BLOCK_WORDS, "block_words",
                             ValueError)
+    if base not in BASES:
+        raise ValueError(f"unknown base {base!r}, expected one of {BASES}")
+    most = _MAX_SIGMA if base == "wavelet" else BitPlaneRank.SIGMA
+    if sigma > most:
+        raise ValueError(f"{base} base supports alphabets up to {most}, needs {sigma}")
+    return block_words
+
+
+def _build_base(symbols: np.ndarray, sigma: int, base: str, block_words: int):
+    """The base string over symbols, for arguments that passed _check_base."""
     if base == "wavelet":
         return WaveletTree(symbols, sigma)
-    if base == "bitplane":
-        if sigma > BitPlaneRank.SIGMA:
-            raise ValueError(
-                f"bitplane base supports alphabets up to {BitPlaneRank.SIGMA}, "
-                f"needs {sigma}")
-        return BitPlaneRank(symbols, block_words=block_words)
-    raise ValueError(f"unknown base {base!r}, expected one of {BASES}")
+    return BitPlaneRank(symbols, block_words=block_words)
 
 
 def _check_alphabet(S, sigma: int) -> None:
@@ -273,6 +278,8 @@ def build_reduction(x: DegenerateString, variant: str, base: str = "wavelet",
     """Build the requested reduction over x; see the class docstrings."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown reduction variant {variant!r}, expected one of {VARIANTS}")
+    # before any work on the symbols, which must hold reduction ii's sentinel sigma
+    block_words = _check_base(x.sigma + (variant == "reduction-ii"), base, block_words)
     if variant == "reduction-ii":  # a sentinel sigma in place of every empty set
         empty = x._empty()
         symbols = np.insert(x.symbols.astype(narrow_uint(x.sigma), copy=False),

@@ -182,6 +182,19 @@ def test_loaded_word_arrays_are_aligned():
         assert all(a.flags.aligned for a in arrays)
 
 
+def test_a_loaded_structure_does_not_depend_on_its_blob():
+    # no array of a loaded structure is a view of the blob: zeroing the blob
+    # after the load leaves its bytes and its instance as they were
+    for x in (WORKED, generate(seed=1, n=300, sigma=3, profile="uniform")):
+        for st in build_all(x):
+            blob = container.dumps(st)
+            buf = bytearray(blob)
+            st2 = container.loads(buf)
+            buf[:] = bytes(len(buf))
+            assert container.dumps(st2) == blob
+            assert st2.decompose() == x
+
+
 def test_padding_bits_are_policed():
     # a corrupt final word with garbage past the declared length is refused
     for base, comp in (("wavelet", "plain"), ("bitplane", "bitplane")):

@@ -1,7 +1,8 @@
 """One table of bad arguments to the public entry points that are not
 queries: each integer argument refuses a float, a numeric string and a value
-below its range with ValueError, as index_arg does, and a builder takes its
-variant and base names only as VARIANTS and BASES spell them."""
+below its range with ValueError, as index_arg does, a builder refuses an
+alphabet that its base cannot take, and a builder takes its variant and base
+names only as VARIANTS and BASES spell them."""
 
 import numpy as np
 import pytest
@@ -31,8 +32,14 @@ ENTRY_POINTS = {
         lambda v: build_reduction(X, "reduction-iii", "bitplane", block_words=v),
     "build_dsd-wavelet-block_words": lambda v: build_dsd(X, "wavelet", block_words=v),
     "build_dsd-bitplane-block_words": lambda v: build_dsd(X, "bitplane", block_words=v),
+    # reduction ii's sentinel sigma must fit the base as well as the members' uint64
+    "build_reduction-ii-wavelet-sigma":
+        lambda v: build_reduction(DegenerateString(v, [5], [0, 1, 1]), "reduction-ii", "wavelet"),
+    "build_reduction-ii-bitplane-sigma":
+        lambda v: build_reduction(DegenerateString(v, [5], [0, 1, 1]), "reduction-ii", "bitplane"),
 }
-# a float, a numeric string and a value below the range, for each of them
+# a float, a numeric string and a value below the range, for each of them,
+# or an alphabet too large for the base
 BAD_VALUES = {
     "DegenerateString-sigma": (2.9, "3", 0, -1),
     "from_sets-sigma": (2.5, "3", 0),
@@ -46,6 +53,8 @@ BAD_VALUES = {
     "build_reduction-bitplane-block_words": (8.0, "8", -5, 0),
     "build_dsd-wavelet-block_words": (8.0, "8", -5),
     "build_dsd-bitplane-block_words": (8.0, "8", 0),
+    "build_reduction-ii-wavelet-sigma": (2**64, 2**65),
+    "build_reduction-ii-bitplane-sigma": (2**64, 2**65),
 }
 ROWS = [pytest.param(ENTRY_POINTS[name], value, id=f"{name}-{type(value).__name__}-{value}")
         for name, values in BAD_VALUES.items() for value in values]
