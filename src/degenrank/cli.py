@@ -35,7 +35,7 @@ from .degenerate import (
     stats,
 )
 from .dsd import build_dsd
-from .oracle import positions_of
+from .oracle import symbol_positions
 from .reductions import BASES, VARIANTS, build_reduction
 
 STRUCTURES = VARIANTS + ("dsd",)
@@ -91,10 +91,10 @@ def _mismatch(kind, c, where, got, want) -> None:
           f"data says {want}")
 
 
-def _verify_symbol(x, st, c, idx, js) -> int | None:
-    """Check the ranks at idx and the selects at the js that c has; the
-    number of queries checked, or None after printing the first mismatch."""
-    pos = positions_of(x, c)  # the sets that contain c, the one oracle for both
+def _verify_symbol(st, c, pos, idx, js) -> int | None:
+    """Check the ranks at idx and the selects at the js that c has against
+    pos, the sets that contain c, the one oracle for both; the number of
+    queries checked, or None after printing the first mismatch."""
     got = st.subset_rank_many(idx, np.full(idx.size, c))
     want = np.searchsorted(pos, idx)  # the sets before idx that contain c
     bad = np.flatnonzero(got != want)
@@ -129,22 +129,23 @@ def cmd_verify(args) -> int:
             print(f"MISMATCH {field}: structure says {getattr(st, field)}, "
                   f"data says {getattr(x, field)}")
             return 1
+    pos, bounds = symbol_positions(x)
     rng = np.random.default_rng(args.seed)
     checked = 0
     if args.exhaustive:
         idx = np.arange(x.n + 1)
         for c in range(x.sigma):  # every j up to n: _verify_symbol keeps those c has
-            done = _verify_symbol(x, st, c, idx, idx[1:])
+            done = _verify_symbol(st, c, pos[bounds[c]:bounds[c + 1]], idx, idx[1:])
             if done is None:
                 return 1
             checked += done
     else:
         per = max(1, args.sample // max(1, x.sigma))
-        for c in rng.permutation(x.sigma)[:args.sample]:
+        for c in rng.permutation(x.sigma)[:args.sample].tolist():
             idx = rng.integers(0, x.n + 1, per)
             js = (np.unique(rng.integers(1, x.n + 1, per)) if x.n
                   else np.zeros(0, dtype=np.int64))
-            done = _verify_symbol(x, st, int(c), idx, js)
+            done = _verify_symbol(st, c, pos[bounds[c]:bounds[c + 1]], idx, js)
             if done is None:
                 return 1
             checked += done

@@ -23,7 +23,9 @@ _encode writes one and _Reader reads them back. Each reader is bounded, to
 the blob or to one payload, so a cut inside a header or a payload is a
 ValueError, as is a payload that its decoder does not consume exactly.
 dumps joins every header and word array into the blob once. loads copies
-each array out of it once: as one aligned copy, or in its constructor.
+each array out of it once: as one aligned copy, or in its constructor. A
+DSD's sigma overflow payloads are read into one run array, the form
+DsdStructure takes, with one copy.
 
 Only payloads are stored; rank/select support structures are rebuilt on
 load, which keeps the format small and makes every loaded structure
@@ -126,12 +128,21 @@ class _Reader:
         tag, ln = struct.unpack_from("<BQ", self.blob, self.skip(9))
         return tag, _Reader(self.blob, self.skip(ln), self.at)
 
-    def component(self, tag: int):
-        """Decode the next component, which must have this sub-tag."""
+    def payload(self, tag: int) -> "_Reader":
+        """A reader bounded to the next component's payload, which must have this sub-tag."""
         found, r = self.header()
         if found != tag:
             raise ValueError(f"expected component {_COMP_NAMES[tag]!r}, "
                              f"found {_COMP_NAMES.get(found, f'tag{found}')!r}")
+        return r
+
+    def done(self, tag: int) -> None:
+        if self.at != self.end:
+            raise ValueError(f"{_COMP_NAMES[tag]} component has wrong size")
+
+    def component(self, tag: int):
+        """Decode the next component, which must have this sub-tag."""
+        r = self.payload(tag)
         # constructors are read as module globals: perfbench's traced load times them
         if tag == 1:
             out = r.u64s(5)  # sigma, n, N, n0, block_words
@@ -149,9 +160,26 @@ class _Reader:
             length, bw = r.u64s(2)
             per_plane = length // 64 + 1
             out = BitPlaneRank.from_planes(length, bw, r.view(per_plane), r.view(per_plane))
-        if r.at != r.end:
-            raise ValueError(f"{_COMP_NAMES[tag]} component has wrong size")
+        r.done(tag)
         return out
+
+    def runs(self, sigma: int, length: int):
+        """The next sigma sparse components, each of this length, as DsdStructure
+        takes them: their positions back to back in one copy, as int64, where a
+        position past the int64 range turns negative, and the count of each.
+        Headers are read one at a time, so a sigma the blob cannot hold ends
+        in a truncation."""
+        blob, spans, counts = memoryview(self.blob), [], []
+        for _ in range(sigma):
+            r = self.payload(3)
+            declared, m = r.u64s(2)
+            if declared != length:
+                raise ValueError(f"an overflow vector has length {declared}, not {length}, "
+                                 "one bit per nonempty set")
+            spans.append(blob[r.skip(8 * m):r.at])
+            counts.append(m)
+            r.done(3)
+        return np.frombuffer(b"".join(spans), "<i8"), counts
 
 
 def _open(blob: bytes):
@@ -176,7 +204,7 @@ def loads(blob: bytes):
     sigma = meta[0]
     base = r.component(4 + b_tag)  # sub-tag 4 wavelet, 5 bitplane
     if name == "dsd":
-        st = DsdStructure(r.component(3), base, [r.component(3) for _ in range(sigma)])
+        st = DsdStructure(r.component(3), base, *r.runs(sigma, base.length))
     elif name == "reduction-iii":
         st = ReductionIII(sigma, base, r.component(2), r.component(3))
     else:

@@ -31,7 +31,10 @@ DNA_ALPHABET = "ACGT"
 # profile: mostly singletons, a sprinkle of larger sets and empties.
 GENOMIC_SIZE_PROBS = (0.01, 0.80, 0.12, 0.05, 0.02)
 
-_GEN_CHUNK = 1 << 16
+# generate draws one random key per (set, symbol) in chunks of at most
+# _GEN_KEYS keys and _GEN_SETS sets; the stream is the same at any chunk size.
+_GEN_KEYS = 1 << 22
+_GEN_SETS = 1 << 16
 
 
 class DegenerateString:
@@ -359,8 +362,9 @@ def generate(seed: int, n: int, sigma: int, profile: str = "uniform",
     rng = np.random.default_rng(seed)
     sizes = rng.choice(sigma + 1, size=n, p=probs).astype(np.int64)
     chunks = []
-    for s in range(0, n, _GEN_CHUNK):
-        sz = sizes[s:s + _GEN_CHUNK]
+    chunk = max(1, min(_GEN_SETS, _GEN_KEYS // sigma))
+    for s in range(0, n, chunk):
+        sz = sizes[s:s + chunk]
         keys = rng.random((sz.size, sigma))
         ranks = keys.argsort(axis=1).argsort(axis=1)
         picked = ranks < sz[:, None]

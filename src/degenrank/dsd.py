@@ -4,10 +4,10 @@ Keep one symbol per nonempty set, its minimum, in a regular base string
 of length n - n0, and list every removed symbol c by its row, the index of
 its set among the nonempty sets. The rows of all symbols sit in one array,
 each symbol's run sorted, with sigma + 1 bounds marking where the runs
-start. DsdStructure is reduction iii's empty-set layer (reductions._Empties,
-the only layer that queries E) over this decomposition, so a subset-rank
-query is one rank on E to skip the empties, then one on the base string and
-one search of the queried symbol's run.
+start, from build or load on. DsdStructure is reduction iii's empty-set
+layer (reductions._Empties, the only layer that queries E) over this
+decomposition, so a subset-rank query is one rank on E to skip the empties,
+then one on the base string and one search of the queried symbol's run.
 
 Select merges two disjoint sorted lists of nonempty sets: A_c, the sets
 whose kept symbol is c (rank base.rank(p, c), select base.select(k, c)), and
@@ -34,7 +34,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from ._bits import narrow_uint
+from ._bits import index_args, narrow_uint
 from .bitvector import SparseBitvector
 from .degenerate import DegenerateString
 from .reductions import _build_base, _check_alphabet, _check_base, _Empties, _SubsetQueries
@@ -50,22 +50,25 @@ class _Decomposition(_SubsetQueries):
 
     n0 = 0
 
-    def __init__(self, base, overflow):
-        if not overflow:
-            raise ValueError("a DSD needs one overflow vector per symbol, at least one")
-        self.sigma = len(overflow)
-        if any(ov.length != base.length for ov in overflow):
-            raise ValueError(f"every overflow vector must have length {base.length}, "
-                             "one bit per nonempty set")
+    def __init__(self, base, rows, counts):
+        rows = index_args(rows, 0, base.length - 1, "overflow rows", ValueError)
+        counts = index_args(counts, 0, rows.size, "overflow counts", ValueError)
+        if counts.ndim != 1 or not counts.size:
+            raise ValueError("a DSD needs one overflow count per symbol, at least one")
+        self.sigma = counts.size
         _check_alphabet(base, self.sigma)
-        self._base = base
-        self._rows = np.concatenate([ov._ones for ov in overflow])
         self._bounds = np.zeros(self.sigma + 1, dtype=np.int64)
-        np.cumsum([ov.ones_count for ov in overflow], out=self._bounds[1:])
+        np.cumsum(counts, out=self._bounds[1:])
+        if rows.shape != (self._bounds[-1],):
+            raise ValueError(f"overflow counts sum to {self._bounds[-1]}, rows are {rows.shape}")
+        if not np.isin(np.flatnonzero(rows[1:] <= rows[:-1]) + 1, self._bounds).all():
+            raise ValueError("overflow rows must be strictly increasing inside each run")
+        self._base = base
+        self._rows = rows.astype(narrow_uint(base.length))
         self._rows_mv, self._bounds_mv = memoryview(self._rows), memoryview(self._bounds)
         self._kept_mv = memoryview(base.symbol_counts())
         self.n = base.length
-        self.N = base.length + self._rows.size
+        self.N = base.length + rows.size
         self.base_name = base.base_name
         self.block_words = base.block_words
         self._set_containing(base.symbol_counts()[:self.sigma] + np.diff(self._bounds))
@@ -175,14 +178,15 @@ class _Decomposition(_SubsetQueries):
 
 
 class DsdStructure(_Empties):
-    """Built from E, the base string of kept symbols and one overflow vector
-    of length n - n0 per symbol, whose ones are the symbol's rows; sigma >= 1
-    is the number of overflow vectors. components() gives the same parts back."""
+    """Built from E, the base string of kept symbols over the n - n0 nonempty
+    sets, and the overflow runs: rows holds each symbol's strictly increasing
+    rows in [0, n - n0) back to back, symbol 0 first, and counts, sigma >= 1
+    of them, the length of each run. components() gives one vector per run."""
 
     structure_name = "dsd"
 
-    def __init__(self, E: SparseBitvector, base, overflow):
-        super().__init__(E, _Decomposition(base, overflow))
+    def __init__(self, E: SparseBitvector, base, rows, counts):
+        super().__init__(E, _Decomposition(base, rows, counts))
 
     def overflow_counts(self) -> np.ndarray:
         return np.diff(self._inner._bounds)
@@ -197,7 +201,7 @@ class DsdStructure(_Empties):
 def build_dsd(x: DegenerateString, base: str = "wavelet",
               block_words: int = 8) -> DsdStructure:
     """Keep the smallest member of every nonempty set in the base string and
-    move the other members to the overflow vectors of their symbols.
+    move the other members to the overflow runs of their symbols.
 
     The split takes no boolean index. One scatter of every set's start marks
     the kept members, the first of each nonempty set, since an empty set
@@ -213,11 +217,6 @@ def build_dsd(x: DegenerateString, base: str = "wavelet",
     kept = kept[:-1]
     moved = np.flatnonzero(~kept)
     syms = x.symbols.take(moved)
-    order = np.argsort(syms, kind="stable")
-    rows = (moved - np.arange(1, moved.size + 1))[order]
-    bounds = np.zeros(x.sigma + 1, dtype=np.int64)
-    np.cumsum(np.bincount(syms, minlength=x.sigma), out=bounds[1:])
-    overflow = [SparseBitvector(E.zeros_count, rows[bounds[c]:bounds[c + 1]])
-                for c in range(x.sigma)]
+    rows = (moved - np.arange(1, moved.size + 1))[np.argsort(syms, kind="stable")]
     return DsdStructure(E, _build_base(x.symbols.compress(kept), x.sigma, base, block_words),
-                        overflow)
+                        rows, np.bincount(syms, minlength=x.sigma))

@@ -64,3 +64,13 @@ def positions_of(x: DegenerateString, c: int) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     rows = x.element_rows()
     return rows[x.symbols.astype(np.int64) == c]
+
+
+def symbol_positions(x: DegenerateString) -> tuple[np.ndarray, np.ndarray]:
+    """positions_of for every symbol at once, as pos and bounds: the sets that
+    contain c are pos[bounds[c]:bounds[c + 1]]. One stable argsort of the
+    members by symbol keeps each symbol's sets in ascending order."""
+    pos = x.element_rows()[np.argsort(x.symbols, kind="stable")]
+    bounds = np.zeros(x.sigma + 1, dtype=np.int64)
+    np.cumsum(np.bincount(x.symbols, minlength=x.sigma), out=bounds[1:])
+    return pos, bounds

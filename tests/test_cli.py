@@ -180,6 +180,22 @@ def test_bench_select_kind(tmp_path, capsys):
     assert out.strip().split("\n")[-1].split(",")[6] == "select"
 
 
+def test_dsd_commands_in_the_large_alphabet_regime(tmp_path, capsys):
+    # sigma far above the set sizes: about 2,000 sets of 0 to 3 members over
+    # 4,096 symbols, most of which occur in no set
+    rng = np.random.default_rng(12)
+    sets = [np.sort(rng.choice(4096, s, replace=False)) for s in rng.integers(0, 4, 2000)]
+    data = tmp_path / "wide.sets"
+    data.write_bytes(serialize_degenerate(DegenerateString.from_sets(4096, sets)))
+    cont = tmp_path / "wide.dgrs"
+    assert run(capsys, "build", str(data), "--structure", "dsd", "-o", str(cont))[0] == 0
+    code, out, _ = run(capsys, "verify", str(data), "--container", str(cont))
+    assert code == 0 and out.startswith("ok:")
+    code, out, _ = run(capsys, "bench", str(cont), "--query-kind", "select",
+                       "--queries", "1000")
+    assert code == 0 and "query kind       select" in out
+
+
 def test_lowerbound_output(capsys):
     code, out, _ = run(capsys, "lowerbound", "65536", "1024")
     assert code == 0

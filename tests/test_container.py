@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from degenrank import container
+from degenrank import bitvector, container, dsd
 from degenrank.degenerate import DegenerateString, generate, parse_degenerate
 from degenrank.dsd import build_dsd
 from degenrank.oracle import positions_of, rank_table
@@ -291,6 +291,11 @@ def test_container_bytes_are_pinned():
     assert digests == PINNED_DIGESTS
 
 
+def large_sigma_instance():
+    """100 sets of 0 to 3 members over 4,096 symbols."""
+    return generate(7, 100, 4096, "uniform", size_probs=[1, 1, 1, 1] + [0] * 4093)
+
+
 def edge_instances():
     sets = list(generate(7, 1000, 4, "genomic-like").sets())
     return {
@@ -301,6 +306,8 @@ def edge_instances():
         "all-empty": DegenerateString(4, [], np.zeros(51, dtype=np.int64)),
         # nine wavelet levels over uint16 symbols, ten for reduction ii's sentinel 257
         "sigma-257": generate(7, 1500, 257, "uniform", size_probs=[1, 4, 2, 1] + [0] * 254),
+        # the paper's regime: sigma far above the set sizes, most overflow runs empty
+        "sigma-4096": large_sigma_instance(),
     }
 
 
@@ -333,6 +340,12 @@ PINNED_EDGE_DIGESTS = {
         "159bad60a1f5fd8795dc7f22252ecd1cfc228089efa4e1dc207bd0d32ed1f9b7",
     ("sigma-257", "dsd", "wavelet"):
         "30e759ef6d8aa5ac77c38fa5877430be02284b1cc8b882f61261c241003f3d0f",
+    ("sigma-4096", "reduction-ii", "wavelet"):
+        "e42728a43ca1928cad01028d8d5149874c3fe6d9222029cd2a17da349b1ee6d8",
+    ("sigma-4096", "reduction-iii", "wavelet"):
+        "e70810a188134648403c6a08ce8e64a8b99c0ac14c838e1cbee7337f5f25f0c0",
+    ("sigma-4096", "dsd", "wavelet"):
+        "e11249d2e0f27de92f84f4186ece428367e8a6c31a75411b6499ef08820a3e22",
 }
 
 
@@ -350,3 +363,75 @@ def test_container_bytes_are_pinned_on_edge_instances():
     assert digests == PINNED_EDGE_DIGESTS
     x = edge_instances()["sigma-257"]
     assert x.symbols.dtype == np.uint16 and 256 in x.symbols
+
+
+def test_dsd_build_and_load_make_no_vector_per_symbol(monkeypatch):
+    # E is the only SparseBitvector that build_dsd or loads constructs; the
+    # overflow goes from the split to the structure, and from the container
+    # to the structure, as one run array
+    x = large_sigma_instance()
+    made = []
+
+    class Counted(dsd.SparseBitvector):
+        def __init__(self, *args):
+            made.append("build")
+            super().__init__(*args)
+
+    def counted_load(*args):
+        made.append("load")
+        return bitvector.SparseBitvector(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(dsd, "SparseBitvector", Counted)
+        d = build_dsd(x)
+    blob = container.dumps(d)
+    with monkeypatch.context() as m:  # dumps tells components apart by their class
+        m.setattr(container, "SparseBitvector", counted_load)
+        loaded = container.loads(blob)
+    assert made == ["build", "load"]
+    assert container.dumps(loaded) == blob
+    table = rank_table(x)
+    i, c = np.meshgrid(np.arange(x.n + 1), np.arange(x.sigma), indexing="ij")
+    j = np.concatenate([np.arange(1, k + 1) for k in table[-1]])
+    for st in (d, loaded):
+        assert st.decompose() == x
+        assert np.array_equal(st.subset_rank_many(i, c), table)
+        assert np.array_equal(st.subset_select_many(j, np.repeat(np.arange(x.sigma), table[-1])),
+                              np.concatenate([positions_of(x, c) for c in range(x.sigma)]))
+
+
+def overflow_edits(blob):
+    """Edits of a DSD container's overflow components, each of which loads
+    must refuse. The components are meta, the base, E, then the overflow."""
+    comps = container.scan_components(blob)
+    meta_at = comps[0][1]
+    # the first overflow component with two rows or more: length, count, rows
+    off, ln = next((off, ln) for name, off, ln in comps[3:] if ln >= 32)
+    length, m, row0, row1 = (int.from_bytes(blob[at:at + 8], "little")
+                             for at in range(off, off + 32, 8))
+
+    def put(at, value, b=blob):
+        return b[:at] + value.to_bytes(8, "little") + b[at + 8:]
+
+    return {
+        "a length one short": (put(off, length - 1), "length|out of range"),
+        "a length one long": (put(off, length + 1), "length"),
+        "a row equal to n - n0": (put(off + ln - 8, length), "out of range"),
+        "two swapped rows": (put(off + 24, row0, put(off + 16, row1)), "strictly increasing"),
+        "a count one short": (put(off + 8, m - 1), "wrong size"),
+        "a count one long": (put(off + 8, m + 1), "truncated"),
+        "another sub-tag": (blob[:off - 9] + bytes([2]) + blob[off - 8:], "expected component"),
+        "sigma 2**40": (put(meta_at, 1 << 40), "truncated"),
+    }
+
+
+@pytest.mark.parametrize("base", ["wavelet", "bitplane"])
+def test_a_dsd_container_with_a_bad_overflow_component_is_refused(base):
+    x = generate(3, 300, 4, size_probs=[0.2] * 5)
+    blob = container.dumps(build_dsd(x, base))
+    edits = overflow_edits(blob)
+    assert len({edited for edited, _ in edits.values()} - {blob}) == len(edits)
+    for case, (edited, message) in edits.items():
+        with pytest.raises(ValueError, match=message):
+            container.loads(edited)
+            pytest.fail(case)  # reached only when loads takes the edit

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -268,6 +269,21 @@ def test_generate_deterministic():
     c = generate(43, 1000, 4, profile="genomic-like")
     assert c != a
     assert generate(1, 0, 4).n == 0
+
+
+def test_generate_draws_the_same_stream_at_any_chunk_size():
+    # generate draws its keys in chunks of at most 2**22; at sigma 300 a chunk
+    # is 13,981 sets, so n = 20,000 crosses a chunk edge. Row chunks take the
+    # same stream as one draw, and the digests are those of one 2**16-set chunk.
+    whole = np.random.default_rng(4).random((700, 37))
+    rng = np.random.default_rng(4)
+    assert np.array_equal(whole, np.vstack([rng.random((k, 37)) for k in (123, 1, 576)]))
+    x = generate(5, 20_000, 300, size_probs=[1, 1, 1, 1] + [0] * 297)
+    assert x.symbols.dtype == np.uint16 and x.N == 29_887
+    assert hashlib.sha256(x.symbols.tobytes()).hexdigest() == (
+        "a5724e5062582638384e952e4c7522f97e3de6afb8b1fe6ccb627641becf9afc")
+    assert hashlib.sha256(x.offsets.tobytes()).hexdigest() == (
+        "19854e593767d9c0199107cb42a4c24b4ba8a06d8e4bde86fd0cfdbc97015b40")
 
 
 def test_generate_genomic_profile_shape():

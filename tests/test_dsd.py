@@ -144,10 +144,10 @@ def test_empty_and_all_empty():
         with pytest.raises(ValueError):
             d.subset_select_many([1], [0])
         assert d.subset_select_many([], []).size == 0
-    # no overflow vectors at all would be sigma 0, which no instance has
+    # no overflow counts at all would be sigma 0, which no instance has
     E, base, _ = build_dsd(DegenerateString.from_sets(1, [[], []])).components()
     with pytest.raises(ValueError, match="at least one"):
-        DsdStructure(E, base, [])
+        DsdStructure(E, base, [], [])
 
 
 def test_space_accounting():
@@ -254,22 +254,46 @@ def test_rank_batches_against_oracle(sigma, base, symbols):
         assert np.array_equal(d._rank_many(i, c), table[i, c]), q
 
 
+def parts(d):
+    """E, the base, and the overflow rows and counts, as DsdStructure takes them."""
+    E, base, overflow = d.components()
+    return (E, base, np.concatenate([ov.positions() for ov in overflow]),
+            [ov.ones_count for ov in overflow])
+
+
 def test_constructor_rejects_parts_that_do_not_fit():
     x = generate(5, 200, 4, size_probs=[0.2] * 5)
-    E, base, overflow = build_dsd(x).components()
-    assert DsdStructure(E, base, overflow).decompose() == x
+    E, base, rows, counts = parts(build_dsd(x))
+    assert DsdStructure(E, base, rows, counts).decompose() == x
+    assert counts[0] == 0 and min(counts[1:]) >= 2
     with pytest.raises(ValueError):  # base length is not the nonempty count
-        DsdStructure(SparseBitvector(E.length, []), base, overflow)
-    with pytest.raises(ValueError):  # overflow vector of another length
-        DsdStructure(E, base, overflow[:3] + [SparseBitvector(E.length + 1, [])])
+        DsdStructure(SparseBitvector(E.length, []), base, rows, counts)
+    with pytest.raises(ValueError, match="overflow rows"):  # a row past the nonempty sets
+        DsdStructure(E, base, np.append(rows, base.length), counts[:3] + [counts[3] + 1])
     with pytest.raises(ValueError):  # the base is over 4 symbols, not 3
-        DsdStructure(E, base, overflow[:3])
-    # overflow vectors span the nonempty sets, not all n of them
+        DsdStructure(E, base, rows[:sum(counts[:3])], counts[:3])
+    # overflow rows span the nonempty sets, not all n of them
     assert E.ones_count > 0
-    spanning_n = [SparseBitvector(E.length, E.select_many(ov.positions() + 1, 0))
-                  for ov in overflow]
+    spanning_n = E.select_many(rows + 1, 0)
+    assert spanning_n.max() >= base.length
     with pytest.raises(ValueError, match="overflow"):
-        DsdStructure(E, base, spanning_n)
+        DsdStructure(E, base, spanning_n, counts)
+    bad = {
+        "counts that sum short": (rows, counts[:3] + [counts[3] - 1]),
+        "counts that sum long": (rows, counts[:3] + [counts[3] + 1]),
+        "a negative count": (rows, [-1, counts[1] + 1] + counts[2:]),
+        "2-D counts": (rows, [counts]),
+        "float rows": (rows.astype(np.float64), counts),
+        "2-D rows": (rows.reshape(1, -1), counts),
+        "rows that descend inside a run": (np.r_[rows[1], rows[0], rows[2:]], counts),
+        "a row repeated inside a run": (np.r_[rows[0], rows[0], rows[2:]], counts),
+    }
+    for case, (r, k) in bad.items():
+        with pytest.raises(ValueError):
+            DsdStructure(E, base, r, k)
+            pytest.fail(case)  # reached only when the constructor takes the case
+    # a run may start at or below the last row of the run before it
+    assert (np.diff(rows) <= 0).any()
 
 
 def test_only_one_select_on_E_per_query():
@@ -387,11 +411,11 @@ def test_decompose_refuses_an_overflow_row_that_repeats_the_kept_symbol(base):
     # set 1 keeps symbol 1 in the base; an overflow[1] that also marks row 1
     # passes every constructor check, and set 1 would read back as (1, 1)
     x = DegenerateString.from_sets(3, [[0, 1], [1], [2], [0, 2]])
-    E, kept, overflow = build_dsd(x, base).components()
-    assert overflow[1].positions().tolist() == [0]
-    overflow[1] = SparseBitvector(overflow[1].length, [0, 1])
-    for d in (DsdStructure(E, kept, overflow),
-              container.loads(container.dumps(DsdStructure(E, kept, overflow)))):
+    E, kept, rows, counts = parts(build_dsd(x, base))
+    assert rows.tolist() == [0, 3] and counts == [0, 1, 1]
+    rows, counts = [0, 1, 3], [0, 2, 1]
+    for d in (DsdStructure(E, kept, rows, counts),
+              container.loads(container.dumps(DsdStructure(E, kept, rows, counts)))):
         # it came from no file, so the message names the set and no sets-text line
         with pytest.raises(ValueError, match=r"distinct members .*: member 1 of set 1 is a "
                                              r"duplicate or descends$"):

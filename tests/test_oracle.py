@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from degenrank.degenerate import DegenerateString, generate, parse_degenerate, stats
-from degenrank.oracle import oracle_rank, oracle_select, positions_of, rank_table
+from degenrank.oracle import (oracle_rank, oracle_select, positions_of, rank_table,
+                              symbol_positions)
 
 WORKED = parse_degenerate("4 4\n0 1 2\n0 3\n1\n2 3\n")
 
@@ -78,3 +79,17 @@ def test_all_empty_instance():
     assert positions_of(x, 1).size == 0
     with pytest.raises(ValueError):
         oracle_select(x, 1, 0)
+
+
+@pytest.mark.parametrize("x", [
+    WORKED,
+    DegenerateString.from_sets(1, [[0], [], [0], [0]]),  # sigma 1
+    DegenerateString.from_sets(5, [[], [], [1, 4], [0, 1], [], [4], [], []]),  # empties at both ends
+    DegenerateString.from_sets(3, [[], [], []]),  # all empty
+    generate(6, 500, 9),
+], ids=["worked", "sigma-1", "empty-ends", "all-empty", "sigma-9"])
+def test_symbol_positions_slices_are_positions_of(x):
+    pos, bounds = symbol_positions(x)
+    assert (bounds[0], bounds[-1]) == (0, x.N)
+    for c in range(x.sigma):
+        assert np.array_equal(pos[bounds[c]:bounds[c + 1]], positions_of(x, c)), c
