@@ -150,6 +150,8 @@ def index_arg(value, lo: int, hi: int, what: str, error=IndexError) -> int:
     """One integer argument (an int, a numpy integer or a 0-d integer array)
     as an int; ValueError for anything else, error unless lo <= value <= hi."""
     try:
+        if type(value) is bool:  # an int to Python, but refused as numpy's bools are
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None

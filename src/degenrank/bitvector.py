@@ -72,24 +72,24 @@ class _BitQueries:
     def zeros_count(self) -> int:
         return self.length - self.ones_count
 
-    def count(self, b: int) -> int:
-        return self.ones_count if b else self.zeros_count
+    def count(self, b) -> int:
+        return self.ones_count if index_arg(b, 0, 1, "bit value", ValueError) else self.zeros_count
 
-    def rank(self, i, b: int = 1) -> int:
-        _check_bit_value(b)
+    def rank(self, i, b=1) -> int:
+        b = index_arg(b, 0, 1, "bit value", ValueError)
         return self._rank(index_arg(i, 0, self.length, "rank prefix"), b)
 
-    def rank_many(self, i, b: int = 1) -> np.ndarray:
-        _check_bit_value(b)
+    def rank_many(self, i, b=1) -> np.ndarray:
+        b = index_arg(b, 0, 1, "bit value", ValueError)
         i = index_args(i, 0, self.length, "rank prefix")
         return self._rank_many(i.ravel(), b).reshape(i.shape)
 
-    def select(self, j, b: int = 1) -> int:
-        _check_bit_value(b)
+    def select(self, j, b=1) -> int:
+        b = index_arg(b, 0, 1, "bit value", ValueError)
         return self._select(index_arg(j, 1, self.count(b), "select index", ValueError), b)
 
-    def select_many(self, j, b: int = 1) -> np.ndarray:
-        _check_bit_value(b)
+    def select_many(self, j, b=1) -> np.ndarray:
+        b = index_arg(b, 0, 1, "bit value", ValueError)
         j = index_args(j, 1, self.count(b), "select index", ValueError)
         return self._select_many(j.ravel(), b).reshape(j.shape)
 
@@ -331,8 +331,3 @@ class SparseBitvector(_BitQueries):
 
     def __repr__(self) -> str:
         return f"SparseBitvector(length={self.length}, ones={self._ones.size})"
-
-
-def _check_bit_value(b: int) -> None:
-    if b not in (0, 1):
-        raise ValueError(f"bit value must be 0 or 1, got {b!r}")

@@ -80,8 +80,9 @@ def cmd_build(args) -> int:
     meta = stats(x)
     for line in meta.lines():
         print(line)
-    for line in space_audit(st.size_bits(), meta).lines():
-        print(line)
+    if x.N:  # the audit is per symbol, so an instance of only empty sets has none
+        for line in space_audit(st.size_bits(), meta).lines():
+            print(line)
     print(f"wrote {args.output} ({os.path.getsize(args.output)} bytes)")
     return 0
 

@@ -320,7 +320,7 @@ def stats(x: DegenerateString) -> DegenStats:
         counter = Counter(x.sets())
         freq = np.array(list(counter.values()), dtype=np.int64)
     p = freq / x.n
-    entropy = float(-(p * np.log2(p)).sum())
+    entropy = 0.0 - float((p * np.log2(p)).sum())  # +0.0, not -0.0, for one distinct set
     return DegenStats(x.sigma, x.n, x.N, x.n0, hist, int(freq.size), entropy)
 
 

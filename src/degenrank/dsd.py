@@ -79,23 +79,18 @@ class _Decomposition(_SubsetQueries):
                 + bisect_left(self._rows_mv, i, at, self._bounds_mv[c + 1]) - at)
 
     def _rank_many(self, i: np.ndarray, c: np.ndarray) -> np.ndarray:
-        # The overflow ranks grouped by symbol: one stable sort of c, a radix
-        # sort in its narrowest dtype, keeps each symbol's queries in the
-        # order they came, which is i order on the public path. Each symbol
-        # that occurs then searches its run once, and the answers go back in
-        # one scatter.
+        # One search of symbol c's run per stretch of equal neighbouring c.
+        # The public boundary orders DSD ranks by (c, i), so each symbol of a
+        # batch is one stretch with ascending prefixes; searchsorted needs no
+        # sorted keys, so any order is exact, and a shuffled batch only makes
+        # more stretches.
         out = self._base._rank_many(i, c)
-        order = np.argsort(c.astype(narrow_uint(self.sigma - 1)), kind="stable")
-        cs, io = c[order], i[order].astype(self._rows.dtype)
-        over = np.empty(c.size, dtype=np.int64)
+        io = i.astype(self._rows.dtype)
         rows, bounds = self._rows, self._bounds_mv
-        start = 0
-        for end in np.append(np.flatnonzero(cs[1:] != cs[:-1]) + 1, c.size).tolist():
-            if end > start:
-                sym = cs.item(start)
-                over[start:end] = rows[bounds[sym]:bounds[sym + 1]].searchsorted(io[start:end])
-            start = end
-        out[order] += over
+        starts = np.flatnonzero(np.diff(c, prepend=-1)).tolist()
+        for start, end in pairwise(starts + [c.size]):
+            sym = c.item(start)
+            out[start:end] += rows[bounds[sym]:bounds[sym + 1]].searchsorted(io[start:end])
         return out
 
     def _select(self, j: int, c: int) -> int:
@@ -184,6 +179,7 @@ class DsdStructure(_Empties):
     of them, the length of each run. components() gives one vector per run."""
 
     structure_name = "dsd"
+    _ranks_by_symbol = True  # _Decomposition._rank_many searches one symbol's run at a time
 
     def __init__(self, E: SparseBitvector, base, rows, counts):
         super().__init__(E, _Decomposition(base, rows, counts))

@@ -115,11 +115,18 @@ class _SubsetQueries:
     before the batched kernels. Both raise the same errors and give the
     same answers in the same int64 array of the broadcast shape.
 
-    A larger batch runs in key order: one argsort puts ranks in order of i
-    and selects in order of (c, j), by the key _first[c] + j, one per
-    (c, j) and at most N. Every layer below then searches its arrays with
-    increasing keys, which branch predictors and caches favour, and the
-    answers are scattered back to the caller's order once."""
+    A larger batch runs in key order, decided here once: one argsort puts
+    selects in order of (c, j), by the key c * (n + 1) + j, and ranks in
+    order of i, or of (c, i) by c * (n + 1) + i on a class that sets
+    _ranks_by_symbol, the DSD, whose overflow search takes one symbol's run
+    at a time; the R select of the reductions wants one ascending sweep of
+    i. No kernel below sorts again. Every layer then searches its arrays
+    with increasing keys, which branch predictors and caches favour, and
+    the answers are scattered back to the caller's order once. A key only
+    orders the work: past sigma * (n + 1) = 2**63, where c * (n + 1) wraps
+    int64, only the speed would change."""
+
+    _ranks_by_symbol = False
 
     def subset_rank(self, i, c) -> int:
         return self._rank(*rank_arg(i, c, self.n, self.sigma))
@@ -131,14 +138,15 @@ class _SubsetQueries:
         i, c, shape = small_batch(i, c, _SCALAR_RANKS)
         if shape is None:
             i, c, shape = rank_args(i, c, self.n, self.sigma)
-            return _in_key_order(self._rank_many, i, c, i).reshape(shape)
+            key = c * (self.n + 1) + i if self._ranks_by_symbol else i
+            return _in_key_order(self._rank_many, i, c, key).reshape(shape)
         return _one_by_one(self.subset_rank, i, c, shape)
 
     def subset_select_many(self, j, c) -> np.ndarray:
         j, c, shape = small_batch(j, c, _SCALAR_SELECTS)
         if shape is None:
             j, c, shape = select_args(j, c, self._containing)
-            return _in_key_order(self._select_many, j, c, self._first[c] + j).reshape(shape)
+            return _in_key_order(self._select_many, j, c, c * (self.n + 1) + j).reshape(shape)
         select_list_args(j, c, self._containing_mv)
         return _one_by_one(self._select, j, c, shape)
 
@@ -148,9 +156,11 @@ class _SubsetQueries:
 
     def _set_containing(self, counts: np.ndarray) -> None:
         """_containing, the sets that contain each symbol, with the memoryview
-        that the scalar checks read, and _first, its exclusive prefix sums."""
+        that the scalar checks read. No prefix sums of it are kept: a batch
+        of selects is sorted once, by c * (n + 1) + j, on every structure,
+        and its ranks by i, or by c * (n + 1) + i on the DSD, and no kernel
+        below the public methods sorts."""
         self._containing, self._containing_mv = counts, memoryview(counts)
-        self._first = np.cumsum(counts) - counts
 
     def size_bits(self) -> int:
         return sum(self.size_breakdown().values())
@@ -162,7 +172,8 @@ class _SubsetQueries:
         overflow row that repeats its set's kept symbol, raise ValueError."""
         counts = self._containing
         c = np.repeat(np.arange(self.sigma, dtype=np.int64), counts)
-        j = np.arange(1, c.size + 1, dtype=np.int64) - np.repeat(self._first, counts)
+        first = np.cumsum(counts) - counts  # where each symbol's stretch of c starts
+        j = np.arange(1, c.size + 1, dtype=np.int64) - np.repeat(first, counts)
         sets = self._select_many(j, c)
         offsets = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(sets, minlength=self.n), out=offsets[1:])

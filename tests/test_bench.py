@@ -50,6 +50,18 @@ def test_checksum_is_structure_independent():
     assert len(sums) == 1
 
 
+@pytest.mark.parametrize("structure", ["reduction-iii", "dsd"])
+def test_a_wide_alphabet_run_keeps_its_checksums(structure):
+    # sigma 4096 over 100 sets of up to 3 members, the DSD's regime
+    rng = np.random.default_rng(3)
+    x = DegenerateString.from_sets(4096, [rng.choice(4096, rng.integers(0, 4), replace=False)
+                                          for _ in range(100)])
+    st = build_dsd(x) if structure == "dsd" else build_reduction(x, structure)
+    sums = [run_bench(st, BenchConfig(query_count=1000, repeats=1, seed=5, query_kind=kind))
+            .checksum for kind in ("rank", "select")]
+    assert sums == [0x79F32, 0x7A1FD]
+
+
 def test_select_needs_an_occupied_symbol():
     x = DegenerateString.from_sets(3, [[], []])
     st = build_reduction(x, "reduction-iii")

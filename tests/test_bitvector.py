@@ -1,3 +1,4 @@
+import gc
 import sys
 import tracemalloc
 
@@ -114,18 +115,21 @@ def test_dense_sampling_bracket():
 
 
 def count_calls(fn, *args) -> int:
-    """Python and C function calls made by fn(*args), counted by sys.setprofile."""
+    """Python and C function calls made by fn(*args), counted by sys.setprofile
+    with the collector off, so that no gc callback adds calls of its own."""
     seen = 0
 
     def profile(frame, event, arg):
         nonlocal seen
         seen += event in ("call", "c_call")
 
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
+        gc.enable()
     return seen
 
 
@@ -248,6 +252,20 @@ def test_argument_validation():
                 lambda: PlainBitvector.from_words(10, np.array([[1]], dtype=np.uint64))):
         with pytest.raises(ValueError):
             bad()
+
+
+@pytest.mark.parametrize("v", [PlainBitvector("10110"), SparseBitvector(5, [0, 2, 3])],
+                         ids=["plain", "sparse"])
+def test_a_bit_value_is_an_integer_0_or_1(v):
+    calls = {"rank": lambda b: v.rank(2, b), "rank_many": lambda b: v.rank_many([2], b),
+             "select": lambda b: v.select(1, b), "select_many": lambda b: v.select_many([1], b),
+             "count": v.count}
+    for name, call in calls.items():
+        for bad in (1.0, 0.0, np.float64(1.0), "1", 2, -1, True):
+            with pytest.raises(ValueError):
+                call(bad)
+        for good, same in ((np.int8(1), 1), (np.array(0), 0)):
+            assert np.array_equal(call(good), call(same)), name
 
 
 def test_empty_and_constant_vectors():

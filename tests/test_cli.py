@@ -59,6 +59,25 @@ def test_dna_text_format(tmp_path, capsys):
     assert "sigma 4" in out and "n 6" in out and "n0 0" in out
 
 
+@pytest.mark.parametrize("text", ["3 4\n\n\n\n\n", "3 0\n"], ids=["four-empty-sets", "no-sets"])
+def test_an_instance_with_no_members_builds_and_verifies(tmp_path, capsys, text):
+    data, cont = tmp_path / "empty.txt", tmp_path / "empty.dgrs"
+    data.write_text(text)
+    code, out, _ = run(capsys, "build", str(data), "-o", str(cont))
+    assert code == 0 and "wrote" in out and "measured-bits" not in out
+    code, out, _ = run(capsys, "verify", str(data), "--container", str(cont))
+    assert code == 0 and out.startswith("ok:")
+    code, out, _ = run(capsys, "stats", str(data))
+    assert code == 0 and "set-entropy-bits 0.0000" in out
+
+
+def test_one_distinct_set_has_zero_entropy(tmp_path, capsys):
+    path = tmp_path / "a.dna"
+    path.write_text("AAAA\n")
+    code, out, _ = run(capsys, "stats", str(path), "--format", "dna-text")
+    assert code == 0 and "set-entropy-bits 0.0000" in out
+
+
 def test_build_verify_cycle(tmp_path, capsys):
     data = gen_file(tmp_path, capsys)
     cont = tmp_path / "inst.dgrs"

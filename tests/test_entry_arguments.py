@@ -38,21 +38,21 @@ ENTRY_POINTS = {
     "build_reduction-ii-bitplane-sigma":
         lambda v: build_reduction(DegenerateString(v, [5], [0, 1, 1]), "reduction-ii", "bitplane"),
 }
-# a float, a numeric string and a value below the range, for each of them,
-# or an alphabet too large for the base
+# a float, a numeric string, a value below the range and a bool, which is an
+# int to Python, for each of them, or an alphabet too large for the base
 BAD_VALUES = {
-    "DegenerateString-sigma": (2.9, "3", 0, -1),
-    "from_sets-sigma": (2.5, "3", 0),
-    "generate-n": (5.0, "5", -1),
-    "generate-sigma": (2.5, "4", 0),
-    "lower_bound-N": (2.5, "100", 0),
-    "lower_bound-sigma": (40.0, "40", -1),
-    "BenchConfig-query_count": (2.5, "10", 0),
-    "BenchConfig-repeats": (1.0, "1", 0),
-    "build_reduction-wavelet-block_words": (8.0, "8", -5, 0),
-    "build_reduction-bitplane-block_words": (8.0, "8", -5, 0),
-    "build_dsd-wavelet-block_words": (8.0, "8", -5),
-    "build_dsd-bitplane-block_words": (8.0, "8", 0),
+    "DegenerateString-sigma": (2.9, "3", 0, -1, True),
+    "from_sets-sigma": (2.5, "3", 0, True),
+    "generate-n": (5.0, "5", -1, True),
+    "generate-sigma": (2.5, "4", 0, True),
+    "lower_bound-N": (2.5, "100", 0, True),
+    "lower_bound-sigma": (40.0, "40", -1, True),
+    "BenchConfig-query_count": (2.5, "10", 0, True),
+    "BenchConfig-repeats": (1.0, "1", 0, True),
+    "build_reduction-wavelet-block_words": (8.0, "8", -5, 0, True),
+    "build_reduction-bitplane-block_words": (8.0, "8", -5, 0, True),
+    "build_dsd-wavelet-block_words": (8.0, "8", -5, True),
+    "build_dsd-bitplane-block_words": (8.0, "8", 0, True),
     "build_reduction-ii-wavelet-sigma": (2**64, 2**65),
     "build_reduction-ii-bitplane-sigma": (2**64, 2**65),
 }
