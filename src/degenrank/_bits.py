@@ -120,12 +120,12 @@ _MSBS8 = _ONES8 << 7
 
 def select_in_words(words: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Vectorized select_in_word over matching uint64 words and int64 ranks,
-    as uint8 (Vigna's broadword select). Byte k of `sums` counts the set bits
-    of bytes 0 to k, at most 64, so one subtraction compares all eight sums
-    with the rank and a popcount gives the byte; one table lookup in it."""
-    s = words - ((words >> 1) & 0x5555555555555555)
-    s = (s & 0x3333333333333333) + ((s >> 2) & 0x3333333333333333)
-    sums = ((s + (s >> 4)) & 0x0F0F0F0F0F0F0F0F) * _ONES8
+    as uint8 (Vigna's broadword select). The popcounts of the bytes of a
+    contiguous words array, read back as one uint64 a word and multiplied by
+    ONES8, make byte k of `sums` count the set bits of bytes 0 to k, at most
+    64, so one subtraction compares all eight sums with the rank and a
+    popcount gives the byte; one table lookup in it."""
+    sums = np.bitwise_count(words.view(np.uint8)).view(np.uint64) * _ONES8
     r = ranks.astype(np.uint64)
     place = np.bitwise_count((((r * _ONES8) | _MSBS8) - sums) & _MSBS8) << 3
     before = (sums << 8 >> place) & 255

@@ -9,7 +9,9 @@ answer in the unchecked kernels _rank, _select, _rank_many and _select_many.
 The scalar kernels read the stored arrays as Python ints through
 memoryviews, made once where a vector is built or loaded, and search them
 with the C bisect module: a numpy call on a numpy scalar costs about 1 us,
-a memoryview subscript a small fraction of that.
+a memoryview subscript a small fraction of that. PlainBitvector's batched
+select also takes one bit per query, so that a wavelet level answers the
+selects of both bits in one call.
 """
 
 from __future__ import annotations
@@ -103,12 +105,15 @@ class PlainBitvector(_BitQueries):
     Every 512-bit superblock stores the zeros and the ones before it, as two
     32-bit counts, plus seven relative word counts packed 9 bits each into a
     single extra word, so the vector takes about 1.25 bits per bit and rank
-    is O(1). Select of either bit is one binary search over the stored counts
-    of that bit, then Vigna's broadword select9, which finds the word by
-    comparing all seven word counts at once, then a select inside that word,
-    broadword in the batched kernel; it stores nothing of its own. A vector
-    of 2**32 bits or more keeps its counts as 64-bit integers, 64 more bits
-    per superblock.
+    is O(1). The counts are one ascending array: the ones before each
+    superblock, then the zeros before each one plus ones_count, so a zero
+    select searches with its j offset by ones_count. Select of either bit is
+    one binary search of that array, one search for a batch that mixes the
+    bits, then Vigna's broadword select9, which finds the word by comparing
+    all seven word counts at once, then a select inside that word, broadword
+    in the batched kernel; it stores nothing of its own. A vector of 2**32
+    bits or more keeps its counts as 64-bit integers, 64 more bits per
+    superblock.
     """
 
     def __init__(self, bits):
@@ -138,17 +143,27 @@ class PlainBitvector(_BitQueries):
         mat = cum[:need].reshape(n_super, _WORDS_PER_SUPER)
         ones = mat[:, 0]
         # Every superblock starts at or before length, so both of its counts
-        # are exact and at most length. int64, not uint64, for long vectors:
-        # int64 queries minus uint64 counts would turn to float64.
-        dtype = np.uint32 if length < 1 << 32 else np.int64
-        self._before = ((np.arange(n_super) * _SUPER_BITS - ones).astype(dtype),
-                        ones.astype(dtype))
+        # are exact and the zeros half tops out at length. int64, not uint64,
+        # for long vectors: int64 queries minus uint64 counts would turn to
+        # float64.
+        counts = np.empty(2 * n_super, dtype=np.uint32 if length < 1 << 32 else np.int64)
+        counts[:n_super] = ones
+        counts[n_super:] = np.arange(n_super) * _SUPER_BITS - ones + self._total_ones
         self._block9 = np.bitwise_or.reduce((mat[:, 1:] - mat[:, :1]) << _SHIFT9_WORDS[1:],
                                             axis=1)
+        self._use_counts(counts)
         # the same arrays as the scalar kernels read them
         self._words_mv = memoryview(words)
-        self._before_mv = tuple(map(memoryview, self._before))
         self._block9_mv = memoryview(self._block9)
+
+    def _use_counts(self, counts: np.ndarray) -> None:
+        """Keep counts with its two halves, indexed by bit, and their
+        memoryviews: the ones before each superblock, then the zeros before
+        each one plus ones_count."""
+        n_super = counts.size // 2
+        self._counts = counts
+        self._halves = (counts[n_super:], counts[:n_super])
+        self._halves_mv = tuple(map(memoryview, self._halves))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -169,7 +184,7 @@ class PlainBitvector(_BitQueries):
         sb = i >> 9
         rel = (self._block9_mv[sb] >> _SHIFT9[w & 7]) & 511
         part = (self._words_mv[w] & ((1 << (i & 63)) - 1)).bit_count()
-        r1 = self._before_mv[1][sb] + rel + part
+        r1 = self._halves_mv[1][sb] + rel + part
         return r1 if b else i - r1
 
     def _rank_many(self, i: np.ndarray, b: int = 1) -> np.ndarray:
@@ -177,23 +192,25 @@ class PlainBitvector(_BitQueries):
         sb = i >> 9
         rel = (self._block9[sb] >> _SHIFT9_WORDS[w & 7]) & 511
         part = popcount(self._words[w] & MASK_LOW[i & 63])
-        r1 = self._before[1][sb] + rel + part
+        r1 = self._halves[1][sb] + rel + part
         return r1 if b else i - r1
 
     # -- select ------------------------------------------------------------
 
-    # Both kernels search the counts of bit b for the last superblock with
-    # fewer than j b-bits before it: the scalar one with bisect, the batched
-    # one with searchsorted and a key in the dtype of the counts, since any
-    # other key makes numpy cast every count on each call. Inside the
-    # superblock, the word is the number of 9-bit word counts of bit b at or
-    # below the rank r left to find (Vigna's select9): one broadword
-    # comparison of all seven against r * ONES9, then a popcount.
+    # Both kernels search the counts for the last superblock with fewer than
+    # j b-bits before it, a zero's key offset by ones_count into the zeros
+    # half: the scalar one with bisect, the batched one with searchsorted and
+    # a key in the dtype of the counts, since any other key makes numpy cast
+    # every count on each call. Inside the superblock, the word is the number
+    # of 9-bit word counts of bit b at or below the rank r left to find
+    # (Vigna's select9): one broadword comparison of all seven against
+    # r * ONES9, then a popcount.
 
     def _select(self, j: int, b: int = 1) -> int:
-        counts = self._before_mv[b]
-        sb = bisect_left(counts, j) - 1
-        r = j - 1 - counts[sb]
+        counts = self._halves_mv[b]
+        key = j if b else j + self._total_ones
+        sb = bisect_left(counts, key) - 1
+        r = key - 1 - counts[sb]
         x = self._block9_mv[sb] if b else _ZERO9 - self._block9_mv[sb]
         t = _le9(x, r * _ONES9).bit_count()
         w_idx = sb * _WORDS_PER_SUPER + t
@@ -201,21 +218,39 @@ class PlainBitvector(_BitQueries):
         return w_idx * 64 + select_in_word(w if b else ~w & FULL_WORD,
                                            r - ((x >> _SHIFT9[t]) & 511))
 
-    def _select_many(self, j: np.ndarray, b: int = 1) -> np.ndarray:
-        counts = self._before[b]
-        sb = counts.searchsorted(j.astype(counts.dtype)) - 1
-        r = j - 1 - counts[sb]
-        x = self._block9[sb] if b else _ZERO9 - self._block9[sb]
+    def _select_many(self, j: np.ndarray, b=1) -> np.ndarray:
+        """b is one bit, whose half of the counts is searched, or an int64
+        array of bits, one per query, and then one search of the whole
+        ascending array answers both bits: a zero's superblock is its index
+        less the ones half, and its word counts and words are flipped."""
+        one_bit = type(b) is int  # a check that makes no C call
+        if one_bit:
+            counts = self._halves[b]
+            key = j if b else j + self._total_ones
+            sb = counts.searchsorted(key.astype(counts.dtype)) - 1
+            r = key - 1 - counts[sb]
+            x = self._block9[sb] if b else _ZERO9 - self._block9[sb]
+        else:
+            zero = b == 0
+            key = j + zero * self._total_ones
+            sb = self._counts.searchsorted(key.astype(self._counts.dtype)) - 1
+            r = key - 1 - self._counts[sb]
+            sb -= zero * self._block9.size
+            x = self._block9[sb]
+            x = np.where(zero, _ZERO9 - x, x)
         t = np.bitwise_count(_le9(x, r * _ONES9))
         w_idx = sb * _WORDS_PER_SUPER + t
         words = self._words[w_idx]
-        return w_idx * 64 + select_in_words(words if b else ~words,
-                                            r - ((x >> _SHIFT9_WORDS[t]) & 511))
+        if one_bit:
+            words = words if b else ~words
+        else:
+            words = np.where(zero, ~words, words)
+        return w_idx * 64 + select_in_words(words, r - ((x >> _SHIFT9_WORDS[t]) & 511))
 
     # -- accounting ---------------------------------------------------------
 
     def size_bits(self) -> int:
-        nbytes = self._words.nbytes + sum(c.nbytes for c in self._before) + self._block9.nbytes
+        nbytes = self._words.nbytes + self._counts.nbytes + self._block9.nbytes
         return 8 * nbytes + 2 * 64  # length and ones-count scalars
 
     def __repr__(self) -> str:

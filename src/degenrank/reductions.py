@@ -78,15 +78,14 @@ def _check_alphabet(S, sigma: int) -> None:
         raise ValueError(f"base string does not fit the alphabet of size {sigma}")
 
 
-# A batch of at most _SCALAR_RANKS ranks or _SCALAR_SELECTS selects is checked
-# on Python ints and answered one query at a time by the scalar kernels: each
-# numpy call of a batched kernel costs about 1 us however small the batch. A
-# sweep of 1 to 64 queries on every benchmark structure put the crossover at 16
-# to 20 ranks, and at 24 to 48 selects on the reductions, whose batched kernels
-# make more calls; a DSD select batch gains from the batched kernels only past
-# about 64.
+# A batch of at most _SCALAR_RANKS ranks, or of at most _scalar_selects
+# selects, a limit of each structure class, is checked on Python ints and
+# answered one query at a time by the scalar kernels: each numpy call of a
+# batched kernel costs about 1 us however small the batch. A sweep of 1 to 64
+# queries on every benchmark structure put the crossover at 16 to 20 ranks,
+# and at 24 to 48 selects on the reductions, whose batched kernels make more
+# calls.
 _SCALAR_RANKS = 16
-_SCALAR_SELECTS = 32
 
 
 def _one_by_one(kernel, a: list, c: list, shape) -> np.ndarray:
@@ -110,7 +109,7 @@ class _SubsetQueries:
     size_breakdown().
 
     Every query form checks its arguments once: a batch of at most
-    _SCALAR_RANKS ranks through subset_rank, one of at most _SCALAR_SELECTS
+    _SCALAR_RANKS ranks through subset_rank, one of at most _scalar_selects
     selects on Python ints before the scalar kernel, a larger one as arrays
     before the batched kernels. Both raise the same errors and give the
     same answers in the same int64 array of the broadcast shape.
@@ -127,6 +126,7 @@ class _SubsetQueries:
     int64, only the speed would change."""
 
     _ranks_by_symbol = False
+    _scalar_selects = 32  # the largest select batch answered one query at a time
 
     def subset_rank(self, i, c) -> int:
         return self._rank(*rank_arg(i, c, self.n, self.sigma))
@@ -143,7 +143,7 @@ class _SubsetQueries:
         return _one_by_one(self.subset_rank, i, c, shape)
 
     def subset_select_many(self, j, c) -> np.ndarray:
-        j, c, shape = small_batch(j, c, _SCALAR_SELECTS)
+        j, c, shape = small_batch(j, c, self._scalar_selects)
         if shape is None:
             j, c, shape = select_args(j, c, self._containing)
             return _in_key_order(self._select_many, j, c, c * (self.n + 1) + j).reshape(shape)

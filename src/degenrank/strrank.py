@@ -31,7 +31,7 @@ import numpy as np
 
 from ._bits import (FULL_WORD, index_arg, integers, narrow_uint, pack_bits, packed_payload,
                     rank_arg, rank_args, select_arg, select_args, select_in_word,
-                    select_in_words)
+                    select_in_words, unpack_bits)
 from .bitvector import PlainBitvector
 
 _MAX_SIGMA = 1 << 32  # the largest alphabet a wavelet base takes; its symbols fit uint32
@@ -146,6 +146,22 @@ class WaveletTree(_StringQueries):
     def level_payload(self):
         return [(bv.length, bv._words) for bv in self._levels]
 
+    def _decode(self) -> np.ndarray:
+        """The whole string, in its narrow dtype. The build partitions each
+        level by its bits, zeros first, into the next level's order; the
+        decode undoes it from the last level up. The first zeros_k codes of
+        level k + 1 go back to the zeros of level k, in order, and the rest
+        to its ones; then each code takes its bit of level k."""
+        codes = np.zeros(self.length, dtype=narrow_uint(self.sigma - 1))
+        for k in reversed(range(self.nbits)):
+            bits = unpack_bits(self._levels[k]._words, self.length)
+            if k + 1 < self.nbits:
+                below, codes = codes, np.empty_like(codes)
+                codes[np.flatnonzero(bits == 0)] = below[:self._zeros[k]]
+                codes[np.flatnonzero(bits)] = below[self._zeros[k]:]
+            codes |= bits.astype(codes.dtype, copy=False) << (self.nbits - 1 - k)
+        return codes
+
     # -- queries -------------------------------------------------------------
 
     def symbol_counts(self) -> np.ndarray:
@@ -188,13 +204,11 @@ class WaveletTree(_StringQueries):
         return p
 
     def _select_many(self, j: np.ndarray, c: np.ndarray) -> np.ndarray:
+        # one select per level, each query asking for the bit it has there
         p = self._start[c] + (j - 1)
         for k in reversed(range(self.nbits)):
-            bv = self._levels[k]
             bit = (c >> (self.nbits - 1 - k)) & 1
-            hi, lo = np.flatnonzero(bit), np.flatnonzero(bit ^ 1)
-            p[hi] = bv._select_many(p[hi] - self._zeros[k] + 1, 1)
-            p[lo] = bv._select_many(p[lo] + 1, 0)
+            p = self._levels[k]._select_many(p + 1 - bit * self._zeros[k], bit)
         return p
 
     def size_bits(self) -> int:
@@ -283,6 +297,10 @@ class BitPlaneRank(_StringQueries):
 
     def plane_payload(self):
         return (self.length, self.block_words, self._low, self._high)
+
+    def _decode(self) -> np.ndarray:
+        """The whole string, in its narrow dtype: the two planes unpacked."""
+        return unpack_bits(self._high, self.length) << 1 | unpack_bits(self._low, self.length)
 
     # -- queries -------------------------------------------------------------
 

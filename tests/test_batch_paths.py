@@ -1,5 +1,6 @@
 """The two ways a batch is answered: a batch of at most _SCALAR_RANKS ranks
-or _SCALAR_SELECTS selects is checked on Python ints and answered by the
+or _scalar_selects selects, a limit of each structure class, is checked on
+Python ints and answered by the
 scalar kernels, one query at a time, a larger one is checked as arrays and
 answered by the batched kernels, in key order. Both must raise the same
 errors and give the same answers, dtype and shape, in the caller's order,
@@ -12,10 +13,9 @@ from degenrank import reductions
 from degenrank.degenerate import DegenerateString, generate
 from degenrank.dsd import build_dsd
 from degenrank.oracle import positions_of, rank_table
-from degenrank.reductions import _SCALAR_RANKS, _SCALAR_SELECTS, build_reduction
+from degenrank.reductions import _SCALAR_RANKS, build_reduction
 
 KERNELS = ("_rank", "_select", "_rank_many", "_select_many")
-SIZES = range(1, max(_SCALAR_RANKS, _SCALAR_SELECTS) + 2)
 CASES = [(s, b, empties) for s in ("reduction-i", "reduction-ii", "reduction-iii", "dsd")
          for b in ("wavelet", "bitplane") for empties in (False, True)
          if not (s == "reduction-i" and empties)]
@@ -31,6 +31,17 @@ def build(structure, base, x):
     if structure == "dsd":
         return build_dsd(x, base, block_words=1)
     return build_reduction(x, structure, base, block_words=1)
+
+
+def past(st) -> int:
+    """The smallest batch that st answers with the batched kernels, of ranks and of selects."""
+    return max(_SCALAR_RANKS, st._scalar_selects) + 1
+
+
+def set_limits(monkeypatch, st, limit) -> None:
+    """Answer batches of up to limit ranks and selects one query at a time on st."""
+    monkeypatch.setattr(reductions, "_SCALAR_RANKS", limit)
+    monkeypatch.setattr(st, "_scalar_selects", limit)
 
 
 def queries(x, k, rng):
@@ -62,7 +73,7 @@ def test_batch_size_picks_the_kernels(structure, base, empties):
     table = rank_table(x)
     rng = np.random.default_rng(5)
     calls = count_kernels(st)
-    for k in SIZES:
+    for k in range(1, past(st) + 1):
         i, rc, j, sc = queries(x, k, rng)
         calls.update(dict.fromkeys(KERNELS, 0))
         assert np.array_equal(st.subset_rank_many(i, rc), table[i, rc])
@@ -70,7 +81,7 @@ def test_batch_size_picks_the_kernels(structure, base, empties):
                               [positions_of(x, c)[jj - 1] for jj, c in zip(j, sc)])
         ranks = ({"_rank": k, "_rank_many": 0} if k <= _SCALAR_RANKS
                  else {"_rank": 0, "_rank_many": 1})
-        selects = ({"_select": k, "_select_many": 0} if k <= _SCALAR_SELECTS
+        selects = ({"_select": k, "_select_many": 0} if k <= st._scalar_selects
                    else {"_select": 0, "_select_many": 1})
         assert calls == {**ranks, **selects}, k
 
@@ -81,7 +92,7 @@ def test_batched_kernels_answer_every_small_size(structure, base, empties):
     st = build(structure, base, x)
     table = rank_table(x)
     rng = np.random.default_rng(7)
-    for k in SIZES:
+    for k in range(1, past(st) + 1):
         i, rc, j, sc = queries(x, k, rng)
         want = table[i, rc]
         assert np.array_equal(st._rank_many(i, rc), want), k
@@ -108,8 +119,7 @@ def test_both_paths_give_the_same_arrays(structure, base, monkeypatch):
     answers = {}
     for limit in (-1, None, 10**9):  # always batched, as shipped, always scalar
         if limit is not None:
-            monkeypatch.setattr(reductions, "_SCALAR_RANKS", limit)
-            monkeypatch.setattr(reductions, "_SCALAR_SELECTS", limit)
+            set_limits(monkeypatch, st, limit)
         answers[limit] = [fn(a, c) for fn, a, c in args]
     shapes = [(), (), (0,), (0,), (2, 0), (2, 0), (3, 4), (3, 4)]
     for got in answers.values():
@@ -154,12 +164,11 @@ def faulty_batches(st, k):
 @pytest.mark.parametrize("structure,base", [("reduction-iii", "wavelet"), ("dsd", "bitplane")])
 def test_both_paths_raise_the_same_errors(structure, base, monkeypatch):
     st = build(structure, base, instance(True))
-    past = max(_SCALAR_RANKS, _SCALAR_SELECTS) + 1
+    sizes = (1, 2, 4, past(st))
     for limit in (-1, None, 10**9):  # always batched, as shipped, always scalar
         if limit is not None:
-            monkeypatch.setattr(reductions, "_SCALAR_RANKS", limit)
-            monkeypatch.setattr(reductions, "_SCALAR_SELECTS", limit)
-        for k in (1, 2, 4, past):
+            set_limits(monkeypatch, st, limit)
+        for k in sizes:
             for n, (fn, a, c, error) in enumerate(faulty_batches(st, k)):
                 with pytest.raises(error):
                     fn(a, c)
@@ -184,7 +193,7 @@ def test_large_batches_come_back_in_the_callers_order(structure, base, empties):
     table = rank_table(x)
     positions = [positions_of(x, c) for c in range(x.sigma)]
     rng = np.random.default_rng(13)
-    for k in (_SCALAR_RANKS + 1, max(_SCALAR_RANKS, _SCALAR_SELECTS) + 1, 8192):
+    for k in (_SCALAR_RANKS + 1, past(st), 8192):
         i, rc, j, sc = queries(x, k, rng)
         for a, c in arrangements(i, rc, rng):
             got = st.subset_rank_many(a, c)
@@ -213,7 +222,7 @@ def test_batched_kernels_see_the_queries_in_key_order(structure, base, empties):
     st = build(structure, base, x)
     seen = record_batched_kernels(st)
     rng = np.random.default_rng(17)
-    for k in (max(_SCALAR_RANKS, _SCALAR_SELECTS) + 1, 8192):  # the smallest batched batch
+    for k in (past(st), 8192):  # the smallest batched batch, and a large one
         i, rc, j, sc = queries(x, k, rng)
         st.subset_rank_many(i[::-1], rc[::-1])
         st.subset_select_many(j[::-1], sc[::-1])

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from degenrank import build_reduction, dumps, loads
+from degenrank import bitvector, build_reduction, dumps, loads
 from degenrank._bits import select_in_word, select_in_words
 from degenrank.bitvector import _MSBS9, _ZERO9, PlainBitvector, SparseBitvector
 from degenrank.degenerate import DegenerateString
@@ -135,13 +135,58 @@ def count_calls(fn, *args) -> int:
 
 def test_select_makes_the_same_calls_for_either_bit():
     # one search over the stored counts of either bit, so a zero select
-    # costs no more calls than a one select, scalar or batched
+    # costs no more calls than a one select, scalar or batched, and a batch
+    # that mixes the bits makes the same calls whichever bits it holds
     bv = PlainBitvector(random_bits(np.random.default_rng(41), 1 << 16, 0.5))
     zeros, ones = bv.count(0), bv.count(1)
     for j0, j1 in ((1, 1), (zeros // 3, ones // 3), (zeros, ones)):
         for kernel, arg in ((bv._select, int), (bv._select_many, lambda j: np.array([j]))):
             calls = count_calls(kernel, arg(j0), 0), count_calls(kernel, arg(j1), 1)
             assert calls[0] == calls[1], (kernel.__name__, j0, j1, calls)
+        j = np.array([j0, j1])
+        calls = [count_calls(bv._select_many, j, np.array(b)) for b in ([0, 1], [0, 0], [1, 1])]
+        assert calls == calls[:1] * 3, (j0, j1, calls)
+
+
+# The calls of a one-bit batched select, select_in_words aside, as counted
+# before the kernel also took one bit per query: that must cost a one-bit
+# batch, R's select among them, nothing.
+_ONE_BIT_SELECT_CALLS = 6
+
+
+def test_a_one_bit_batched_select_makes_no_more_calls(monkeypatch):
+    # select_in_words is left out: it reads its byte counts through two views
+    monkeypatch.setattr(bitvector, "select_in_words", lambda words, ranks: ranks)
+    bv = PlainBitvector(random_bits(np.random.default_rng(42), 1 << 16, 0.5))
+    for b in (0, 1):
+        for j in ([1], [5, 900, bv.count(b)]):
+            assert count_calls(bv._select_many, np.array(j), b) <= _ONE_BIT_SELECT_CALLS, (b, j)
+
+
+def mixed_selects(bv, rng):
+    """Every select of both bits of bv, shuffled: (j, b) as int64 arrays."""
+    j = np.concatenate([np.arange(1, bv.count(b) + 1) for b in (0, 1)])
+    b = np.repeat([0, 1], [bv.count(0), bv.count(1)])
+    order = rng.permutation(j.size)
+    return j[order], b[order]
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_a_batch_that_mixes_the_bits_answers_as_one_bit_batches(loaded):
+    # lengths at word and superblock edges; no ones, one, half, all but one and all
+    rng = np.random.default_rng(45)
+    for length in (0, 1, 63, 64, 65, 511, 512, 513, 1023, 1025, 4097):
+        for ones in sorted({0, min(1, length), length // 2, max(length - 1, 0), length}):
+            bits = np.zeros(length, dtype=np.uint8)
+            bits[rng.choice(length, ones, replace=False)] = 1
+            bv = make_vector(PlainBitvector, bits, loaded)
+            j, b = mixed_selects(bv, rng)
+            got = bv._select_many(j, b)
+            for bit in (0, 1):
+                at = np.flatnonzero(b == bit)
+                assert np.array_equal(got[at], bv._select_many(j[at], bit)), (length, ones)
+                assert got[at].tolist() == [bv._select(v, bit) for v in j[at].tolist()]
+                assert np.array_equal(np.sort(got[at]), ref_positions(bits, bit))
 
 
 def test_one_query_select_allocates_no_per_superblock_array():
@@ -167,8 +212,11 @@ def test_wide_counts_answer_the_same():
     # test: widen the counts of a small one, which must answer the same
     bits = random_bits(np.random.default_rng(47), 5000, 0.3)
     narrow, wide = PlainBitvector(bits), PlainBitvector(bits)
-    wide._before = tuple(c.astype(np.int64) for c in wide._before)
-    wide._before_mv = tuple(map(memoryview, wide._before))  # as the scalar kernels read them
+    wide._use_counts(wide._counts.astype(np.int64))
+    # every count array and memoryview that a kernel reads is the widened one
+    assert wide._counts.dtype == np.int64
+    assert all(h.base is wide._counts and h.dtype == np.int64 for h in wide._halves)
+    assert all(mv.itemsize == 8 for mv in wide._halves_mv)
     idx = np.arange(bits.size + 1)
     for b in (0, 1):
         assert np.array_equal(wide.rank_many(idx, b), narrow.rank_many(idx, b))
@@ -176,6 +224,8 @@ def test_wide_counts_answer_the_same():
         js = np.arange(1, narrow.count(b) + 1)
         assert np.array_equal(wide.select_many(js, b), narrow.select_many(js, b))
         assert [wide.select(int(j), b) for j in js[::7]] == narrow.select_many(js[::7], b).tolist()
+    j, b = mixed_selects(narrow, np.random.default_rng(48))
+    assert np.array_equal(wide._select_many(j, b), narrow._select_many(j, b))
 
 
 def test_sparse_matches_plain():

@@ -234,6 +234,67 @@ def test_select_batches_against_oracle(seed, n, sigma, base, symbols, rows):
     assert np.array_equal(d.subset_select_many(j[c == c1], c1), want[c == c1])
 
 
+def select_batches(x, rng):
+    """(name, j, c): selects that x answers, in the orders and mixes that the
+    first round's shared probes see differently."""
+    counts = np.array([positions_of(x, c).size for c in range(x.sigma)])
+    live = np.flatnonzero(counts)
+    c = rng.choice(live, 2000)
+    j = rng.integers(1, counts[c] + 1)
+    order = np.lexsort((j, c))
+    yield "sorted", j[order], c[order]
+    yield "shuffled", j, c
+    top = live[counts[live].argmax()]
+    one = rng.integers(1, counts[top] + 1, 500)
+    yield "one symbol", one, np.full(one.size, top)
+    repeats = rng.integers(0, 5, 600)
+    yield "repeated", j[repeats], c[repeats]
+    # every set of each symbol in turn, so the probe of one query often
+    # lands on the set that its neighbour wants
+    every = np.repeat(live, counts[live])
+    yield "neighbouring", np.concatenate([np.arange(1, k + 1) for k in counts[live]]), every
+
+
+@pytest.mark.parametrize("base", ["wavelet", "bitplane"])
+def test_select_batches_in_every_order_match_the_oracle(base):
+    rng = np.random.default_rng(23)
+    for x in (generate(23, 3000, 4, "genomic-like"), generate(24, 2000, 4, "uniform")):
+        d = build_dsd(x, base)
+        pos = [positions_of(x, c) for c in range(x.sigma)]
+        for name, j, c in select_batches(x, rng):
+            want = np.array([pos[cc][jj - 1] for cc, jj in zip(c.tolist(), j.tolist())])
+            assert np.array_equal(d.subset_select_many(j, c), want), name
+            shuffle = rng.permutation(j.size)
+            assert np.array_equal(d._select_many(j[shuffle], c[shuffle]), want[shuffle]), name
+        # Asked for every set of each symbol, nearly every query finds its
+        # answer, or both ends of its bracket, among the first round's
+        # probes: one or two base-rank rounds, where a search of its own
+        # makes 10 to 13 on these instances.
+        rounds = _count_calls(d._inner._base, "_rank_many")
+        name, j, c = list(select_batches(x, rng))[-1]
+        assert name == "neighbouring" and d._select_many(j, c).size == j.size
+        assert len(rounds) <= 2, len(rounds)
+
+
+@pytest.mark.parametrize("n1", [2**63 - 1000, 2**63 // 3 + 7, 2**62 + 1])
+def test_a_select_batch_whose_probe_keys_wrap_stays_exact(n1, monkeypatch):
+    # The shared round keys a probe as c * (n + 1) + g, which wraps int64
+    # only past sigma * (n + 1) = 2**63. An n put near there, for the one
+    # search that reads it, wraps the keys inside a symbol's stretch, so the
+    # probes beside a query's key may lie on its other side or belong to
+    # another symbol: each must be checked before it is used.
+    x = generate(31, 3000, 4, "uniform")
+    d = build_dsd(x)
+    pos = [positions_of(x, c) for c in range(x.sigma)]
+    c = np.repeat(np.arange(x.sigma), [p.size for p in pos])
+    j = np.concatenate([np.arange(1, p.size + 1) for p in pos])
+    want = np.concatenate(pos)
+    monkeypatch.setattr(d._inner, "n", n1 - 1)
+    assert np.array_equal(d._select_many(j, c), want)
+    shuffle = np.random.default_rng(n1 % 1000).permutation(j.size)
+    assert np.array_equal(d._select_many(j[shuffle], c[shuffle]), want[shuffle])
+
+
 @pytest.mark.parametrize("sigma, base, symbols", [
     (6, "wavelet", [0, 3, 5]),  # symbols 1, 2 and 4 absent from the batch
     (4, "bitplane", [2]),  # one symbol only
@@ -406,17 +467,56 @@ def test_select_probes_few_ranks_and_stops_at_a_hit():
     assert total / queries <= 4.5, total / queries
 
 
-@pytest.mark.parametrize("base", ["wavelet", "bitplane"])
-def test_decompose_refuses_an_overflow_row_that_repeats_the_kept_symbol(base):
-    # set 1 keeps symbol 1 in the base; an overflow[1] that also marks row 1
-    # passes every constructor check, and set 1 would read back as (1, 1)
+def inconsistent_dsd(base):
+    """The 4 sets {0,1}, {1}, {2}, {0,2} as DSD parts in which symbol 1's run
+    also marks row 1, whose set keeps symbol 1: (E, base, rows, counts)."""
     x = DegenerateString.from_sets(3, [[0, 1], [1], [2], [0, 2]])
     E, kept, rows, counts = parts(build_dsd(x, base))
     assert rows.tolist() == [0, 3] and counts == [0, 1, 1]
-    rows, counts = [0, 1, 3], [0, 2, 1]
-    for d in (DsdStructure(E, kept, rows, counts),
-              container.loads(container.dumps(DsdStructure(E, kept, rows, counts)))):
-        # it came from no file, so the message names the set and no sets-text line
-        with pytest.raises(ValueError, match=r"distinct members .*: member 1 of set 1 is a "
-                                             r"duplicate or descends$"):
-            d.decompose()
+    return E, kept, [0, 1, 3], [0, 2, 1]
+
+
+@pytest.mark.parametrize("base", ["wavelet", "bitplane"])
+def test_the_inconsistent_dsd_is_refused_by_the_constructor_and_by_loads(base):
+    # it would answer subset_rank(2, 1) = 3, where set 0 and set 1 hold symbol 1
+    E, kept, rows, counts = inconsistent_dsd(base)
+    match = r"^overflow row 1 of symbol 1 marks a set that keeps symbol 1, not a smaller one$"
+    with pytest.raises(ValueError, match=match):
+        DsdStructure(E, kept, rows, counts)
+    blob = container.dumps(DsdStructure._trusted(E, kept, rows, counts))
+    with pytest.raises(ValueError, match=match):
+        container.loads(blob)
+
+
+@pytest.mark.parametrize("base", ["wavelet", "bitplane"])
+def test_a_container_with_an_overflow_row_on_a_set_that_keeps_its_symbol_is_refused(base):
+    x = generate(7, 300, 4, "genomic-like")
+    d = build_dsd(x, base)
+    E, kept, rows, counts = parts(d)
+    assert container.loads(container.dumps(d)).decompose() == x
+    symbols = kept._decode()
+    bounds = np.cumsum([0] + counts)
+    refused = 0
+    for c in (1, 2, 3):
+        run = rows[bounds[c]:bounds[c + 1]]
+        # move the run's first row onto a set that keeps c itself, then onto
+        # one that keeps 3: each set would list a member twice or out of order
+        for target in sorted({c, 3}):
+            onto = np.setdiff1d(np.flatnonzero(symbols == target), run)
+            moved = rows.copy()
+            moved[bounds[c]:bounds[c + 1]] = np.sort(np.r_[onto[0], run[1:]])
+            blob = container.dumps(DsdStructure._trusted(E, kept, moved, counts))
+            with pytest.raises(ValueError, match=f"^overflow row {onto[0]} of symbol {c} "):
+                container.loads(blob)
+            refused += 1
+    assert refused == 5
+
+
+@pytest.mark.parametrize("base", ["wavelet", "bitplane"])
+def test_decompose_refuses_an_overflow_row_that_repeats_the_kept_symbol(base):
+    # built past the constructor's check, set 1 would read back as (1, 1)
+    d = DsdStructure._trusted(*inconsistent_dsd(base))
+    # it came from no file, so the message names the set and no sets-text line
+    with pytest.raises(ValueError, match=r"distinct members .*: member 1 of set 1 is a "
+                                         r"duplicate or descends$"):
+        d.decompose()
