@@ -284,20 +284,9 @@ class SparseBitvector(_BitQueries):
             raise ValueError("ones must be one-dimensional")
         if np.any(np.diff(ones) <= 0):
             raise ValueError("one positions must be strictly increasing")
-        self._set_ones(length, ones.astype(narrow_uint(length)))
-
-    @classmethod
-    def _from_sorted(cls, length: int, ones: np.ndarray) -> "SparseBitvector":
-        """A vector over positions that are already checked, strictly
-        increasing and of dtype narrow_uint(length), kept as given."""
-        self = cls.__new__(cls)
-        self._set_ones(length, ones)
-        return self
-
-    def _set_ones(self, length: int, ones: np.ndarray) -> None:
         self.length = length
-        self._ones = ones
-        self._ones_mv = memoryview(ones)  # as the scalar kernels read it
+        self._ones = ones.astype(narrow_uint(length))
+        self._ones_mv = memoryview(self._ones)  # as the scalar kernels read it
 
     @classmethod
     def from_bits(cls, bits) -> "SparseBitvector":

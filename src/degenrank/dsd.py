@@ -217,7 +217,7 @@ class DsdStructure(_Empties):
     """Built from E, the base string of kept symbols over the n - n0 nonempty
     sets, and the overflow runs: rows holds each symbol's strictly increasing
     rows in [0, n - n0) back to back, symbol 0 first, and counts, sigma >= 1
-    of them, the length of each run. components() gives one vector per run."""
+    of them, the length of each run."""
 
     structure_name = "dsd"
     _ranks_by_symbol = True  # _Decomposition._rank_many searches one symbol's run at a time
@@ -249,13 +249,10 @@ class DsdStructure(_Empties):
         _Empties.__init__(self, E, _Decomposition(base, rows, counts))
         return self
 
-    def overflow_counts(self) -> np.ndarray:
-        return np.diff(self._inner._bounds)
-
     def components(self):
+        """E, the base string and, made on each call, one vector per run."""
         inner = self._inner
-        # the runs were checked when the structure was built or loaded
-        return self._E, inner._base, [SparseBitvector._from_sorted(inner.n, inner._rows[a:b])
+        return self._E, inner._base, [SparseBitvector(inner.n, inner._rows[a:b])
                                       for a, b in pairwise(inner._bounds_mv)]
 
 

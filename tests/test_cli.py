@@ -110,7 +110,7 @@ def test_verify_catches_corruption(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(data), "--container", str(bad),
                        "--exhaustive")
     assert code == 1
-    assert "MISMATCH" in out
+    assert out == "MISMATCH container: wavelet component fails its CRC\n"
 
 
 def test_verify_rejects_wrong_data_file(tmp_path, capsys):

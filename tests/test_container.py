@@ -1,9 +1,11 @@
 import hashlib
+import zlib
 
 import numpy as np
 import pytest
 
 from degenrank import bitvector, container, dsd
+from degenrank._bits import narrow_uint
 from degenrank.degenerate import DegenerateString, generate, parse_degenerate
 from degenrank.dsd import build_dsd
 from degenrank.oracle import positions_of, rank_table
@@ -36,6 +38,16 @@ def build_all(x):
     if x.sigma <= 4:
         out.append(build_dsd(x, "bitplane", block_words=2))
     return out
+
+
+def reseal(blob) -> bytes:
+    """blob with every component's CRC recomputed over its sub-tag, payload
+    length and payload, so that an edit reaches the checks behind the CRC."""
+    out = bytearray(blob)
+    for _, off, ln in container.scan_components(blob):
+        crc = zlib.crc32(out[off:off + ln], zlib.crc32(out[off - 13:off - 4]))
+        out[off - 4:off] = crc.to_bytes(4, "little")
+    return bytes(out)
 
 
 def test_roundtrip_every_structure():
@@ -78,44 +90,64 @@ def test_scan_components_layout():
     blob = container.dumps(st)
     comps = container.scan_components(blob)
     assert [name for name, _, _ in comps] == ["meta", "wavelet", "plain"]
-    # components tile the blob exactly after the 7-byte header
+    # components tile the blob exactly after the 7-byte header, each after
+    # its 13-byte frame: sub-tag, payload length and CRC
     at = 7
     for _, off, ln in comps:
-        assert off == at + 9
+        assert off == at + 13
         at = off + ln
     assert at == len(blob)
 
     x = generate(seed=7, n=64, sigma=3, profile="uniform")
     names = [n for n, _, _ in
              container.scan_components(container.dumps(build_dsd(x)))]
-    assert names == ["meta", "wavelet", "sparse"] + ["sparse"] * 3
+    assert names == ["meta", "wavelet", "sparse", "overflow"]
     names = [n for n, _, _ in container.scan_components(
         container.dumps(build_reduction(x, "reduction-iii", "bitplane")))]
     assert names == ["meta", "bitplane", "plain", "sparse"]
 
 
-def test_corrupted_payload_changes_answers():
-    # flip bits inside the base-string component: the container still decodes
-    # (support tables are rebuilt, so it stays self-consistent) but the answers
-    # no longer match the instance it was built from
+def test_a_corrupted_payload_is_refused_by_name():
+    # flipped bits inside the base-string component would decode (support
+    # tables are rebuilt, so it stays self-consistent) and answer for another
+    # instance; its CRC refuses it before the decode
     x = generate(seed=19, n=400, sigma=4, profile="uniform")
-    table = rank_table(x)
-    idx = np.arange(x.n + 1)
     for base in ("wavelet", "bitplane"):
         st = build_reduction(x, "reduction-iii", base)
         blob = bytearray(container.dumps(st))
         comps = {name: (off, ln) for name, off, ln in container.scan_components(blob)}
         off, _ = comps[base]
         blob[off + 16] ^= 0xFF  # first word of the first plane / level
-        bad = container.loads(bytes(blob))
-        bad_table = np.column_stack(
-            [bad.subset_rank_many(idx, np.full(idx.size, c)) for c in range(x.sigma)])
-        assert not np.array_equal(bad_table, table)
-        if base == "wavelet":  # this flip repeats a member, which decompose() refuses
-            with pytest.raises(ValueError, match="distinct members"):
-                bad.decompose()
-        else:
-            assert bad.decompose() != x
+        with pytest.raises(ValueError, match=f"^{base} component fails its CRC$"):
+            container.loads(bytes(blob))
+
+
+def single_bit_flips(blob, bits):
+    """(flipped blob, name of the component whose payload holds the bit or None)."""
+    names = [None] * len(blob)
+    for name, off, ln in container.scan_components(blob):
+        names[off:off + ln] = [name] * ln
+    for bit in bits:
+        flipped = bytearray(blob)
+        flipped[bit >> 3] ^= 1 << (bit & 7)
+        yield bytes(flipped), names[bit >> 3]
+
+
+def test_every_single_bit_flip_is_refused():
+    # every bit of the worked example's containers, and 400 seeded bits of
+    # each build of a genomic-like instance
+    rng = np.random.default_rng(27)
+    cases = [(st, None) for st in build_all(WORKED)]
+    cases += [(st, 400) for st in build_all(generate(3, 300, 4, "genomic-like"))]
+    for st, sample in cases:
+        blob = container.dumps(st)
+        bits = (range(8 * len(blob)) if sample is None
+                else rng.choice(8 * len(blob), sample, replace=False))
+        for flipped, name in single_bit_flips(blob, bits):
+            with pytest.raises(ValueError) as err:
+                container.loads(flipped)
+            if name is not None:
+                assert str(err.value) == f"{name} component fails its CRC"
 
 
 def test_rejects_malformed_blobs():
@@ -123,7 +155,7 @@ def test_rejects_malformed_blobs():
     blob = container.dumps(st)
     with pytest.raises(ValueError, match="magic"):
         container.loads(b"JUNK" + blob[4:])
-    for version in (1, 99):  # version 1 kept the wavelet levels in wavelet-tree order
+    for version in (1, 2, 99):  # the layouts of versions 1 and 2 are not read
         with pytest.raises(ValueError, match="version"):
             container.loads(blob[:4] + bytes([version]) + blob[5:])
     with pytest.raises(ValueError, match="structure tag"):
@@ -147,9 +179,9 @@ def test_rejects_malformed_blobs():
 
 def test_scan_components_refuses_truncated_blobs():
     blob = container.dumps(build_reduction(WORKED, "reduction-i"))
-    # inside the first component header; 4 of the meta block's 40 payload
+    # inside the first component's frame; 4 of the meta block's 8 payload
     # bytes; the last component 3 bytes short
-    for cut in (blob[:8], blob[:12], blob[:20], blob[:-3]):
+    for cut in (blob[:8], blob[:12], blob[:24], blob[:-3]):
         with pytest.raises(ValueError, match="truncated"):
             container.scan_components(cut)
 
@@ -160,10 +192,10 @@ def test_a_payload_longer_than_its_contents_is_refused(kind):
     blob = container.dumps(build_reduction(WORKED, "reduction-iii", base))
     off, ln = {name: (off, ln) for name, off, ln in container.scan_components(blob)}[kind]
     container.loads(blob)
-    grown = (blob[:off - 8] + (ln + 8).to_bytes(8, "little") + blob[off:off + ln]
+    grown = (blob[:off - 12] + (ln + 8).to_bytes(8, "little") + blob[off - 4:off + ln]
              + bytes(8) + blob[off + ln:])
     with pytest.raises(ValueError, match="wrong size"):
-        container.loads(grown)
+        container.loads(reseal(grown))
 
 
 def test_loaded_word_arrays_are_aligned():
@@ -204,13 +236,13 @@ def test_padding_bits_are_policed():
         off, ln = comps[comp]
         blob[off + ln - 1] ^= 0x80  # top bit of the last word, far past length 9 or 8
         with pytest.raises(ValueError, match="padding"):
-            container.loads(bytes(blob))
+            container.loads(reseal(blob))
 
 
 def probe_build(seed, kind, base):
     # sigma sits at the bitplane limit, so that sigma + 1 is refused there too:
-    # a bit plane string does not record its alphabet, and one over [0, 3) is
-    # also a valid string over [0, 4)
+    # the meta block is the only record of a bit plane string's alphabet, and
+    # a string over [0, 3) is also a valid string over [0, 4)
     sigma = 3 if (kind, base) == ("reduction-ii", "bitplane") else 4
     probs = [0.0 if kind == "reduction-i" else 0.2] + [0.8 / sigma] * sigma
     x = generate(seed, 300, sigma, size_probs=probs)
@@ -224,20 +256,18 @@ def probe_build(seed, kind, base):
 def test_meta_edits_and_foreign_components_are_rejected(kind, base):
     blob = container.dumps(probe_build(3, kind, base))
     comps = {name: (off, ln) for name, off, ln in container.scan_components(blob)}
-    meta_at, _ = comps["meta"]
-    for field in range(5):  # sigma, n, N, n0, block_words
-        at = meta_at + 8 * field
-        value = int.from_bytes(blob[at:at + 8], "little")
-        for delta in (1, -1):
-            edited = ((value + delta) % (1 << 64)).to_bytes(8, "little")
-            with pytest.raises(ValueError):
-                container.loads(blob[:at] + edited + blob[at + 8:])
+    at, _ = comps["meta"]  # sigma, its only field
+    value = int.from_bytes(blob[at:at + 8], "little")
+    for delta in (1, -1):
+        edited = (value + delta).to_bytes(8, "little")
+        with pytest.raises(ValueError):
+            container.loads(reseal(blob[:at] + edited + blob[at + 8:]))
     # the base string of an instance of the same size but another shape
     donor = container.dumps(probe_build(4, kind, base))
     d_off, d_ln = {name: (off, ln) for name, off, ln in container.scan_components(donor)}[base]
     off, ln = comps[base]
     with pytest.raises(ValueError):
-        container.loads(blob[:off - 9] + donor[d_off - 9:d_off + d_ln] + blob[off + ln:])
+        container.loads(blob[:off - 13] + donor[d_off - 13:d_off + d_ln] + blob[off + ln:])
 
 
 @pytest.mark.parametrize("sets", [[[], []], [[0], [], [0, 1], [1]]])
@@ -249,30 +279,30 @@ def test_a_container_declaring_sigma_0_is_refused(sets):
         assert name == "meta"
         blob[off:off + 8] = bytes(8)
         with pytest.raises(ValueError):
-            container.loads(bytes(blob))
+            container.loads(reseal(blob))
 
 
 # SHA-256 of dumps for every structure x base that builds, at the default
-# block_words, on generate(7, n, sigma, profile): the container v2 bytes stay
+# block_words, on generate(7, n, sigma, profile): the container v3 bytes stay
 # the same whatever the code that writes them.
 PINNED_INSTANCES = {"dna": (3000, 4, "genomic-like"), "wide": (2000, 16, "uniform")}
 PINNED_DIGESTS = {
     ("dna", "reduction-ii", "wavelet"):
-        "18f1b66a1923025361df42de0538fad440b8f6ab94f14e59a438ed783ea3cd81",
+        "902c30543174611977daf6127155b49fa5b93365646a679d23cbe9419c3c6d4f",
     ("dna", "reduction-iii", "wavelet"):
-        "fcfb3db6c9cd8d77d0597011588f924b1d5b7dc9752aec7a9471a085283e966a",
+        "f4ee74ff0076df51034061dfd04032f97f28a514ad9621f7ff6e2319cbfe4238",
     ("dna", "reduction-iii", "bitplane"):
-        "11af01a7c9df57cbe8ff7e61840085572ba5fdcd8bb5412d5b36115129b2e51c",
+        "cad7b6e00b7e2dea67eaaa1bdcf9b1f3fb0c11843300d1738258a56392d2f92c",
     ("dna", "dsd", "wavelet"):
-        "5a6d35907458dda97e3200a73234cb2f9830dbba99900a556f7e3eaac1457bf5",
+        "25b6e15cc5ee1764db53828c6d05e7c7b06d404a3ab45aaab13b6784ea5368f2",
     ("dna", "dsd", "bitplane"):
-        "0e12439a1e16071f3922e9e18baa699e31a9358cbcc1e284863c0986c6932628",
+        "4f612f243db7bf76e6ffbaebb15e70f92cdea2d2a2bc32516423c4d8ad6ad313",
     ("wide", "reduction-ii", "wavelet"):
-        "741b0753c70e1e553d7f6f170d74d4a7cad253305744c5d95c9dbddad65c2b2a",
+        "f9522ae12a121ecf879af8dd2a3c99d3fc10c012fcf017a53542265e9de4fa27",
     ("wide", "reduction-iii", "wavelet"):
-        "7d3e03fb50af7a3e6caed9d09fe4cc1b04613b995535014f39164814e60d0363",
+        "5cf90c06d750f3710fafa0e3c942ec4cfee433bfd2cd817005c22f89ae511b22",
     ("wide", "dsd", "wavelet"):
-        "e1aecdf6fbfb8cdcd3406d5f11ee7bae0a4d98ecf7260d38301abf99c6e7314f",
+        "d864e89a86c265389e3775f3ae02b58300d1b60b23c2b790d49842e0bfc0e6bf",
 }
 
 
@@ -311,41 +341,40 @@ def edge_instances():
     }
 
 
-# SHA-256 of dumps on the instances above, as the builds that sorted the
-# wavelet levels and indexed the DSD split with boolean masks wrote them.
+# SHA-256 of dumps on the instances above, in container v3.
 PINNED_EDGE_DIGESTS = {
     ("empty-runs", "reduction-ii", "wavelet"):
-        "7f6876a2d87a4ce9b3a99814090a6dee9be0eec5903b279412ce0b5f2151983b",
+        "e148a307e6f1ad90d8c9721c2097f75d805a45f1cdb3635c2632a780acade541",
     ("empty-runs", "reduction-iii", "wavelet"):
-        "d69d82597295d6894b33511da2918b9ab7d95ab5fa9e830ffb3f4551fe2e35df",
+        "316fe7c438e3aa98b7bb07726fd0a1710aea1442e8a9a092a2ed819d2667589e",
     ("empty-runs", "reduction-iii", "bitplane"):
-        "13c47738a2cc0e1bd79bb0297007cc0483bca1b51c0e1577e0c857cff659ab0f",
+        "420e4ef6f8cc7c9c752655eeec24a44dd946eecd536868d8351bb274943ebe4b",
     ("empty-runs", "dsd", "wavelet"):
-        "88e40f77c690b0e365810e83fdd24fcef29c15c650543e8c91d47c5dd2c850fb",
+        "e972f39b104368cc25716389d29ab71ae034397ce4ad1e5260328c6510d2058c",
     ("empty-runs", "dsd", "bitplane"):
-        "77c0b546de56080438f2e5b973377473d7a738b09c0b48c64afa0805ad7cda13",
+        "5afc44e79413fa20c053627430b169082e9de95f9e9bbd9e97952af728a80519",
     ("all-empty", "reduction-ii", "wavelet"):
-        "0881619d600efb69b737b8ee6b8cac3ce2684a84693174dc858e7f63e0b946aa",
+        "987fffc686f616fc5f651eb16351576e99896f16f91e7d131fdf6e404872fdc9",
     ("all-empty", "reduction-iii", "wavelet"):
-        "81dc74d5278ff5ee222aadd46758da42bd3e13834d070f1155716043413a53ff",
+        "045d4f3fd98f54fa238726ee4d2e4f2162d953b6e1442088d257b94a3724cbb5",
     ("all-empty", "reduction-iii", "bitplane"):
-        "22b5e424fffec574e9c379e27e99c08812bf81f94ebecdae2c061878753f6665",
+        "1a3bf693679bebb4ec4a02a9a0ae1424f2ce9c4e7a2c68aee15e8f2562b7c04a",
     ("all-empty", "dsd", "wavelet"):
-        "c36b8631333ea0a0ccf0018262fec9d7fc0650733cfbe5830f3fa8f2dd95d755",
+        "98e561acd8e909debafbc2b221fa26b8d8f4dbfeed4a37dee083503394ac8f7b",
     ("all-empty", "dsd", "bitplane"):
-        "d76d7c19609695a249fa791238213b15ce78998eddd029d7a55eb43d84481452",
+        "52454872a02670b22c6425a5748c7e55218a346e7eb59957026fd47b2f1d41bd",
     ("sigma-257", "reduction-ii", "wavelet"):
-        "d481f685bd087cd274010ce420e3937c502ca6e115822a311dd8ba0b7755d059",
+        "15d4f5edda4d7d19466c037ac881d8b12fc4e75ebfc91f5b63cf0df754586343",
     ("sigma-257", "reduction-iii", "wavelet"):
-        "159bad60a1f5fd8795dc7f22252ecd1cfc228089efa4e1dc207bd0d32ed1f9b7",
+        "2b2d36db2cad8d52d6baf4e2100f99c433cfef694ae293399df40554a8abb715",
     ("sigma-257", "dsd", "wavelet"):
-        "30e759ef6d8aa5ac77c38fa5877430be02284b1cc8b882f61261c241003f3d0f",
+        "1f39c7376ee70aece1a5d00bf8293046de8f079c5a6d2946100d6c3adfbafc78",
     ("sigma-4096", "reduction-ii", "wavelet"):
-        "e42728a43ca1928cad01028d8d5149874c3fe6d9222029cd2a17da349b1ee6d8",
+        "c8b20b8844f2932734f7083e68937466883e5a4aaf3292a70fa495d592a493d5",
     ("sigma-4096", "reduction-iii", "wavelet"):
-        "e70810a188134648403c6a08ce8e64a8b99c0ac14c838e1cbee7337f5f25f0c0",
+        "5fa78513b694cd0d6e3df09183a6e138c5ef34dcd7727ac45d2b4a5741ec9d48",
     ("sigma-4096", "dsd", "wavelet"):
-        "e11249d2e0f27de92f84f4186ece428367e8a6c31a75411b6499ef08820a3e22",
+        "6e0ee485b20cc08acd1216f267f16362805b9c64f2910902c1fd038395863717",
 }
 
 
@@ -400,38 +429,56 @@ def test_dsd_build_and_load_make_no_vector_per_symbol(monkeypatch):
                               np.concatenate([positions_of(x, c) for c in range(x.sigma)]))
 
 
-def overflow_edits(blob):
-    """Edits of a DSD container's overflow components, each of which loads
-    must refuse. The components are meta, the base, E, then the overflow."""
-    comps = container.scan_components(blob)
-    meta_at = comps[0][1]
-    # the first overflow component with two rows or more: length, count, rows
-    off, ln = next((off, ln) for name, off, ln in comps[3:] if ln >= 32)
-    length, m, row0, row1 = (int.from_bytes(blob[at:at + 8], "little")
-                             for at in range(off, off + 32, 8))
+def overflow_edits(d):
+    """Edits of d's container, each of which loads must refuse once every CRC
+    is resealed. The components are meta, the base, E, then the overflow:
+    sigma run lengths as u64, then the rows in narrow_uint(n - n0)."""
+    blob = container.dumps(d)
+    (_, meta_at, _), *_, (name, off, _) = container.scan_components(blob)
+    assert name == "overflow"
+    counts = np.frombuffer(blob, "<u8", d.sigma, off)
+    rows = np.frombuffer(blob, narrow_uint(d.n - d.n0), offset=off + 8 * d.sigma)
+    c = int(np.flatnonzero(counts >= 2)[0])  # a run with two rows or more
+    first = int(counts[:c].sum())
+    short, long, high, swapped = counts.copy(), counts.copy(), rows.copy(), rows.copy()
+    short[c] -= 1
+    long[c] += 1
+    high[-1] = d.n - d.n0
+    swapped[[first, first + 1]] = rows[[first + 1, first]]
 
-    def put(at, value, b=blob):
-        return b[:at] + value.to_bytes(8, "little") + b[at + 8:]
+    def overflow(counts=counts, rows=rows):
+        return reseal(blob[:off] + counts.tobytes() + rows.tobytes())
 
     return {
-        "a length one short": (put(off, length - 1), "length|out of range"),
-        "a length one long": (put(off, length + 1), "length"),
-        "a row equal to n - n0": (put(off + ln - 8, length), "out of range"),
-        "two swapped rows": (put(off + 24, row0, put(off + 16, row1)), "strictly increasing"),
-        "a count one short": (put(off + 8, m - 1), "wrong size"),
-        "a count one long": (put(off + 8, m + 1), "truncated"),
-        "another sub-tag": (blob[:off - 9] + bytes([2]) + blob[off - 8:], "expected component"),
-        "sigma 2**40": (put(meta_at, 1 << 40), "truncated"),
+        "a row equal to n - n0": (overflow(rows=high), "overflow rows out of range"),
+        "two swapped rows": (overflow(rows=swapped), "strictly increasing"),
+        "a count one short": (overflow(counts=short), "overflow counts sum to"),
+        "a count one long": (overflow(counts=long), "overflow counts sum to"),
+        "another sub-tag": (reseal(blob[:off - 13] + bytes([2]) + blob[off - 12:]),
+                            "expected component"),
+        "sigma 2**40": (reseal(blob[:meta_at] + (1 << 40).to_bytes(8, "little")
+                               + blob[meta_at + 8:]), "truncated"),
     }
 
 
 @pytest.mark.parametrize("base", ["wavelet", "bitplane"])
 def test_a_dsd_container_with_a_bad_overflow_component_is_refused(base):
     x = generate(3, 300, 4, size_probs=[0.2] * 5)
-    blob = container.dumps(build_dsd(x, base))
-    edits = overflow_edits(blob)
+    d = build_dsd(x, base)
+    blob = container.dumps(d)
+    edits = overflow_edits(d)
     assert len({edited for edited, _ in edits.values()} - {blob}) == len(edits)
     for case, (edited, message) in edits.items():
         with pytest.raises(ValueError, match=message):
             container.loads(edited)
             pytest.fail(case)  # reached only when loads takes the edit
+
+
+@pytest.mark.parametrize("sigma", [4, 4096, 2**16])
+def test_a_dsd_container_holds_four_components_whatever_sigma(sigma):
+    # the overflow is one component however many runs it holds
+    x = generate(7, 100, sigma, "uniform", size_probs=[1, 1, 1, 1] + [0] * (sigma - 3))
+    blob = container.dumps(build_dsd(x))
+    assert [name for name, _, _ in container.scan_components(blob)] == [
+        "meta", "wavelet", "sparse", "overflow"]
+    assert container.loads(blob).decompose() == x
