@@ -69,6 +69,17 @@ def unpack_bits(words: np.ndarray, length: int) -> np.ndarray:
     return raw[:length]
 
 
+def stored_indices(values, hi: int, dtype, what: str) -> np.ndarray:
+    """Indices that a structure stores, of any shape, as a copy in dtype made
+    by one cast; ValueError unless every value is an integer in [0, hi].
+    The range is checked in the array's own dtype, before the cast, so a
+    uint64 value of 2**63 or more is refused, not wrapped."""
+    arr = integers(values, what)
+    if arr.size and (arr.min() < 0 or arr.max() > hi):
+        raise ValueError(f"{what} out of range")
+    return arr.astype(dtype)
+
+
 def packed_payload(length, *planes):
     """The length and planes of a packed bit payload as an int and uint64 arrays,
     checked before any cast: ValueError unless length >= 0 and each plane is

@@ -9,9 +9,12 @@ answer in the unchecked kernels _rank, _select, _rank_many and _select_many.
 The scalar kernels read the stored arrays as Python ints through
 memoryviews, made once where a vector is built or loaded, and search them
 with the C bisect module: a numpy call on a numpy scalar costs about 1 us,
-a memoryview subscript a small fraction of that. PlainBitvector's batched
-select also takes one bit per query, so that a wavelet level answers the
-selects of both bits in one call.
+a memoryview subscript a small fraction of that. PlainBitvector's select
+starts from a sampled inventory of superblocks, built with the rank counts,
+and searches only the bracket between two inventory entries: by bisect in
+the scalar kernel, by a fixed number of forward steps in the batched one.
+Its batched select also takes one bit per query, so that a wavelet level
+answers the selects of both bits in one call.
 """
 
 from __future__ import annotations
@@ -22,10 +25,20 @@ import numpy as np
 
 from ._bits import (FULL_WORD, INT64_MAX, MASK_LOW, index_arg, index_args, integers,
                     narrow_uint, pack_bits, packed_payload, popcount, select_in_word,
-                    select_in_words, unpack_bits)
+                    select_in_words, stored_indices, unpack_bits)
 
 _SUPER_BITS = 512
 _WORDS_PER_SUPER = 8
+# The select inventory samples every 2**s-th occurrence of a bit, with 2**s
+# about _GAP times the bit's occurrences per superblock, so that samples of
+# evenly spread bits lie about _GAP superblocks apart. A vector of fewer
+# than _SMALL_SUPERS superblocks, whose entries take one byte, samples with
+# _SMALL_GAP, for about two steps a batch: a search of its few counts costs
+# little more than that. A batch takes at most _MAX_STEPS steps.
+_GAP = 5
+_SMALL_SUPERS = 128
+_SMALL_GAP = 1.5
+_MAX_STEPS = 8
 # The ones before word t of a superblock are (block9 >> _SHIFT9[t]) & 511. The
 # counts of words 1 to 7 fill bits 0 to 62 of block9, so word 0 reads bit 63,
 # which is always 0 (Vigna's rank9); block9 is therefore a nonnegative int64.
@@ -100,20 +113,32 @@ class _BitQueries:
 
 
 class PlainBitvector(_BitQueries):
-    """Dense bitvector: the packed words plus two-level rank counts.
+    """Dense bitvector: the packed words, two-level rank counts and a
+    sampled select inventory.
 
     Every 512-bit superblock stores the zeros and the ones before it, as two
     32-bit counts, plus seven relative word counts packed 9 bits each into a
-    single extra word, so the vector takes about 1.25 bits per bit and rank
-    is O(1). The counts are one ascending array: the ones before each
-    superblock, then the zeros before each one plus ones_count, so a zero
-    select searches with its j offset by ones_count. Select of either bit is
-    one binary search of that array, one search for a batch that mixes the
-    bits, then Vigna's broadword select9, which finds the word by comparing
-    all seven word counts at once, then a select inside that word, broadword
-    in the batched kernel; it stores nothing of its own. A vector of 2**32
-    bits or more keeps its counts as 64-bit integers, 64 more bits per
-    superblock.
+    single extra word, so rank is O(1). The counts are one ascending array:
+    the ones before each superblock, then the zeros before each one plus
+    ones_count, then length, so a zero select searches with its j offset by
+    ones_count, and every count a select reads exists.
+
+    Select is Vigna's select9 with a first level sampled per bit. For bit b,
+    the inventory keeps the index in the counts of the superblock that holds
+    its 1st occurrence, its (k * 2**s)-th for every k >= 1, and its last,
+    with s set from the bit's density (see _GAP): one narrow array for both
+    bits, built with the counts from the words, so the vector takes about
+    1.27 bits per bit. The j-th occurrence lies between entries j >> s and
+    (j >> s) + 1: the scalar kernel bisects the counts between them, and
+    the batched one starts at the first and takes as many steps of one
+    superblock, each one gather and one compare over the batch, as the
+    widest bracket of the bit, measured at build time. A batch that mixes
+    the bits reads each query's entry and takes the steps of the wider one.
+    Past _MAX_STEPS steps, the queries still short of their superblock
+    finish with one search of the counts. In the superblock, select9 finds
+    the word by comparing all seven word counts at once, then selects inside
+    that word, broadword in the batched kernel. A vector of 2**32 bits or
+    more keeps its counts as 64-bit integers, 64 more bits per superblock.
     """
 
     def __init__(self, bits):
@@ -146,9 +171,10 @@ class PlainBitvector(_BitQueries):
         # are exact and the zeros half tops out at length. int64, not uint64,
         # for long vectors: int64 queries minus uint64 counts would turn to
         # float64.
-        counts = np.empty(2 * n_super, dtype=np.uint32 if length < 1 << 32 else np.int64)
+        counts = np.empty(2 * n_super + 1, dtype=np.uint32 if length < 1 << 32 else np.int64)
         counts[:n_super] = ones
-        counts[n_super:] = np.arange(n_super) * _SUPER_BITS - ones + self._total_ones
+        counts[n_super:-1] = np.arange(n_super) * _SUPER_BITS - ones + self._total_ones
+        counts[-1] = length
         self._block9 = np.bitwise_or.reduce((mat[:, 1:] - mat[:, :1]) << _SHIFT9_WORDS[1:],
                                             axis=1)
         self._use_counts(counts)
@@ -157,13 +183,34 @@ class PlainBitvector(_BitQueries):
         self._block9_mv = memoryview(self._block9)
 
     def _use_counts(self, counts: np.ndarray) -> None:
-        """Keep counts with its two halves, indexed by bit, and their
-        memoryviews: the ones before each superblock, then the zeros before
-        each one plus ones_count."""
+        """Keep counts and the select inventory over them, with their
+        memoryviews: the ones before each superblock, the zeros before each
+        one plus ones_count, then length. Bit 0's entries come first, then
+        bit 1's, each the combined index of a superblock in counts, found by
+        one search of the counts for both bits."""
         n_super = counts.size // 2
+        ones = self._total_ones
+        gap = _GAP if n_super >= _SMALL_SUPERS else _SMALL_GAP
+        keys, shifts = [], []
+        for count, before in ((self.length - ones, ones), (ones, 0)):
+            s = max(int(gap * count / n_super).bit_length() - 1, 0)
+            # ranks 1, 2**s, 2 * 2**s, ... and count: rank j lies in bracket j >> s
+            ranks = np.minimum(np.arange((count >> s) + 2 if count else 0) << s, count)
+            ranks[:1] = 1
+            keys.append(ranks + before)
+            shifts.append(s)
+        inv = counts.searchsorted(np.concatenate(keys).astype(counts.dtype)) - 1
+        split = keys[0].size
         self._counts = counts
-        self._halves = (counts[n_super:], counts[:n_super])
-        self._halves_mv = tuple(map(memoryview, self._halves))
+        self._counts_mv = memoryview(counts)
+        self._after = counts[1:]  # the count after each superblock, as a step reads it
+        self._inventory = inv.astype(narrow_uint(counts.size - 1))
+        self._inventory_mv = memoryview(self._inventory)
+        self._inv_start = (0, split)
+        self._inv_shift = tuple(shifts)
+        # the widest bracket of bit 0, of bit 1, and of a batch that mixes them
+        widest = [int(np.diff(part).max(initial=0)) for part in (inv[:split], inv[split:])]
+        self._widest = (*widest, max(widest))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -184,7 +231,7 @@ class PlainBitvector(_BitQueries):
         sb = i >> 9
         rel = (self._block9_mv[sb] >> _SHIFT9[w & 7]) & 511
         part = (self._words_mv[w] & ((1 << (i & 63)) - 1)).bit_count()
-        r1 = self._halves_mv[1][sb] + rel + part
+        r1 = self._counts_mv[sb] + rel + part
         return r1 if b else i - r1
 
     def _rank_many(self, i: np.ndarray, b: int = 1) -> np.ndarray:
@@ -192,25 +239,28 @@ class PlainBitvector(_BitQueries):
         sb = i >> 9
         rel = (self._block9[sb] >> _SHIFT9_WORDS[w & 7]) & 511
         part = popcount(self._words[w] & MASK_LOW[i & 63])
-        r1 = self._halves[1][sb] + rel + part
+        r1 = self._counts[sb] + rel + part
         return r1 if b else i - r1
 
     # -- select ------------------------------------------------------------
 
-    # Both kernels search the counts for the last superblock with fewer than
-    # j b-bits before it, a zero's key offset by ones_count into the zeros
-    # half: the scalar one with bisect, the batched one with searchsorted and
-    # a key in the dtype of the counts, since any other key makes numpy cast
-    # every count on each call. Inside the superblock, the word is the number
-    # of 9-bit word counts of bit b at or below the rank r left to find
-    # (Vigna's select9): one broadword comparison of all seven against
-    # r * ONES9, then a popcount.
+    # Both kernels find the last superblock with fewer than j b-bits before
+    # it, a zero's key offset by ones_count into the zeros half, between two
+    # inventory entries: the scalar one with bisect, the batched one with
+    # forward steps that compare a key in the dtype of the counts, since any
+    # other key makes numpy cast each gathered count. Inside the superblock,
+    # the word is the number of 9-bit word counts of bit b at or below the
+    # rank r left to find (Vigna's select9): one broadword comparison of all
+    # seven against r * ONES9, then a popcount.
 
     def _select(self, j: int, b: int = 1) -> int:
-        counts = self._halves_mv[b]
+        counts, inv = self._counts_mv, self._inventory_mv
         key = j if b else j + self._total_ones
-        sb = bisect_left(counts, key) - 1
+        k = self._inv_start[b] + (j >> self._inv_shift[b])
+        sb = bisect_left(counts, key, inv[k] + 1, inv[k + 1] + 1) - 1
         r = key - 1 - counts[sb]
+        if not b:
+            sb -= self._block9.size
         x = self._block9_mv[sb] if b else _ZERO9 - self._block9_mv[sb]
         t = _le9(x, r * _ONES9).bit_count()
         w_idx = sb * _WORDS_PER_SUPER + t
@@ -219,22 +269,35 @@ class PlainBitvector(_BitQueries):
                                            r - ((x >> _SHIFT9[t]) & 511))
 
     def _select_many(self, j: np.ndarray, b=1) -> np.ndarray:
-        """b is one bit, whose half of the counts is searched, or an int64
-        array of bits, one per query, and then one search of the whole
-        ascending array answers both bits: a zero's superblock is its index
-        less the ones half, and its word counts and words are flipped."""
+        """b is one bit, or an int64 array of bits, one per query: each query
+        then reads its bit's inventory entry, and the batch takes the steps
+        of the wider bit. A zero's superblock is its index less the ones
+        half, and its word counts and words are flipped."""
         one_bit = type(b) is int  # a check that makes no C call
         if one_bit:
-            counts = self._halves[b]
             key = j if b else j + self._total_ones
-            sb = counts.searchsorted(key.astype(counts.dtype)) - 1
-            r = key - 1 - counts[sb]
-            x = self._block9[sb] if b else _ZERO9 - self._block9[sb]
+            k = self._inv_start[b] + (j >> self._inv_shift[b])
+            widest = self._widest[b]
         else:
             zero = b == 0
             key = j + zero * self._total_ones
-            sb = self._counts.searchsorted(key.astype(self._counts.dtype)) - 1
-            r = key - 1 - self._counts[sb]
+            (o0, o1), (s0, s1) = self._inv_start, self._inv_shift
+            k = o1 + (o0 - o1) * zero + (j >> (s1 + (s0 - s1) * zero))
+            widest = self._widest[2]
+        counts, after = self._counts, self._after
+        ckey = key.astype(counts.dtype)
+        sb = self._inventory[k].astype(np.int64)
+        for _ in range(widest if widest < _MAX_STEPS else _MAX_STEPS):
+            sb += after[sb] < ckey
+        if widest > _MAX_STEPS:
+            late = np.flatnonzero(after[sb] < ckey)
+            sb[late] = counts.searchsorted(ckey[late]) - 1
+        r = key - 1 - counts[sb]
+        if one_bit:
+            if not b:
+                sb -= self._block9.size
+            x = self._block9[sb] if b else _ZERO9 - self._block9[sb]
+        else:
             sb -= zero * self._block9.size
             x = self._block9[sb]
             x = np.where(zero, _ZERO9 - x, x)
@@ -250,7 +313,8 @@ class PlainBitvector(_BitQueries):
     # -- accounting ---------------------------------------------------------
 
     def size_bits(self) -> int:
-        nbytes = self._words.nbytes + self._counts.nbytes + self._block9.nbytes
+        nbytes = (self._words.nbytes + self._counts.nbytes + self._block9.nbytes
+                  + self._inventory.nbytes)
         return 8 * nbytes + 2 * 64  # length and ones-count scalars
 
     def __repr__(self) -> str:
@@ -279,13 +343,13 @@ class SparseBitvector(_BitQueries):
 
     def __init__(self, length: int, ones):
         length = index_arg(length, 0, INT64_MAX, "length", ValueError)
-        ones = index_args(ones, 0, length - 1, "one positions", ValueError)
+        ones = stored_indices(ones, length - 1, narrow_uint(length), "one positions")
         if ones.ndim != 1:
             raise ValueError("ones must be one-dimensional")
-        if np.any(np.diff(ones) <= 0):
+        if np.any(ones[1:] <= ones[:-1]):  # np.diff would wrap in an unsigned dtype
             raise ValueError("one positions must be strictly increasing")
         self.length = length
-        self._ones = ones.astype(narrow_uint(length))
+        self._ones = ones
         self._ones_mv = memoryview(self._ones)  # as the scalar kernels read it
 
     @classmethod

@@ -50,7 +50,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from ._bits import index_args, narrow_uint
+from ._bits import index_args, narrow_uint, stored_indices
 from .bitvector import SparseBitvector
 from .degenerate import DegenerateString
 from .reductions import _build_base, _check_alphabet, _check_base, _Empties, _SubsetQueries
@@ -67,7 +67,7 @@ class _Decomposition(_SubsetQueries):
     n0 = 0
 
     def __init__(self, base, rows, counts):
-        rows = index_args(rows, 0, base.length - 1, "overflow rows", ValueError)
+        rows = stored_indices(rows, base.length - 1, narrow_uint(base.length), "overflow rows")
         counts = index_args(counts, 0, rows.size, "overflow counts", ValueError)
         if counts.ndim != 1 or not counts.size:
             raise ValueError("a DSD needs one overflow count per symbol, at least one")
@@ -80,7 +80,7 @@ class _Decomposition(_SubsetQueries):
         if not np.isin(np.flatnonzero(rows[1:] <= rows[:-1]) + 1, self._bounds).all():
             raise ValueError("overflow rows must be strictly increasing inside each run")
         self._base = base
-        self._rows = rows.astype(narrow_uint(base.length))
+        self._rows = rows
         self._rows_mv, self._bounds_mv = memoryview(self._rows), memoryview(self._bounds)
         self._kept_mv = memoryview(base.symbol_counts())
         self.n = base.length

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from degenrank import bitvector, build_reduction, dumps, loads
-from degenrank._bits import select_in_word, select_in_words
+from degenrank._bits import narrow_uint, select_in_word, select_in_words
 from degenrank.bitvector import _MSBS9, _ZERO9, PlainBitvector, SparseBitvector
 from degenrank.degenerate import DegenerateString
 
@@ -143,8 +143,9 @@ def test_select_makes_the_same_calls_for_either_bit():
         for kernel, arg in ((bv._select, int), (bv._select_many, lambda j: np.array([j]))):
             calls = count_calls(kernel, arg(j0), 0), count_calls(kernel, arg(j1), 1)
             assert calls[0] == calls[1], (kernel.__name__, j0, j1, calls)
-        j = np.array([j0, j1])
-        calls = [count_calls(bv._select_many, j, np.array(b)) for b in ([0, 1], [0, 0], [1, 1])]
+        # each query's index in range for its own bit: j0 for a zero, j1 for a one
+        bits = [np.array(b) for b in ([0, 1], [0, 0], [1, 1])]
+        calls = [count_calls(bv._select_many, np.where(b == 0, j0, j1), b) for b in bits]
         assert calls == calls[:1] * 3, (j0, j1, calls)
 
 
@@ -207,16 +208,24 @@ def test_one_query_select_allocates_no_per_superblock_array():
             assert peak < 64 * 1024, (b, j, peak)
 
 
+def widen(bv):
+    """Give bv the int64 counts of a vector of 2**32 bits or more."""
+    bv._use_counts(bv._counts.astype(np.int64))
+    return bv
+
+
 def test_wide_counts_answer_the_same():
     # a vector of 2**32 bits or more keeps int64 counts, too big for a
     # test: widen the counts of a small one, which must answer the same
     bits = random_bits(np.random.default_rng(47), 5000, 0.3)
     narrow, wide = PlainBitvector(bits), PlainBitvector(bits)
-    wide._use_counts(wide._counts.astype(np.int64))
-    # every count array and memoryview that a kernel reads is the widened one
+    widen(wide)
+    # every count array and memoryview that a kernel reads is the widened one,
+    # and the inventory built over it is the same
     assert wide._counts.dtype == np.int64
-    assert all(h.base is wide._counts and h.dtype == np.int64 for h in wide._halves)
-    assert all(mv.itemsize == 8 for mv in wide._halves_mv)
+    assert wide._after.base is wide._counts and wide._after.dtype == np.int64
+    assert wide._counts_mv.itemsize == 8
+    assert np.array_equal(wide._inventory, narrow._inventory)
     idx = np.arange(bits.size + 1)
     for b in (0, 1):
         assert np.array_equal(wide.rank_many(idx, b), narrow.rank_many(idx, b))
@@ -226,6 +235,49 @@ def test_wide_counts_answer_the_same():
         assert [wide.select(int(j), b) for j in js[::7]] == narrow.select_many(js[::7], b).tolist()
     j, b = mixed_selects(narrow, np.random.default_rng(48))
     assert np.array_equal(wide._select_many(j, b), narrow._select_many(j, b))
+
+
+def bracket_layouts(length):
+    """Layouts of length bits that stretch a select inventory bracket, by name."""
+    half = length // 2
+    layouts = {"zeros": np.zeros(length, np.uint8), "ones": np.ones(length, np.uint8),
+                "alternating": np.arange(length, dtype=np.uint8) & 1,
+                "random": random_bits(np.random.default_rng(length), length, 0.5)}
+    for b in (0, 1):
+        # a run of b, then a lone bit of the other value
+        layouts[f"run{b}-lone"] = np.array([b] * (length - 1) + [1 - b] * min(length, 1), np.uint8)
+        # a run of b, a run of the other value, then a lone b: b's last bracket
+        # spans the whole second run
+        layouts[f"run{b}-gap-lone"] = np.array(
+            [b] * half + [1 - b] * max(length - half - 1, 0) + [b] * (length > half), np.uint8)
+    return layouts
+
+
+def check_selects_against_scan(bv, bits, rng):
+    """Every select of bv against a linear scan of bits: scalar, one bit
+    per batch, and both bits in one shuffled batch."""
+    pos = [ref_positions(bits, b) for b in (0, 1)]
+    for b in (0, 1):
+        js = np.arange(1, pos[b].size + 1)
+        assert np.array_equal(bv._select_many(js, b), pos[b]), b
+        assert [bv._select(j, b) for j in js.tolist()] == pos[b].tolist(), b
+    j, b = mixed_selects(bv, rng)
+    assert bv._select_many(j, b).tolist() == [pos[c][v - 1] for v, c in zip(j, b)]
+
+
+def test_select_inventory_brackets_match_linear_scan():
+    # lengths at superblock edges, around 8 superblocks, and past the
+    # small-vector rate; int64 counts as a vector of 2**32 bits keeps them
+    rng = np.random.default_rng(49)
+    widest = []
+    for length in (0, 1, 511, 512, 513, 8 * 512 - 1, 8 * 512 + 1, 128 * 512 + 1):
+        for name, bits in bracket_layouts(length).items():
+            for bv in (PlainBitvector(bits), widen(PlainBitvector(bits))):
+                check_selects_against_scan(bv, bits, rng)
+                widest.append(max(bv._widest))
+    # the layouts take both the bounded steps and the search past them
+    assert any(0 < w <= bitvector._MAX_STEPS for w in widest)
+    assert any(w > bitvector._MAX_STEPS for w in widest)
 
 
 def test_sparse_matches_plain():
@@ -293,6 +345,11 @@ def test_argument_validation():
                 lambda: SparseBitvector(10, [1.5, 4.2]),
                 lambda: SparseBitvector(10.7, [1]),
                 lambda: SparseBitvector(-1, []),
+                # positions are checked in their own dtype: one past the int64
+                # range, and narrow ones that descend, which np.diff would wrap
+                lambda: SparseBitvector(1 << 40, np.array([1, 1 << 63], dtype=np.uint64)),
+                lambda: SparseBitvector(10, np.array([3, 2**64 - 1], dtype=np.uint64)),
+                lambda: SparseBitvector(300, np.array([5, 3], dtype=np.uint16)),
                 # packed payloads: a negative, fractional or 2-D length or payload,
                 # and a negative word that the uint64 cast would wrap to 64 ones
                 lambda: PlainBitvector.from_words(-5, np.zeros(0, np.uint64)),
@@ -341,11 +398,51 @@ def test_plain_size_within_budget():
     assert n <= bv.size_bits() <= 1.3 * n + 2048
     # empty vector costs only the fixed support words
     assert PlainBitvector([]).size_bits() <= 512
-    # the words, one absolute and one packed relative count word per 512 bits,
-    # and the length and ones-count scalars: select stores nothing of its own
-    for length in (0, 1, 511, 512, 513, 3 * 8192 * 8):
-        size = PlainBitvector(np.ones(length, dtype=np.uint8)).size_bits()
-        assert size == 64 * (length // 64 + 1) + 128 * (length // 512 + 1) + 128, length
+    # the words; per 512-bit superblock two 32-bit counts and one packed
+    # relative count word, and one count more; the select inventory; and the
+    # length and ones-count scalars
+    for length in (0, 1, 511, 512, 513, 128 * 512, 3 * 8192 * 8):
+        for ones in (length, length // 3):
+            bits = np.zeros(length, dtype=np.uint8)
+            bits[:ones] = 1
+            bv = PlainBitvector(bits)
+            n_super = length // 512 + 1
+            counts = 32 * (2 * n_super + 1) + 64 * n_super
+            inventory = 8 * np.dtype(narrow_uint(2 * n_super)).itemsize * sum(
+                inventory_entries(count, n_super) for count in (length - ones, ones))
+            assert bv.size_bits() == 64 * (length // 64 + 1) + counts + inventory + 128, length
+            # and size_bits counts every array the vector holds, each once
+            held = {}
+            for value in vars(bv).values():
+                if isinstance(value, np.ndarray):
+                    while isinstance(value.base, np.ndarray):
+                        value = value.base
+                    held[id(value)] = value
+            assert bv.size_bits() == 8 * sum(a.nbytes for a in held.values()) + 128, length
+
+
+def inventory_entries(count: int, n_super: int) -> int:
+    """The inventory entries of a bit with count occurrences: its 1st, every
+    (2**s)-th and its last, 2**s about gap times its occurrences per superblock."""
+    if not count:
+        return 0
+    gap = bitvector._GAP if n_super >= bitvector._SMALL_SUPERS else bitvector._SMALL_GAP
+    s = max(int(gap * count / n_super).bit_length() - 1, 0)
+    return (count >> s) + 2
+
+
+def test_sparse_vector_copies_its_positions_once():
+    # positions as loads hands them over, in their stored dtype: checked in it
+    # and cast once, not widened to int64 first
+    ones = np.arange(0, 1 << 20, 3, dtype=np.uint32)
+    tracemalloc.start()
+    try:
+        sv = SparseBitvector(1 << 20, ones)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sv._ones.dtype == np.uint32 and not np.shares_memory(sv._ones, ones)
+    assert peak < 1.5 * ones.nbytes, (peak, ones.nbytes)
 
 
 def test_sparse_size_scales_with_ones():

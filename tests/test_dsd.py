@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from degenrank import container
 from degenrank.bitvector import SparseBitvector
 from degenrank.degenerate import GENOMIC_SIZE_PROBS, DegenerateString, generate, parse_degenerate
-from degenrank.dsd import DsdStructure, build_dsd
+from degenrank.dsd import DsdStructure, _Decomposition, build_dsd
 from degenrank.oracle import positions_of, rank_table
 from degenrank.reductions import build_reduction
 
@@ -339,6 +341,8 @@ def test_constructor_rejects_parts_that_do_not_fit():
     assert spanning_n.max() >= base.length
     with pytest.raises(ValueError, match="overflow"):
         DsdStructure(E, base, spanning_n, counts)
+    past_int64 = rows.astype(np.uint64)
+    past_int64[-1] = 1 << 63
     bad = {
         "counts that sum short": (rows, counts[:3] + [counts[3] - 1]),
         "counts that sum long": (rows, counts[:3] + [counts[3] + 1]),
@@ -347,6 +351,11 @@ def test_constructor_rejects_parts_that_do_not_fit():
         "float rows": (rows.astype(np.float64), counts),
         "2-D rows": (rows.reshape(1, -1), counts),
         "rows that descend inside a run": (np.r_[rows[1], rows[0], rows[2:]], counts),
+        # in the stored dtype, where a difference of two rows would wrap
+        "narrow rows that descend inside a run": (
+            np.r_[rows[1], rows[0], rows[2:]].astype(np.uint8), counts),
+        "a negative row": (np.r_[-1, rows[1:]], counts),
+        "a uint64 row past the int64 range": (past_int64, counts),
         "a row repeated inside a run": (np.r_[rows[0], rows[0], rows[2:]], counts),
     }
     for case, (r, k) in bad.items():
@@ -355,6 +364,21 @@ def test_constructor_rejects_parts_that_do_not_fit():
             pytest.fail(case)  # reached only when the constructor takes the case
     # a run may start at or below the last row of the run before it
     assert (np.diff(rows) <= 0).any()
+
+
+def test_the_constructor_copies_the_overflow_rows_once():
+    # rows as loads hands them over, in their stored dtype: checked in it and
+    # cast once, not widened to int64 first
+    E, base, rows, counts = parts(build_dsd(generate(3, 1 << 17, 4, "genomic-like")))
+    rows = rows.astype(np.uint32)
+    tracemalloc.start()
+    try:
+        inner = _Decomposition(base, rows, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inner._rows.dtype == np.uint32 and not np.shares_memory(inner._rows, rows)
+    assert peak < 1.5 * rows.nbytes, (peak, rows.nbytes)
 
 
 def test_only_one_select_on_E_per_query():
