@@ -2,30 +2,30 @@
 
 Layout, all little-endian:
 
-    magic "DGRS" | version u8 (3) | structure tag u8 | base tag u8
+    magic "DGRS" | version u8 (4) | structure tag u8 | base tag u8
     then components: sub-tag u8 | payload length u64 | CRC32 u32 | payload
 
 Structure tags: 1 reduction-i, 2 reduction-ii, 3 reduction-iii, 4 dsd.
 Base tags: 0 wavelet, 1 bitplane. A component holds the arguments of the
 constructor that loads it, once, in the dtype the structure keeps them in.
-Sub-tags: 1 meta (sigma u64), 2 plain bitvector (length u64, packed
-words), 3 sparse bitvector (length u64, count u64, positions in
-narrow_uint(length)), 4 wavelet levels (sigma u64, length u64, level words
-back to back, in wavelet-matrix order: level k holds bit nbits-1-k of every
-symbol, stably partitioned on the bits above it, zeros first), 5 bit planes
-(length u64, block_words u64, low words, high words), 6 DSD overflow (the
-sigma run lengths as u64, then the rows of every run in narrow_uint(n -
-n0)). After the meta block come the base string, then R and E for a
-reduction, or E and the overflow for a DSD. The meta block holds sigma
-alone, which nothing else records on the bitplane base; n, N, n0 and
-block_words follow from the components.
+Sub-tags: 2 plain bitvector (length u64, packed words), 3 sparse bitvector
+(length u64, then positions in narrow_uint(length) to the end of the
+payload), 4 wavelet levels (sigma u64, length u64, level words back to
+back, in wavelet-matrix order: level k holds bit nbits-1-k of every
+symbol, stably partitioned on the bits above it, zeros first), 5 bit
+planes (sigma u64, length u64, block_words u64, low words, high words), 6
+DSD overflow (the base's sigma run lengths as u64, then the rows of every
+run in narrow_uint(n - n0)). The base string comes first, then R and E
+for a reduction, or E and the overflow for a DSD. sigma, n, N and n0
+follow from the components.
 
 A component's CRC32 (zlib) covers its sub-tag, length and payload, and is
 checked before the payload is decoded, so a flipped bit is a ValueError
-that names the component. Version 1 kept the wavelet levels in
-wavelet-tree order, which differs for sigma > 4; version 2 had no CRC,
-one u64 overflow vector per symbol and n, N, n0 and block_words in its
-meta block. Both are refused.
+that names the component. Versions 1 to 3 are refused: version 1 kept
+the wavelet levels in wavelet-tree order; version 2 had no CRC and one
+overflow vector per symbol; version 3 led with a meta block (sub-tag 1)
+that held sigma, which its bit planes lacked, and a count in each sparse
+header.
 
 One codec frames every component: _parts lists them in container order,
 _encode writes one and _Reader reads them back. Each reader is bounded, to
@@ -54,11 +54,11 @@ from .reductions import ReductionI, ReductionII, ReductionIII
 from .strrank import BitPlaneRank, WaveletTree
 
 MAGIC = b"DGRS"
-VERSION = 3
+VERSION = 4
 
 _STRUCTS = ("reduction-i", "reduction-ii", "reduction-iii", "dsd")  # tags 1 to 4
 _BASES = ("wavelet", "bitplane")  # tags 0 and 1
-_COMP_NAMES = {1: "meta", 2: "plain", 3: "sparse", 4: "wavelet", 5: "bitplane", 6: "overflow"}
+_COMP_NAMES = {2: "plain", 3: "sparse", 4: "wavelet", 5: "bitplane", 6: "overflow"}
 _FRAME = struct.Struct("<BQI")  # sub-tag, payload length, CRC32
 
 
@@ -71,23 +71,23 @@ def _fields(comp) -> tuple:
     if isinstance(comp, PlainBitvector):
         return 2, (comp.length,), (comp._words,)
     if isinstance(comp, SparseBitvector):
-        return 3, (comp.length, comp.ones_count), (comp._ones,)
+        return 3, (comp.length,), (comp._ones,)
     if isinstance(comp, WaveletTree):
-        return 4, (comp.sigma, comp.length), [w for _, w in comp.level_payload()]
-    length, bw, low, high = comp.plane_payload()
-    return 5, (length, bw), (low, high)
+        *head, levels = comp.level_payload()
+        return 4, head, levels
+    *head, low, high = comp.plane_payload()
+    return 5, head, (low, high)
 
 
 def _parts(st) -> list:
     """(sub-tag, header fields, arrays) of each component of st, in container order."""
-    meta = (1, (st.sigma,), ())
     if st.structure_name == "dsd":
         inner = st._inner
         counts = np.diff(inner._bounds).view(np.uint64)
-        return [meta, _fields(inner._base), _fields(st._E), (6, (), (counts, inner._rows))]
+        return [_fields(inner._base), _fields(st._E), (6, (), (counts, inner._rows))]
     if st.structure_name == "reduction-iii":
-        return [meta, *map(_fields, (st._inner._S, st._inner._R, st._E))]
-    return [meta, _fields(st._S), _fields(st._R)]
+        return list(map(_fields, (st._inner._S, st._inner._R, st._E)))
+    return [_fields(st._S), _fields(st._R)]
 
 
 def _encode(tag: int, head: tuple, arrays) -> list:
@@ -131,6 +131,10 @@ class _Reader:
         dtype = np.dtype(dtype).newbyteorder("<")
         return np.frombuffer(self.blob, dtype, count, self.skip(count * dtype.itemsize))
 
+    def rest(self, dtype) -> np.ndarray:
+        """The whole items of dtype left in the payload; done() refuses a part item."""
+        return self.view((self.end - self.at) // np.dtype(dtype).itemsize, dtype)
+
     def words(self, count: int) -> np.ndarray:
         return self.view(count).astype(np.uint64)  # aligned, and not tied to the blob
 
@@ -159,30 +163,28 @@ class _Reader:
         """Decode the next component, which must have this sub-tag."""
         r = self.payload(tag)
         # constructors are read as module globals: perfbench's traced load times them
-        if tag == 1:
-            (out,) = r.u64s(1)  # sigma
-        elif tag == 2:
+        if tag == 2:
             (length,) = r.u64s(1)
             out = PlainBitvector.from_words(length, r.words(length // 64 + 1))
         elif tag == 3:
-            length, m = r.u64s(2)
-            out = SparseBitvector(length, r.view(m, narrow_uint(length)))
+            (length,) = r.u64s(1)
+            out = SparseBitvector(length, r.rest(narrow_uint(length)))
         elif tag == 4:
             sigma, length = r.u64s(2)
             levels = [r.words(length // 64 + 1) for _ in range((sigma - 1).bit_length())]
             out = WaveletTree.from_level_payload(sigma, length, levels)
         else:
-            length, bw = r.u64s(2)
+            sigma, length, bw = r.u64s(3)
             per_plane = length // 64 + 1
-            out = BitPlaneRank.from_planes(length, bw, r.view(per_plane), r.view(per_plane))
+            out = BitPlaneRank.from_planes(sigma, length, bw, r.view(per_plane), r.view(per_plane))
         r.done(tag)
         return out
 
     def overflow(self, sigma: int, length: int) -> tuple:
         """A DSD's overflow rows and sigma run lengths, over length nonempty sets."""
-        r, dtype = self.payload(6), np.dtype(narrow_uint(length))
+        r = self.payload(6)
         counts = r.view(sigma)
-        rows = r.view((r.end - r.at) // dtype.itemsize, dtype)
+        rows = r.rest(narrow_uint(length))
         r.done(6)
         return rows, counts
 
@@ -205,14 +207,13 @@ def loads(blob: bytes):
     if b_tag >= len(_BASES):
         raise ValueError(f"unknown base tag {b_tag}")
     name = _STRUCTS[s_tag - 1]
-    sigma = r.component(1)
     base = r.component(4 + b_tag)  # sub-tag 4 wavelet, 5 bitplane
     if name == "dsd":
-        st = DsdStructure(r.component(3), base, *r.overflow(sigma, base.length))
+        st = DsdStructure(r.component(3), base, *r.overflow(base.sigma, base.length))
     elif name == "reduction-iii":
-        st = ReductionIII(sigma, base, r.component(2), r.component(3))
+        st = ReductionIII(base, r.component(2), r.component(3))
     else:
-        st = (ReductionI if name == "reduction-i" else ReductionII)(sigma, base, r.component(2))
+        st = (ReductionI if name == "reduction-i" else ReductionII)(base, r.component(2))
     if r.at != r.end:
         raise ValueError(f"{r.end - r.at} trailing bytes in container")
     return st

@@ -53,13 +53,13 @@ import numpy as np
 from ._bits import index_args, narrow_uint, stored_indices
 from .bitvector import SparseBitvector
 from .degenerate import DegenerateString
-from .reductions import _build_base, _check_alphabet, _check_base, _Empties, _SubsetQueries
+from .reductions import _build_base, _check_base, _Empties, _SubsetQueries
 
 
 class _Decomposition(_SubsetQueries):
     """The base string of kept symbols and the overflow rows over the
     nonempty sets: symbol c's run is _rows[_bounds[c]:_bounds[c + 1]], the
-    one index of the runs, and sigma >= 1 is the number of runs. The scalar
+    one index of the runs, one run per symbol of the base. The scalar
     kernels read _rows, _bounds and the base's symbol counts as Python ints
     through memoryviews: rank bisects c's run in place with the C bisect
     module, and a select probe is one subscript."""
@@ -69,10 +69,10 @@ class _Decomposition(_SubsetQueries):
     def __init__(self, base, rows, counts):
         rows = stored_indices(rows, base.length - 1, narrow_uint(base.length), "overflow rows")
         counts = index_args(counts, 0, rows.size, "overflow counts", ValueError)
-        if counts.ndim != 1 or not counts.size:
-            raise ValueError("a DSD needs one overflow count per symbol, at least one")
-        self.sigma = counts.size
-        _check_alphabet(base, self.sigma)
+        self.sigma = base.sigma
+        if counts.shape != (self.sigma,):
+            raise ValueError(f"a DSD needs one overflow count per symbol of its base, "
+                             f"{self.sigma}, got counts of shape {counts.shape}")
         self._bounds = np.zeros(self.sigma + 1, dtype=np.int64)
         np.cumsum(counts, out=self._bounds[1:])
         if rows.shape != (self._bounds[-1],):
@@ -86,8 +86,7 @@ class _Decomposition(_SubsetQueries):
         self.n = base.length
         self.N = base.length + rows.size
         self.base_name = base.base_name
-        self.block_words = base.block_words
-        self._set_containing(base.symbol_counts()[:self.sigma] + np.diff(self._bounds))
+        self._set_containing(base.symbol_counts() + np.diff(self._bounds))
 
     def _rank(self, i: int, c: int) -> int:
         at = self._bounds_mv[c]
@@ -216,8 +215,8 @@ class _Decomposition(_SubsetQueries):
 class DsdStructure(_Empties):
     """Built from E, the base string of kept symbols over the n - n0 nonempty
     sets, and the overflow runs: rows holds each symbol's strictly increasing
-    rows in [0, n - n0) back to back, symbol 0 first, and counts, sigma >= 1
-    of them, the length of each run."""
+    rows in [0, n - n0) back to back, symbol 0 first, and counts, one for
+    each of the base's sigma symbols, the length of each run."""
 
     structure_name = "dsd"
     _ranks_by_symbol = True  # _Decomposition._rank_many searches one symbol's run at a time

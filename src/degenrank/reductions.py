@@ -22,9 +22,10 @@ _Empties over its decomposition of the nonempty sets. No other layer
 queries E.
 
 Each class is built from its components, S and R (and E for ReductionIII),
-and derives n, N and n0 from them; build_reduction and container.loads
-both end in these constructors. The builders take the variant and base
-names exactly as VARIANTS and BASES spell them. The public queries of
+and derives sigma, n, N and n0 from them: sigma is S's alphabet, less
+ReductionII's sentinel. build_reduction and container.loads both end in
+these constructors. The builders take the variant and base names
+exactly as VARIANTS and BASES spell them. The public queries of
 _SubsetQueries check their arguments against the public alphabet once;
 below them every class calls only the unchecked kernels of its
 components. decompose, size_bits and repr are defined once, on
@@ -66,16 +67,7 @@ def _build_base(symbols: np.ndarray, sigma: int, base: str, block_words: int):
     """The base string over symbols, for arguments that passed _check_base."""
     if base == "wavelet":
         return WaveletTree(symbols, sigma)
-    return BitPlaneRank(symbols, block_words=block_words)
-
-
-def _check_alphabet(S, sigma: int) -> None:
-    """Reject a base string with a symbol >= sigma or a wavelet matrix over another
-    alphabet. A wavelet matrix counts only the symbols below its own sigma, so
-    one whose levels hold a bigger symbol has counts that sum short of its length."""
-    if ((S.base_name == "wavelet" and S.sigma != sigma) or sigma > S.sigma
-            or S.symbol_counts()[:sigma].sum() != S.length):
-        raise ValueError(f"base string does not fit the alphabet of size {sigma}")
+    return BitPlaneRank(symbols, sigma, block_words)
 
 
 # A batch of at most _SCALAR_RANKS ranks, or of at most _scalar_selects
@@ -202,7 +194,6 @@ class _Empties(_SubsetQueries):
         self.N = inner.N
         self.n0 = E.ones_count
         self.base_name = inner.base_name
-        self.block_words = inner.block_words
         self._set_containing(inner._containing)
 
     def _rank(self, i: int, c: int) -> int:
@@ -227,12 +218,13 @@ class ReductionI(_SubsetQueries):
     structure_name = "reduction-i"
     _sentinels = 0  # symbols of S past the public alphabet
 
-    def __init__(self, sigma: int, S, R: PlainBitvector):
+    def __init__(self, S, R: PlainBitvector):
         if S.length != R.length - 1 or not (R._bit(0) and R._bit(R.length - 1)):
             raise ValueError("R must hold one bit per symbol of S plus one, "
                              "set at both ends")
-        self.sigma = index_arg(sigma, 1, _MAX_SIGMA, "sigma", ValueError)
-        _check_alphabet(S, self.sigma + self._sentinels)
+        self.sigma = S.sigma - self._sentinels
+        if self.sigma < 1:
+            raise ValueError("S has no symbol below reduction ii's sentinel")
         self._S = S
         self._R = R
         self.n = R.ones_count - 1
@@ -240,7 +232,6 @@ class ReductionI(_SubsetQueries):
         self.n0 = int(counts[self.sigma]) if self._sentinels else 0
         self.N = R.length - 1 - self.n0
         self.base_name = S.base_name
-        self.block_words = S.block_words
         self._set_containing(counts[:self.sigma])  # each occurrence in S is one set
 
     def _rank(self, i: int, c: int) -> int:
@@ -271,8 +262,8 @@ class ReductionIII(_Empties):
 
     structure_name = "reduction-iii"
 
-    def __init__(self, sigma: int, S, R: PlainBitvector, E: SparseBitvector):
-        super().__init__(E, ReductionI(sigma, S, R))
+    def __init__(self, S, R: PlainBitvector, E: SparseBitvector):
+        super().__init__(E, ReductionI(S, R))
 
 
 def _concat(symbols: np.ndarray, offsets: np.ndarray, sigma: int, base: str,
@@ -297,10 +288,10 @@ def build_reduction(x: DegenerateString, variant: str, base: str = "wavelet",
                             x.offsets[:-1].compress(empty), x.sigma)
         offsets = x.offsets.copy()
         offsets[1:] += np.cumsum(empty)
-        return ReductionII(x.sigma, *_concat(symbols, offsets, x.sigma + 1, base, block_words))
+        return ReductionII(*_concat(symbols, offsets, x.sigma + 1, base, block_words))
     if variant == "reduction-i" and x.n0:
         raise ValueError(f"reduction-i requires no empty sets, instance has {x.n0}")
     S, R = _concat(x.symbols, x.offsets, x.sigma, base, block_words)
     if variant == "reduction-i":
-        return ReductionI(x.sigma, S, R)
-    return ReductionIII(x.sigma, S, R, SparseBitvector(x.n, np.flatnonzero(x._empty())))
+        return ReductionI(S, R)
+    return ReductionIII(S, R, SparseBitvector(x.n, np.flatnonzero(x._empty())))

@@ -4,7 +4,7 @@ Two interchangeable backends:
 
 * WaveletTree is a wavelet matrix: it works for any alphabet size sigma >= 1
   and answers queries in O(log sigma) bitvector operations, one per level.
-* BitPlaneRank is a flat-layout alternative fixed to sigma <= 4. Symbols are
+* BitPlaneRank is a flat-layout alternative for sigma <= 4. Symbols are
   split into a low and a high bit plane; a block of 512 * block_words symbols
   keeps one absolute count per symbol, and each 512-symbol sub-block one
   count per symbol relative to its block. Each plane is kept as rows of 8
@@ -98,7 +98,6 @@ class WaveletTree(_StringQueries):
     """
 
     base_name = "wavelet"
-    block_words = None  # no blocks: one zero count per level
 
     def __init__(self, symbols, sigma: int):
         sigma = index_arg(sigma, 1, _MAX_SIGMA, "sigma", ValueError)
@@ -118,7 +117,7 @@ class WaveletTree(_StringQueries):
 
     @classmethod
     def from_level_payload(cls, sigma: int, length: int, level_words) -> "WaveletTree":
-        """Rebuild from the per-level packed bitvector payloads."""
+        """Rebuild from level_payload(); refuses levels that hold a symbol >= sigma."""
         self = cls.__new__(cls)
         self._set_levels(sigma, length, level_words)
         return self
@@ -141,10 +140,13 @@ class WaveletTree(_StringQueries):
             runs = np.stack((runs - ones, z + ones), axis=1).reshape(-1, 2)
         self._start = runs[: self.sigma, 0].copy()
         self._counts = runs[: self.sigma, 1] - self._start
+        if self._counts.sum() != self.length:
+            raise ValueError(f"levels hold a symbol past the alphabet of size {self.sigma}")
         self._start_mv = memoryview(self._start)
 
     def level_payload(self):
-        return [(bv.length, bv._words) for bv in self._levels]
+        """sigma, length and the level words, as from_level_payload takes them."""
+        return self.sigma, self.length, [bv._words for bv in self._levels]
 
     def _decode(self) -> np.ndarray:
         """The whole string, in its narrow dtype. The build partitions each
@@ -244,22 +246,23 @@ class BitPlaneRank(_StringQueries):
     MAX_BLOCK_WORDS = (2**63 - 1) // 512  # a block of 512 * block_words symbols fits in int64
     _chunk = (1 << 16) // _SUB_WORDS  # queries per batch chunk
 
-    def __init__(self, symbols, block_words: int = 8):
+    def __init__(self, symbols, sigma: int, block_words: int = 8):
         syms = _as_symbols(symbols, self.SIGMA)
         self.length = int(syms.size)
         self._low = pack_bits(syms & 1)
         self._high = pack_bits(syms >> 1)
-        self._build_counts(block_words)
+        self._build_counts(sigma, block_words)
 
     @classmethod
-    def from_planes(cls, length: int, block_words: int, low, high) -> "BitPlaneRank":
-        """Rebuild from the packed planes; rejects nonzero bits past length."""
+    def from_planes(cls, sigma: int, length: int, block_words: int, low, high) -> "BitPlaneRank":
+        """Rebuild from plane_payload(); rejects bits past length and symbols >= sigma."""
         self = cls.__new__(cls)
         self.length, (self._low, self._high) = packed_payload(length, low, high)
-        self._build_counts(block_words)
+        self._build_counts(sigma, block_words)
         return self
 
-    def _build_counts(self, block_words) -> None:
+    def _build_counts(self, sigma, block_words) -> None:
+        self.sigma = index_arg(sigma, 1, self.SIGMA, "sigma", ValueError)
         self.block_words = bw = index_arg(block_words, 1, self.MAX_BLOCK_WORDS, "block_words",
                                           ValueError)
         # The planes as rows, one per sub-block; the last one holds position length.
@@ -278,7 +281,9 @@ class BitPlaneRank(_StringQueries):
         pops[0, -1] -= 512 * n_sub - self.length
         before = np.zeros((self.SIGMA, n_sub + 1), dtype=np.int64)
         np.cumsum(pops, axis=1, out=before[:, 1:])
-        self._totals = before[:, -1].copy()
+        if before[self.sigma:, -1].any():
+            raise ValueError(f"planes hold a symbol past the alphabet of size {self.sigma}")
+        self._totals = before[:self.sigma, -1].copy()
         n_blocks = -(-self.length // (512 * bw))
         blocks = before[:, np.minimum(np.arange(n_blocks + 1) * bw, n_sub)]
         # Relative counts stop at 512 * (block_words - 1) and at length; int64,
@@ -296,17 +301,14 @@ class BitPlaneRank(_StringQueries):
         self._sub_mv = [memoryview(row) for row in self._sub]
 
     def plane_payload(self):
-        return (self.length, self.block_words, self._low, self._high)
+        """sigma, length, block_words and the two planes, as from_planes takes them."""
+        return self.sigma, self.length, self.block_words, self._low, self._high
 
     def _decode(self) -> np.ndarray:
         """The whole string, in its narrow dtype: the two planes unpacked."""
         return unpack_bits(self._high, self.length) << 1 | unpack_bits(self._low, self.length)
 
     # -- queries -------------------------------------------------------------
-
-    @property
-    def sigma(self) -> int:
-        return self.SIGMA
 
     def symbol_counts(self) -> np.ndarray:
         """Occurrences of each symbol, indexed by symbol."""
@@ -414,7 +416,8 @@ class BitPlaneRank(_StringQueries):
         return total
 
     def __repr__(self) -> str:
-        return f"BitPlaneRank(length={self.length}, block_words={self.block_words})"
+        return (f"BitPlaneRank(length={self.length}, sigma={self.sigma}, "
+                f"block_words={self.block_words})")
 
 
 # A row of plane words of all 0s, of all 1s.

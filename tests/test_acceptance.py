@@ -178,7 +178,7 @@ def test_criterion_3_structure_agreement():
 
 def _assert_bases_agree(syms: np.ndarray, sigma: int):
     wt = WaveletTree(syms, sigma)
-    bp = BitPlaneRank(syms, block_words=1)
+    bp = BitPlaneRank(syms, sigma, block_words=1)
     n = syms.size
     idx = np.arange(n + 1)
     for c in range(sigma):

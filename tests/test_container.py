@@ -9,7 +9,7 @@ from degenrank._bits import narrow_uint
 from degenrank.degenerate import DegenerateString, generate, parse_degenerate
 from degenrank.dsd import build_dsd
 from degenrank.oracle import positions_of, rank_table
-from degenrank.reductions import build_reduction
+from degenrank.reductions import VARIANTS, build_reduction
 
 WORKED = parse_degenerate("4 4\n0 1 2\n0 3\n1\n2 3\n")
 
@@ -67,12 +67,45 @@ def test_roundtrip_every_structure():
 
 
 def test_roundtrip_preserves_block_words():
+    # block_words is a fact of the bitplane base alone
     x = generate(seed=11, n=500, sigma=4, profile="uniform")
     st = build_reduction(x, "reduction-iii", "bitplane", block_words=4)
-    st2 = container.loads(container.dumps(st))
-    assert st2.block_words == 4
+    assert container.loads(container.dumps(st))._inner._S.block_words == 4
+    d = build_dsd(x, "bitplane", block_words=4)
+    assert container.loads(container.dumps(d))._inner._base.block_words == 4
     st3 = container.loads(container.dumps(build_reduction(x, "reduction-iii")))
-    assert st3.block_words is None
+    assert not hasattr(st3._inner._S, "block_words")
+
+
+def base_of(st):
+    inner = getattr(st, "_inner", st)
+    return inner._base if st.structure_name == "dsd" else inner._S
+
+
+@pytest.mark.parametrize("base,sigma", [("bitplane", s) for s in (1, 2, 3, 4)]
+                         + [("wavelet", s) for s in (1, 5, 16, 300)])
+def test_every_structure_round_trips_with_sigma_read_from_its_base(base, sigma):
+    layout = {"reduction-i": [base, "plain"], "reduction-ii": [base, "plain"],
+              "reduction-iii": [base, "plain", "sparse"], "dsd": [base, "sparse", "overflow"]}
+    built = []
+    for empty in (0.0, 0.2):  # reduction i takes no empty set
+        probs = ([empty] + [1.0] * 3 + [0.0] * sigma)[:sigma + 1]
+        x = generate(13 + sigma, 200, sigma, size_probs=probs)
+        assert (x.n0 > 0) == (empty > 0)
+        for structure in VARIANTS + ("dsd",):
+            try:
+                st = (build_dsd(x, base) if structure == "dsd"
+                      else build_reduction(x, structure, base))
+            except ValueError:  # reduction i over empty sets, sigma + 1 past the bitplane's 4
+                continue
+            blob = container.dumps(st)
+            assert [name for name, _, _ in container.scan_components(blob)] == layout[structure]
+            st2 = container.loads(blob)
+            assert base_of(st2).sigma == sigma + (structure == "reduction-ii")
+            assert st2.sigma == sigma and st2.decompose() == x
+            assert container.dumps(st2) == blob
+            built.append(structure)
+    assert set(built) == set(layout) - ({"reduction-ii"} if sigma == 4 else set())
 
 
 def test_save_load_file(tmp_path):
@@ -89,7 +122,7 @@ def test_scan_components_layout():
     st = build_reduction(WORKED, "reduction-i", "wavelet")
     blob = container.dumps(st)
     comps = container.scan_components(blob)
-    assert [name for name, _, _ in comps] == ["meta", "wavelet", "plain"]
+    assert [name for name, _, _ in comps] == ["wavelet", "plain"]
     # components tile the blob exactly after the 7-byte header, each after
     # its 13-byte frame: sub-tag, payload length and CRC
     at = 7
@@ -101,10 +134,10 @@ def test_scan_components_layout():
     x = generate(seed=7, n=64, sigma=3, profile="uniform")
     names = [n for n, _, _ in
              container.scan_components(container.dumps(build_dsd(x)))]
-    assert names == ["meta", "wavelet", "sparse", "overflow"]
+    assert names == ["wavelet", "sparse", "overflow"]
     names = [n for n, _, _ in container.scan_components(
         container.dumps(build_reduction(x, "reduction-iii", "bitplane")))]
-    assert names == ["meta", "bitplane", "plain", "sparse"]
+    assert names == ["bitplane", "plain", "sparse"]
 
 
 def test_a_corrupted_payload_is_refused_by_name():
@@ -155,7 +188,7 @@ def test_rejects_malformed_blobs():
     blob = container.dumps(st)
     with pytest.raises(ValueError, match="magic"):
         container.loads(b"JUNK" + blob[4:])
-    for version in (1, 2, 99):  # the layouts of versions 1 and 2 are not read
+    for version in (1, 2, 3, 99):  # the layouts of versions 1 to 3 are not read
         with pytest.raises(ValueError, match="version"):
             container.loads(blob[:4] + bytes([version]) + blob[5:])
     with pytest.raises(ValueError, match="structure tag"):
@@ -179,14 +212,14 @@ def test_rejects_malformed_blobs():
 
 def test_scan_components_refuses_truncated_blobs():
     blob = container.dumps(build_reduction(WORKED, "reduction-i"))
-    # inside the first component's frame; 4 of the meta block's 8 payload
-    # bytes; the last component 3 bytes short
+    # inside the first component's frame; 4 bytes into the wavelet header's
+    # 16; the last component 3 bytes short
     for cut in (blob[:8], blob[:12], blob[:24], blob[:-3]):
         with pytest.raises(ValueError, match="truncated"):
             container.scan_components(cut)
 
 
-@pytest.mark.parametrize("kind", ["meta", "plain", "sparse", "wavelet", "bitplane"])
+@pytest.mark.parametrize("kind", ["plain", "sparse", "wavelet", "bitplane"])
 def test_a_payload_longer_than_its_contents_is_refused(kind):
     base = "wavelet" if kind == "wavelet" else "bitplane"
     blob = container.dumps(build_reduction(WORKED, "reduction-iii", base))
@@ -194,7 +227,8 @@ def test_a_payload_longer_than_its_contents_is_refused(kind):
     container.loads(blob)
     grown = (blob[:off - 12] + (ln + 8).to_bytes(8, "little") + blob[off - 4:off + ln]
              + bytes(8) + blob[off + ln:])
-    with pytest.raises(ValueError, match="wrong size"):
+    # sparse positions run to the end of their payload: 8 more, each 0
+    with pytest.raises(ValueError, match="one positions" if kind == "sparse" else "wrong size"):
         container.loads(reseal(grown))
 
 
@@ -240,10 +274,13 @@ def test_padding_bits_are_policed():
 
 
 def probe_build(seed, kind, base):
-    # sigma sits at the bitplane limit, so that sigma + 1 is refused there too:
-    # the meta block is the only record of a bit plane string's alphabet, and
-    # a string over [0, 3) is also a valid string over [0, 4)
-    sigma = 3 if (kind, base) == ("reduction-ii", "bitplane") else 4
+    # S is over 4 symbols in every build, reduction ii's sentinel included: at
+    # the bitplane limit, and a power of 2, so sigma + 1 takes one wavelet
+    # level more than the payload holds. An edit that kept the level count,
+    # such as 5 to 6 under reduction ii, would read as another valid
+    # instance, whose sets hold the old sentinel: sigma has one home, and
+    # only the CRC guards it.
+    sigma = 3 if kind == "reduction-ii" else 4
     probs = [0.0 if kind == "reduction-i" else 0.2] + [0.8 / sigma] * sigma
     x = generate(seed, 300, sigma, size_probs=probs)
     if kind == "dsd":
@@ -253,11 +290,12 @@ def probe_build(seed, kind, base):
 
 @pytest.mark.parametrize("kind", ["reduction-i", "reduction-ii", "reduction-iii", "dsd"])
 @pytest.mark.parametrize("base", ["wavelet", "bitplane"])
-def test_meta_edits_and_foreign_components_are_rejected(kind, base):
+def test_sigma_edits_and_foreign_components_are_rejected(kind, base):
     blob = container.dumps(probe_build(3, kind, base))
     comps = {name: (off, ln) for name, off, ln in container.scan_components(blob)}
-    at, _ = comps["meta"]  # sigma, its only field
+    at, _ = comps[base]  # sigma, the base header's first field
     value = int.from_bytes(blob[at:at + 8], "little")
+    assert value == 4
     for delta in (1, -1):
         edited = (value + delta).to_bytes(8, "little")
         with pytest.raises(ValueError):
@@ -272,37 +310,38 @@ def test_meta_edits_and_foreign_components_are_rejected(kind, base):
 
 @pytest.mark.parametrize("sets", [[[], []], [[0], [], [0, 1], [1]]])
 def test_a_container_declaring_sigma_0_is_refused(sets):
-    # sigma is the first u64 of the meta block; no alphabet is empty
+    # sigma is the first u64 of the base string, the first component; no
+    # alphabet is empty
     for st in build_all(DegenerateString.from_sets(2, sets)):
         blob = bytearray(container.dumps(st))
         (name, off, _), *_ = container.scan_components(blob)
-        assert name == "meta"
+        assert name == st.base_name
         blob[off:off + 8] = bytes(8)
         with pytest.raises(ValueError):
             container.loads(reseal(blob))
 
 
 # SHA-256 of dumps for every structure x base that builds, at the default
-# block_words, on generate(7, n, sigma, profile): the container v3 bytes stay
+# block_words, on generate(7, n, sigma, profile): the container v4 bytes stay
 # the same whatever the code that writes them.
 PINNED_INSTANCES = {"dna": (3000, 4, "genomic-like"), "wide": (2000, 16, "uniform")}
 PINNED_DIGESTS = {
     ("dna", "reduction-ii", "wavelet"):
-        "902c30543174611977daf6127155b49fa5b93365646a679d23cbe9419c3c6d4f",
+        "eef5bf1ea5e5837afe7d49fc2928a0ba4bed4c232c4d24582f134206df3b8d66",
     ("dna", "reduction-iii", "wavelet"):
-        "f4ee74ff0076df51034061dfd04032f97f28a514ad9621f7ff6e2319cbfe4238",
+        "bcdaeabc0ef181b0d020a81d0c3b4687de682e5cad495a1ef43e2739ec404d3d",
     ("dna", "reduction-iii", "bitplane"):
-        "cad7b6e00b7e2dea67eaaa1bdcf9b1f3fb0c11843300d1738258a56392d2f92c",
+        "2f2e6357a8934c6b77bb1e62d2088041487552c7700905215e54999f062e84f0",
     ("dna", "dsd", "wavelet"):
-        "25b6e15cc5ee1764db53828c6d05e7c7b06d404a3ab45aaab13b6784ea5368f2",
+        "7d359e7c8dd2ab08173c0edd3f35ff4d5f5a04d9df3f5f6a76091043de68829e",
     ("dna", "dsd", "bitplane"):
-        "4f612f243db7bf76e6ffbaebb15e70f92cdea2d2a2bc32516423c4d8ad6ad313",
+        "a3274888970d209fafbcba2233bbe51f1cd8b45276b78f189cab5a7d53714751",
     ("wide", "reduction-ii", "wavelet"):
-        "f9522ae12a121ecf879af8dd2a3c99d3fc10c012fcf017a53542265e9de4fa27",
+        "1eecf4b4162df7f955a6df014c120d68c4330819c0c2ee54b7c17dd6b036fb86",
     ("wide", "reduction-iii", "wavelet"):
-        "5cf90c06d750f3710fafa0e3c942ec4cfee433bfd2cd817005c22f89ae511b22",
+        "fafbcb8e63d0851749f4e6413a51b6ce957a7752a56e5b11cd7fb0a9b5504954",
     ("wide", "dsd", "wavelet"):
-        "d864e89a86c265389e3775f3ae02b58300d1b60b23c2b790d49842e0bfc0e6bf",
+        "cd98f4f6462ba0208c18a590205e6f23ee98bf4d44bd4aeaed5336b4c4d0bbb5",
 }
 
 
@@ -341,40 +380,40 @@ def edge_instances():
     }
 
 
-# SHA-256 of dumps on the instances above, in container v3.
+# SHA-256 of dumps on the instances above, in container v4.
 PINNED_EDGE_DIGESTS = {
     ("empty-runs", "reduction-ii", "wavelet"):
-        "e148a307e6f1ad90d8c9721c2097f75d805a45f1cdb3635c2632a780acade541",
+        "3161f7b40253c62c0b3d1a00f6e8d74f39c2fe47457c23102d2134d0899eb301",
     ("empty-runs", "reduction-iii", "wavelet"):
-        "316fe7c438e3aa98b7bb07726fd0a1710aea1442e8a9a092a2ed819d2667589e",
+        "89cf4ac2000c260631997bef8338c6f76d32d8ffebc8835632e4aaa5f7f77573",
     ("empty-runs", "reduction-iii", "bitplane"):
-        "420e4ef6f8cc7c9c752655eeec24a44dd946eecd536868d8351bb274943ebe4b",
+        "5456aabc5392c13027155078eb7a33c4ef9969afe0592755407a15ce801a24e3",
     ("empty-runs", "dsd", "wavelet"):
-        "e972f39b104368cc25716389d29ab71ae034397ce4ad1e5260328c6510d2058c",
+        "420b60667cba25581ea8d97831fd83d319dc61063f26ef0016b6e2827df2dcf0",
     ("empty-runs", "dsd", "bitplane"):
-        "5afc44e79413fa20c053627430b169082e9de95f9e9bbd9e97952af728a80519",
+        "ac1c10898aa1f6630c0d04c5231211ed6a66e3334226dfbabe3529469ff346df",
     ("all-empty", "reduction-ii", "wavelet"):
-        "987fffc686f616fc5f651eb16351576e99896f16f91e7d131fdf6e404872fdc9",
+        "970c86fedfb7c0efd349eb6687b17f6b46b1c8b7626ca1b65b845eaaa4eda15e",
     ("all-empty", "reduction-iii", "wavelet"):
-        "045d4f3fd98f54fa238726ee4d2e4f2162d953b6e1442088d257b94a3724cbb5",
+        "174b6729365fb748c548c8fe3c9df29e86c77bd26f345d86bef35f7977dd1a7a",
     ("all-empty", "reduction-iii", "bitplane"):
-        "1a3bf693679bebb4ec4a02a9a0ae1424f2ce9c4e7a2c68aee15e8f2562b7c04a",
+        "e701fcda34c1b45b84fdcc06a5641a521943c7125be57977b1d3532a70413e9d",
     ("all-empty", "dsd", "wavelet"):
-        "98e561acd8e909debafbc2b221fa26b8d8f4dbfeed4a37dee083503394ac8f7b",
+        "abbc994ed4b0ac904e6eb2ba1762824801ed09c7a4c72bf7176d530a30c2fd1e",
     ("all-empty", "dsd", "bitplane"):
-        "52454872a02670b22c6425a5748c7e55218a346e7eb59957026fd47b2f1d41bd",
+        "9bb496debdbb76dc42e19ff3e753cdd1372471d1b184acb82529a1d9bd29f43f",
     ("sigma-257", "reduction-ii", "wavelet"):
-        "15d4f5edda4d7d19466c037ac881d8b12fc4e75ebfc91f5b63cf0df754586343",
+        "aea2fe4016920048cb6cbf34ebd4d42887cb704eb79bf0eb92e2e57bc5bf9b55",
     ("sigma-257", "reduction-iii", "wavelet"):
-        "2b2d36db2cad8d52d6baf4e2100f99c433cfef694ae293399df40554a8abb715",
+        "32159198ac39f3b366cf0f6f4253e37ce78421d694004740e106650ad09b8838",
     ("sigma-257", "dsd", "wavelet"):
-        "1f39c7376ee70aece1a5d00bf8293046de8f079c5a6d2946100d6c3adfbafc78",
+        "5535dc3df56d2c0d151d0d3f223c431ec0ee62a79395e9717383d777a7cf5640",
     ("sigma-4096", "reduction-ii", "wavelet"):
-        "c8b20b8844f2932734f7083e68937466883e5a4aaf3292a70fa495d592a493d5",
+        "3b0521ee61ede8fcac07a996f45090cb1271c54dc5b6b95c5f3bf47a397de7b6",
     ("sigma-4096", "reduction-iii", "wavelet"):
-        "5fa78513b694cd0d6e3df09183a6e138c5ef34dcd7727ac45d2b4a5741ec9d48",
+        "e86d28c0fd5995f01aed9d5eadad2659c2b60095389c8e78028e20a4f1e7c7fc",
     ("sigma-4096", "dsd", "wavelet"):
-        "6e0ee485b20cc08acd1216f267f16362805b9c64f2910902c1fd038395863717",
+        "1481566fb32b5d8e161d28b96c9592622adf6e80a1737a5356586b9c8e7483fe",
 }
 
 
@@ -431,10 +470,11 @@ def test_dsd_build_and_load_make_no_vector_per_symbol(monkeypatch):
 
 def overflow_edits(d):
     """Edits of d's container, each of which loads must refuse once every CRC
-    is resealed. The components are meta, the base, E, then the overflow:
-    sigma run lengths as u64, then the rows in narrow_uint(n - n0)."""
+    is resealed. The components are the base, whose header starts with
+    sigma, E, then the overflow: sigma run lengths as u64, then the rows in
+    narrow_uint(n - n0)."""
     blob = container.dumps(d)
-    (_, meta_at, _), *_, (name, off, _) = container.scan_components(blob)
+    (_, sigma_at, _), *_, (name, off, _) = container.scan_components(blob)
     assert name == "overflow"
     counts = np.frombuffer(blob, "<u8", d.sigma, off)
     rows = np.frombuffer(blob, narrow_uint(d.n - d.n0), offset=off + 8 * d.sigma)
@@ -456,8 +496,10 @@ def overflow_edits(d):
         "a count one long": (overflow(counts=long), "overflow counts sum to"),
         "another sub-tag": (reseal(blob[:off - 13] + bytes([2]) + blob[off - 12:]),
                             "expected component"),
-        "sigma 2**40": (reseal(blob[:meta_at] + (1 << 40).to_bytes(8, "little")
-                               + blob[meta_at + 8:]), "truncated"),
+        # 40 wavelet levels, or an alphabet past the bitplane's 4
+        "sigma 2**40": (reseal(blob[:sigma_at] + (1 << 40).to_bytes(8, "little")
+                               + blob[sigma_at + 8:]),
+                        "truncated" if d.base_name == "wavelet" else "sigma"),
     }
 
 
@@ -475,10 +517,55 @@ def test_a_dsd_container_with_a_bad_overflow_component_is_refused(base):
 
 
 @pytest.mark.parametrize("sigma", [4, 4096, 2**16])
-def test_a_dsd_container_holds_four_components_whatever_sigma(sigma):
+def test_a_dsd_container_holds_three_components_whatever_sigma(sigma):
     # the overflow is one component however many runs it holds
     x = generate(7, 100, sigma, "uniform", size_probs=[1, 1, 1, 1] + [0] * (sigma - 3))
     blob = container.dumps(build_dsd(x))
     assert [name for name, _, _ in container.scan_components(blob)] == [
-        "meta", "wavelet", "sparse", "overflow"]
+        "wavelet", "sparse", "overflow"]
     assert container.loads(blob).decompose() == x
+
+
+def test_a_version_3_container_is_refused():
+    blob = container.dumps(build_reduction(WORKED, "reduction-iii"))
+    with pytest.raises(ValueError, match="^unsupported container version 3, expected 4$"):
+        container.loads(blob[:4] + bytes([3]) + blob[5:])
+
+
+def with_base_sigma(blob, sigma) -> bytes:
+    """blob with the base string's sigma, its first header field, set to sigma
+    and every CRC resealed."""
+    (_, at, _), *_ = container.scan_components(blob)
+    return reseal(blob[:at] + sigma.to_bytes(8, "little") + blob[at + 8:])
+
+
+@pytest.mark.parametrize("structure", ["reduction-iii", "dsd"])
+def test_a_wavelet_payload_that_holds_a_symbol_past_sigma_is_refused(structure):
+    # 6 and 5 symbols take 3 levels each, so the levels read whole
+    x = generate(9, 300, 6, "uniform")
+    st = build_dsd(x) if structure == "dsd" else build_reduction(x, structure)
+    assert base_of(st).symbol_counts()[5] > 0
+    with pytest.raises(ValueError, match="levels hold a symbol past the alphabet of size 5"):
+        container.loads(with_base_sigma(container.dumps(st), 5))
+
+
+@pytest.mark.parametrize("structure", ["reduction-i", "reduction-iii", "dsd"])
+def test_a_sigma_3_bitplane_payload_that_holds_symbol_3_is_refused(structure):
+    probs = [0.0 if structure == "reduction-i" else 0.2, 1, 1, 1, 1]
+    x = generate(9, 300, 4, size_probs=probs)
+    st = (build_dsd(x, "bitplane") if structure == "dsd"
+          else build_reduction(x, structure, "bitplane"))
+    assert base_of(st).symbol_counts()[3] > 0
+    with pytest.raises(ValueError, match="planes hold a symbol past the alphabet of size 3"):
+        container.loads(with_base_sigma(container.dumps(st), 3))
+
+
+def test_a_sparse_payload_cut_inside_a_position_is_refused():
+    # E's positions take 2 bytes each once n passes 255; one byte more is no whole position
+    x = generate(3, 400, 4, size_probs=[0.2] * 5)
+    blob = container.dumps(build_reduction(x, "reduction-iii"))
+    (*_, (name, off, ln)) = container.scan_components(blob)
+    assert name == "sparse" and (ln - 8) % 2 == 0
+    grown = blob[:off - 12] + (ln + 1).to_bytes(8, "little") + blob[off - 4:] + bytes(1)
+    with pytest.raises(ValueError, match="^sparse component has wrong size$"):
+        container.loads(reseal(grown))

@@ -146,9 +146,9 @@ def test_empty_and_all_empty():
         with pytest.raises(ValueError):
             d.subset_select_many([1], [0])
         assert d.subset_select_many([], []).size == 0
-    # no overflow counts at all would be sigma 0, which no instance has
+    # no overflow counts at all would be sigma 0, where the base has sigma 1
     E, base, _ = build_dsd(DegenerateString.from_sets(1, [[], []])).components()
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match="one overflow count per symbol of its base"):
         DsdStructure(E, base, [], [])
 
 

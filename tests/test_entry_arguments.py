@@ -12,6 +12,7 @@ from degenrank.bounds import lower_bound
 from degenrank.degenerate import DegenerateString, generate
 from degenrank.dsd import build_dsd
 from degenrank.reductions import build_reduction
+from degenrank.strrank import BitPlaneRank
 
 X = DegenerateString.from_sets(3, [[0, 1], [], [2]])
 ST = build_reduction(X, "reduction-iii")
@@ -32,6 +33,7 @@ ENTRY_POINTS = {
         lambda v: build_reduction(X, "reduction-iii", "bitplane", block_words=v),
     "build_dsd-wavelet-block_words": lambda v: build_dsd(X, "wavelet", block_words=v),
     "build_dsd-bitplane-block_words": lambda v: build_dsd(X, "bitplane", block_words=v),
+    "BitPlaneRank-sigma": lambda v: BitPlaneRank([0, 1, 2], v),
     # reduction ii's sentinel sigma must fit the base as well as the members' uint64
     "build_reduction-ii-wavelet-sigma":
         lambda v: build_reduction(DegenerateString(v, [5], [0, 1, 1]), "reduction-ii", "wavelet"),
@@ -53,6 +55,7 @@ BAD_VALUES = {
     "build_reduction-bitplane-block_words": (8.0, "8", -5, 0, True),
     "build_dsd-wavelet-block_words": (8.0, "8", -5, True),
     "build_dsd-bitplane-block_words": (8.0, "8", 0, True),
+    "BitPlaneRank-sigma": (2.5, "3", 0, 5, True),
     "build_reduction-ii-wavelet-sigma": (2**64, 2**65),
     "build_reduction-ii-bitplane-sigma": (2**64, 2**65),
 }
@@ -81,6 +84,8 @@ def test_the_same_calls_take_integers_of_any_type():
     assert lower_bound(np.int64(100), np.uint16(40)) == lower_bound(100, 40)
     cfg = BenchConfig(query_count=np.int64(10), repeats=np.uint8(1)).validated()
     assert (type(cfg.query_count), type(cfg.repeats)) == (int, int)
-    assert build_reduction(X, "reduction-iii", "bitplane", block_words=np.int8(2)).block_words == 2
+    st = build_reduction(X, "reduction-iii", "bitplane", block_words=np.int8(2))
+    assert st._inner._S.block_words == 2
+    assert BitPlaneRank([0, 1, 2], np.uint8(3)).sigma == 3
     # sigma has no upper bound but the members' uint64
     assert DegenerateString(2**64, [2**64 - 1], [0, 1]).sigma == 2**64

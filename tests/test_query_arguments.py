@@ -154,7 +154,7 @@ def test_a_chain_step_makes_a_fixed_number_of_calls():
 
 def test_components_reject_non_integers():
     syms = np.array([0, 1, 2, 3, 0, 1])
-    for st in (WaveletTree(syms, 4), BitPlaneRank(syms)):
+    for st in (WaveletTree(syms, 4), BitPlaneRank(syms, 4)):
         for query in (lambda: st.rank(2.5, 0), lambda: st.rank(2, 1.0),
                       lambda: st.select(1.5, 0), lambda: st.access(0.0),
                       lambda: st.symbol_count(0.5), lambda: st.rank_many([2.5], 0),

@@ -231,35 +231,32 @@ def test_constructors_reject_parts_that_do_not_fit():
     x = generate(5, 200, 4, size_probs=[0.2] * 5)
     iii = build_reduction(x, "reduction-iii")
     S, R, E = iii._inner._S, iii._inner._R, iii._E
-    assert ReductionIII(4, S, R, E).decompose() == x
+    assert ReductionIII(S, R, E).decompose() == x
     bits = R.bits()
     for bad_R in (PlainBitvector(bits[:-1]),                  # one bit short of S
                   PlainBitvector(np.r_[bits[:-1], 0]),        # no closing 1
                   PlainBitvector(np.r_[0, bits[1:]])):        # set 0 does not start at 0
         with pytest.raises(ValueError, match="R must"):
-            ReductionI(4, S, bad_R)
-    for sigma in (3, 5):  # symbol 3 occurs; the wavelet base is over 4 symbols
-        with pytest.raises(ValueError, match="alphabet"):
-            ReductionI(sigma, S, R)
+            ReductionI(S, bad_R)
     with pytest.raises(ValueError):
-        ReductionIII(4, S, R, SparseBitvector(E.length + 1, E.positions()))
-    # reduction-ii: S must hold the sentinel symbol sigma on top of the alphabet
+        ReductionIII(S, R, SparseBitvector(E.length + 1, E.positions()))
+    # reduction-ii: S holds the sentinel symbol sigma on top of the alphabet
     ii = build_reduction(x, "reduction-ii")
-    assert ReductionII(4, ii._S, ii._R).n0 == x.n0
-    with pytest.raises(ValueError):
-        ReductionI(4, ii._S, ii._R)
+    assert (ReductionII(ii._S, ii._R).n0, ReductionII(ii._S, ii._R).sigma) == (x.n0, 4)
+    # a one-symbol S holds the sentinel alone, and leaves no alphabet
+    one = build_reduction(DegenerateString.from_sets(1, [[0], []]), "reduction-ii")
+    with pytest.raises(ValueError, match="sentinel"):
+        ReductionII(WaveletTree(np.zeros(2, dtype=np.uint8), 1), one._R)
 
 
 @pytest.mark.parametrize("variant", ["reduction-i", "reduction-ii", "reduction-iii"])
 @pytest.mark.parametrize("base", ["wavelet", "bitplane"])
-def test_constructors_take_sigma_as_an_integer_of_at_least_1(variant, base):
+def test_constructors_derive_sigma_from_the_base(variant, base):
     sets = [[0, 1], [2], [1, 2]] + ([] if variant == "reduction-i" else [[]])
     x = DegenerateString.from_sets(3, sets)
     st = build_reduction(x, variant, base)
     parts = ((st._inner._S, st._inner._R, st._E) if variant == "reduction-iii"
              else (st._S, st._R))
-    cls = type(st)
-    assert cls(np.int64(3), *parts).decompose() == x
-    for bad in (0, -1, 3.0, "3"):
-        with pytest.raises(ValueError, match="sigma"):
-            cls(bad, *parts)
+    assert parts[0].sigma == 3 + (variant == "reduction-ii")  # and the sentinel
+    again = type(st)(*parts)
+    assert again.sigma == 3 and again.decompose() == x

@@ -28,7 +28,7 @@ DOC_SYMS = np.array([0, 1, 2, 0, 3, 1, 3, 2])
 
 @pytest.mark.parametrize("make", [
     lambda s: WaveletTree(s, 4),
-    lambda s: BitPlaneRank(s, block_words=1),
+    lambda s: BitPlaneRank(s, 4, block_words=1),
 ])
 def test_doc_string_values(make):
     st = make(DOC_SYMS)
@@ -86,10 +86,11 @@ def test_wavelet_matrix_layout(sigma):
             order = sorted(syms, key=lambda s: [(s >> b) & 1 for b in above])
             levels.append([(s >> (nbits - 1 - k)) & 1 for s in order])
         wt = WaveletTree(syms, sigma)
-        payload = wt.level_payload()
-        assert [unpack_bits(words, length).tolist() for length, words in payload] == levels
-        level_bits = sum(PlainBitvector.from_words(length, words).size_bits()
-                         for length, words in payload)
+        assert wt.level_payload()[:2] == (sigma, len(syms))
+        payload = wt.level_payload()[2]
+        assert [unpack_bits(words, len(syms)).tolist() for words in payload] == levels
+        level_bits = sum(PlainBitvector.from_words(len(syms), words).size_bits()
+                         for words in payload)
         assert wt.size_bits() == level_bits + 64 * (nbits + 2 * sigma) + 192
         assert wt.symbol_counts().tolist() == np.bincount(syms, minlength=sigma).tolist()
 
@@ -104,8 +105,8 @@ def test_bitplane_matches_linear_scan(block_words):
     lengths = [n for n in lengths if n <= 3 * 2**14]  # the block edges of 2**40 are too far
     for n in lengths:
         syms = random_symbols(rng, n, 4, skew=[0.7, 0.2, 0.07, 0.03])
-        bp = BitPlaneRank(syms, block_words=block_words)
-        length, _, low, high = bp.plane_payload()
+        bp = BitPlaneRank(syms, 4, block_words=block_words)
+        _, length, _, low, high = bp.plane_payload()
         assert length == n and low.shape == high.shape == (n // 64 + 1,)
         # the zero padding past length matches symbol 0, and no rank counts it
         again = BitPlaneRank.from_planes(*bp.plane_payload())
@@ -127,7 +128,7 @@ def test_backends_agree():
     rng = np.random.default_rng(77)
     syms = random_symbols(rng, 20000, 4, skew=[0.45, 0.3, 0.2, 0.05])
     wt = WaveletTree(syms, 4)
-    bp = BitPlaneRank(syms, block_words=4)
+    bp = BitPlaneRank(syms, 4, block_words=4)
     i = rng.integers(0, 20001, size=3000)
     c = rng.integers(0, 4, size=3000)
     assert np.array_equal(wt.rank_many(i, c), bp.rank_many(i, c))
@@ -139,7 +140,7 @@ def test_backends_agree():
 
 @pytest.mark.parametrize("make", [
     lambda s: WaveletTree(s, 4),
-    lambda s: BitPlaneRank(s, block_words=2),
+    lambda s: BitPlaneRank(s, 4, block_words=2),
 ])
 def test_scalar_agrees_with_batch(make):
     rng = np.random.default_rng(13)
@@ -161,7 +162,7 @@ def test_scalar_agrees_with_batch(make):
 def test_select_is_right_inverse_of_rank():
     rng = np.random.default_rng(29)
     syms = random_symbols(rng, 4000, 4, skew=[0.9, 0.05, 0.04, 0.01])
-    for st in (WaveletTree(syms, 4), BitPlaneRank(syms)):
+    for st in (WaveletTree(syms, 4), BitPlaneRank(syms, 4)):
         for c in range(4):
             total = st.symbol_count(c)
             for j in range(1, total + 1, max(1, total // 40)):
@@ -172,7 +173,7 @@ def test_select_is_right_inverse_of_rank():
 
 def test_argument_validation():
     syms = np.array([0, 1, 2, 3, 0])
-    for st in (WaveletTree(syms, 4), BitPlaneRank(syms)):
+    for st in (WaveletTree(syms, 4), BitPlaneRank(syms, 4)):
         with pytest.raises(IndexError):
             st.rank(6, 0)
         with pytest.raises(IndexError):
@@ -190,13 +191,13 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         WaveletTree(syms, 3)
     with pytest.raises(ValueError):
-        BitPlaneRank(np.array([0, 4, 1]))
+        BitPlaneRank(np.array([0, 4, 1]), 4)
     with pytest.raises(ValueError):  # not cut to 0 1 3
         WaveletTree([0.5, 1.7, 3.9], 4)
     with pytest.raises(ValueError):  # not cut to 0 2
-        BitPlaneRank([0.5, 2.9])
+        BitPlaneRank([0.5, 2.9], 4)
     with pytest.raises(ValueError):
-        BitPlaneRank(syms, block_words=0)
+        BitPlaneRank(syms, 4, block_words=0)
     # packed payloads: checked before any cast, whatever the number of levels
     one = np.zeros(1, np.uint64)
     for bad in (lambda: WaveletTree.from_level_payload(4, -5, [np.zeros(0, np.uint64)] * 2),
@@ -204,8 +205,8 @@ def test_argument_validation():
                 lambda: WaveletTree.from_level_payload(0, 10, [one]),
                 lambda: WaveletTree.from_level_payload(2.7, 10, [one]),
                 lambda: WaveletTree.from_level_payload(4, 10, [np.array([5.9]), np.array([2.2])]),
-                lambda: BitPlaneRank.from_planes(10, 8, np.array([3.7]), np.array([1.2])),
-                lambda: BitPlaneRank.from_planes(-5, 8, [], [])):
+                lambda: BitPlaneRank.from_planes(4, 10, 8, np.array([3.7]), np.array([1.2])),
+                lambda: BitPlaneRank.from_planes(4, -5, 8, [], [])):
         with pytest.raises(ValueError):
             bad()
 
@@ -223,7 +224,7 @@ def test_block_words_space_tradeoff():
     n = 1 << 20
     sizes = {}
     for bw in (4, 8, 16, 32):
-        bp = BitPlaneRank(syms, block_words=bw)
+        bp = BitPlaneRank(syms, 4, block_words=bw)
         sizes[bw] = bp.size_bits()
         assert bp.rank(n, 0) == ref_rank(syms, n, 0)
     # plane payload is 2 bits per symbol; counts shrink as blocks grow
@@ -236,25 +237,47 @@ def test_wavelet_payload_roundtrip():
     rng = np.random.default_rng(61)
     syms = random_symbols(rng, 1000, 6)
     wt = WaveletTree(syms, 6)
-    payload = [w for (_, w) in wt.level_payload()]
-    again = WaveletTree.from_level_payload(6, 1000, payload)
+    again = WaveletTree.from_level_payload(*wt.level_payload())
     i = rng.integers(0, 1001, size=200)
     c = rng.integers(0, 6, size=200)
     assert np.array_equal(wt.rank_many(i, c), again.rank_many(i, c))
-    # the same levels read as an alphabet of 5 leave symbol 5 out of the counts,
-    # which is how a base string check sees a symbol past sigma
-    narrow = WaveletTree.from_level_payload(5, 1000, payload)
-    assert narrow.symbol_counts().tolist() == wt.symbol_counts()[:5].tolist()
+    # the same levels read as an alphabet of 5 hold symbol 5, past that alphabet
+    with pytest.raises(ValueError, match="past the alphabet of size 5"):
+        WaveletTree.from_level_payload(5, 1000, wt.level_payload()[2])
+
+
+@pytest.mark.parametrize("sigma", [3, 5, 6, 7, 300])
+def test_wavelet_levels_that_hold_a_symbol_past_sigma_are_refused(sigma):
+    # sigma + 1 symbols take as many levels as sigma when sigma is no power of 2
+    _, length, levels = WaveletTree(np.arange(sigma + 1), sigma + 1).level_payload()
+    assert len(levels) == (sigma - 1).bit_length()
+    with pytest.raises(ValueError, match=f"past the alphabet of size {sigma}"):
+        WaveletTree.from_level_payload(sigma, length, levels)
+
+
+def test_bit_planes_that_hold_a_symbol_past_sigma_are_refused():
+    syms = np.array([0, 1, 3, 2, 1, 0, 0])
+    _, length, bw, low, high = BitPlaneRank(syms, 4).plane_payload()
+    for sigma in (1, 2, 3):
+        for make in (lambda: BitPlaneRank.from_planes(sigma, length, bw, low, high),
+                     lambda: BitPlaneRank(syms, sigma)):
+            with pytest.raises(ValueError, match=f"past the alphabet of size {sigma}"):
+                make()
+    small = BitPlaneRank(syms[syms < 3], 3)
+    assert small.sigma == 3 and small.symbol_counts().tolist() == [3, 2, 1]
+    with pytest.raises(IndexError):
+        small.rank(2, 3)
 
 
 def test_bitplane_payload_roundtrip():
     rng = np.random.default_rng(67)
     syms = random_symbols(rng, 1000, 4)
-    bp = BitPlaneRank(syms, block_words=2)
-    length, bw, low, high = bp.plane_payload()
-    again = BitPlaneRank.from_planes(length, bw, low, high)
+    bp = BitPlaneRank(syms, 4, block_words=2)
+    sigma, length, bw, low, high = bp.plane_payload()
+    again = BitPlaneRank.from_planes(sigma, length, bw, low, high)
     # planes that arrive as strided views, which the scalar kernels cannot read in place
-    strided = BitPlaneRank.from_planes(length, bw, np.repeat(low, 2)[::2], np.repeat(high, 2)[::2])
+    strided = BitPlaneRank.from_planes(sigma, length, bw, np.repeat(low, 2)[::2],
+                                       np.repeat(high, 2)[::2])
     i = rng.integers(0, 1001, size=200)
     c = rng.integers(0, 4, size=200)
     assert np.array_equal(bp.rank_many(i, c), again.rank_many(i, c))
@@ -269,7 +292,7 @@ def test_numpy_scalar_arguments():
     rng = np.random.default_rng(71)
     syms = random_symbols(rng, 300, 4)
     syms[:64] = 3  # force high bits in the first plane word
-    for st in (WaveletTree(syms, 4), BitPlaneRank(syms, block_words=1)):
+    for st in (WaveletTree(syms, 4), BitPlaneRank(syms, 4, block_words=1)):
         p = np.int64(63)
         assert st.access(p) == syms[63]
         i, c = np.int64(300), np.int64(3)
@@ -281,20 +304,20 @@ def test_numpy_scalar_arguments():
 def test_block_words_beyond_the_string():
     # from a container: a block far longer than the string still answers exactly
     zeros = np.zeros(2, dtype=np.uint64)
-    bp = BitPlaneRank.from_planes(100, 2**40, zeros, zeros)
+    bp = BitPlaneRank.from_planes(4, 100, 2**40, zeros, zeros)
     assert bp.rank_many([0, 50, 100], 0).tolist() == [0, 50, 100]
     assert bp.select_many([1, 100], 0).tolist() == [0, 99]
     assert bp.rank(100, 0) == 100 and bp.select(100, 0) == 99
     rng = np.random.default_rng(83)
     syms = random_symbols(rng, 3000, 4)
-    ref = BitPlaneRank(syms, block_words=1)
+    ref = BitPlaneRank(syms, 4, block_words=1)
     i = rng.integers(0, 3001, size=500)
     c = rng.integers(0, 4, size=500)
     j = rng.integers(1, ref.symbol_counts()[c] + 1)
-    length, _, low, high = ref.plane_payload()
+    _, length, _, low, high = ref.plane_payload()
     for bw in (2**40, 2**54 - 1):  # 512 * (2**54 - 1) is the largest block int64 holds
-        for bp in (BitPlaneRank(syms, block_words=bw),
-                   BitPlaneRank.from_planes(length, bw, low, high)):
+        for bp in (BitPlaneRank(syms, 4, block_words=bw),
+                   BitPlaneRank.from_planes(4, length, bw, low, high)):
             assert np.array_equal(bp.rank_many(i, c), ref.rank_many(i, c))
             assert np.array_equal(bp.select_many(j, c), ref.select_many(j, c))
             assert bp.rank(int(i[0]), int(c[0])) == ref.rank(int(i[0]), int(c[0]))
@@ -305,7 +328,7 @@ def test_block_words_beyond_the_string():
 def test_bitplane_batch_over_several_chunks_matches_scalar(block_words):
     rng = np.random.default_rng(89)
     syms = random_symbols(rng, 3000, 4)
-    bp = BitPlaneRank(syms, block_words=block_words)
+    bp = BitPlaneRank(syms, 4, block_words=block_words)
     q = 3 * bp._chunk + 17
     i = rng.integers(0, 3001, size=q)
     c = rng.integers(0, 4, size=q)
@@ -319,9 +342,9 @@ def test_bitplane_batch_over_several_chunks_matches_scalar(block_words):
 def test_block_words_whose_block_overflows_int64_are_rejected(block_words):
     zeros = np.zeros(2, dtype=np.uint64)
     with pytest.raises(ValueError, match="block_words"):
-        BitPlaneRank.from_planes(100, block_words, zeros, zeros)
+        BitPlaneRank.from_planes(4, 100, block_words, zeros, zeros)
     with pytest.raises(ValueError, match="block_words"):
-        BitPlaneRank(np.zeros(100, dtype=np.int64), block_words=block_words)
+        BitPlaneRank(np.zeros(100, dtype=np.int64), 4, block_words=block_words)
 
 
 def test_bitplane_matches_one_window_per_query(monkeypatch):
@@ -347,7 +370,7 @@ def test_bitplane_matches_one_window_per_query(monkeypatch):
         return len(calls)
 
     for block_words in (1, 8, 32, 2**40):
-        bp = BitPlaneRank(syms, block_words=block_words)
+        bp = BitPlaneRank(syms, 4, block_words=block_words)
         assert bp._rows.shape[-1] <= 8, block_words
         for i in (0, 64, 511, 512, 1000, 2048, 3000):
             assert count(bp.rank, i, 2) == 1, (block_words, i)
@@ -370,7 +393,7 @@ def test_bitplane_counts_do_not_wrap_on_a_long_run(block_words):
     rng = np.random.default_rng(101)
     syms = random_symbols(rng, 3 * 2**16 + 77, 4)
     syms[:2**16 + 3000] = 1  # from a block start, so a relative count reaches 2**16
-    bp = BitPlaneRank(syms, block_words=block_words)
+    bp = BitPlaneRank(syms, 4, block_words=block_words)
     n = syms.size
     edges = np.arange(0, n + 1, 512)
     idx = np.unique(np.clip(np.concatenate([edges - 1, edges, edges + 1, [n]]), 0, n))
