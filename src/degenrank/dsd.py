@@ -208,8 +208,8 @@ class _Decomposition(_SubsetQueries):
         return out
 
     def size_breakdown(self) -> dict:
-        return {"base": self._base.size_bits(),
-                "overflow": 8 * (self._rows.nbytes + self._bounds.nbytes)}
+        return {"base": self._base.size_bits(), "overflow": 8 * (
+            self._rows.nbytes + self._bounds.nbytes + self._containing.nbytes)}
 
 
 class DsdStructure(_Empties):
@@ -232,8 +232,8 @@ class DsdStructure(_Empties):
         # holds a set whose kept symbol is below c: one decode of the base,
         # one gather and one compare.
         inner = self._inner
-        runs = np.repeat(np.arange(self.sigma), np.diff(inner._bounds))
         kept = base._decode()[inner._rows]
+        runs = np.repeat(np.arange(self.sigma, dtype=kept.dtype), np.diff(inner._bounds))
         bad = np.flatnonzero(kept >= runs)
         if bad.size:
             k = bad[0]

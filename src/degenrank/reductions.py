@@ -44,7 +44,7 @@ from ._bits import (index_arg, narrow_uint, rank_arg, rank_args, select_arg, sel
                     select_list_args, small_batch)
 from .bitvector import PlainBitvector, SparseBitvector
 from .degenerate import DegenerateString
-from .strrank import _MAX_SIGMA, BitPlaneRank, WaveletTree
+from .strrank import BitPlaneRank, WaveletTree
 
 BASES = ("wavelet", "bitplane")
 VARIANTS = ("reduction-i", "reduction-ii", "reduction-iii")
@@ -57,7 +57,7 @@ def _check_base(sigma: int, base: str, block_words: int) -> int:
                             ValueError)
     if base not in BASES:
         raise ValueError(f"unknown base {base!r}, expected one of {BASES}")
-    most = _MAX_SIGMA if base == "wavelet" else BitPlaneRank.SIGMA
+    most = (WaveletTree if base == "wavelet" else BitPlaneRank).MAX_SIGMA
     if sigma > most:
         raise ValueError(f"{base} base supports alphabets up to {most}, needs {sigma}")
     return block_words
@@ -147,11 +147,8 @@ class _SubsetQueries:
         return self._containing_mv[index_arg(c, 0, self.sigma - 1, "symbol")]
 
     def _set_containing(self, counts: np.ndarray) -> None:
-        """_containing, the sets that contain each symbol, with the memoryview
-        that the scalar checks read. No prefix sums of it are kept: a batch
-        of selects is sorted once, by c * (n + 1) + j, on every structure,
-        and its ranks by i, or by c * (n + 1) + i on the DSD, and no kernel
-        below the public methods sorts."""
+        """Keep counts, the sets that contain each symbol, as _containing and
+        as the memoryview that the scalar checks read."""
         self._containing, self._containing_mv = counts, memoryview(counts)
 
     def size_bits(self) -> int:

@@ -2,13 +2,13 @@
 
 Two interchangeable backends:
 
-* WaveletTree is a wavelet matrix: it works for any alphabet size sigma >= 1
+* WaveletTree is a wavelet matrix: it works for any alphabet up to MAX_SIGMA
   and answers queries in O(log sigma) bitvector operations, one per level.
 * BitPlaneRank is a flat-layout alternative for sigma <= 4. Symbols are
   split into a low and a high bit plane; a block of 512 * block_words symbols
-  keeps one absolute count per symbol, and each 512-symbol sub-block one
-  count per symbol relative to its block. Each plane is kept as rows of 8
-  words, one row per sub-block. A query reads the two counts before its
+  keeps one absolute count per symbol of the alphabet, and each 512-symbol
+  sub-block one such count relative to its block. Each plane is kept as rows
+  of 8 words, one row per sub-block. A query reads the two counts before its
   sub-block and the sub-block's row of each plane, and popcounts the bits
   that match its symbol c = 2h + l: `NOT((high XOR h) OR (low XOR l))`, the
   comparison that wide-register scans batch. A batch masks a rank's row
@@ -34,7 +34,6 @@ from ._bits import (FULL_WORD, index_arg, integers, narrow_uint, pack_bits, pack
                     select_in_words, unpack_bits)
 from .bitvector import PlainBitvector
 
-_MAX_SIGMA = 1 << 32  # the largest alphabet a wavelet base takes; its symbols fit uint32
 _SUB_WORDS = 8  # plane words per bitplane sub-block, 512 symbols
 # _PREFIX[k] is a sub-block row with its k lowest bits set, 32 KiB.
 _PREFIX = np.packbits(np.tri(512, 512, -1, dtype=bool), axis=1,
@@ -98,9 +97,10 @@ class WaveletTree(_StringQueries):
     """
 
     base_name = "wavelet"
+    MAX_SIGMA = 1 << 32  # the largest alphabet it takes; its symbols fit uint32
 
     def __init__(self, symbols, sigma: int):
-        sigma = index_arg(sigma, 1, _MAX_SIGMA, "sigma", ValueError)
+        sigma = index_arg(sigma, 1, self.MAX_SIGMA, "sigma", ValueError)
         keys = _as_symbols(symbols, sigma)
         nbits = (sigma - 1).bit_length()
         level_words = []
@@ -123,7 +123,7 @@ class WaveletTree(_StringQueries):
         return self
 
     def _set_levels(self, sigma, length, level_words) -> None:
-        self.sigma = index_arg(sigma, 1, _MAX_SIGMA, "sigma", ValueError)
+        self.sigma = index_arg(sigma, 1, self.MAX_SIGMA, "sigma", ValueError)
         self.length, _ = packed_payload(length)  # checked even when there are no levels
         self.nbits = (self.sigma - 1).bit_length()
         if len(level_words) != self.nbits:
@@ -228,7 +228,7 @@ class BitPlaneRank(_StringQueries):
     Every 512-symbol sub-block stores the count of each symbol between its
     block's start and its own, in the narrowest unsigned dtype that holds
     512 * (block_words - 1); every block of 512 * block_words symbols stores
-    the absolute counts (Vigna's rank9, over four symbols). So block_words
+    the absolute counts (Vigna's rank9, over the sigma symbols). So block_words
     sets the space of the block table only: larger blocks shrink it, and no
     query reads more than the 8 plane words of one sub-block, matched as
     NOT((high XOR h) OR (low XOR l)) for c = 2h + l. Each plane is stored as
@@ -241,13 +241,13 @@ class BitPlaneRank(_StringQueries):
     memoryviews.
     """
 
-    SIGMA = 4
+    MAX_SIGMA = 4
     base_name = "bitplane"
     MAX_BLOCK_WORDS = (2**63 - 1) // 512  # a block of 512 * block_words symbols fits in int64
     _chunk = (1 << 16) // _SUB_WORDS  # queries per batch chunk
 
     def __init__(self, symbols, sigma: int, block_words: int = 8):
-        syms = _as_symbols(symbols, self.SIGMA)
+        syms = _as_symbols(symbols, self.MAX_SIGMA)
         self.length = int(syms.size)
         self._low = pack_bits(syms & 1)
         self._high = pack_bits(syms >> 1)
@@ -262,7 +262,7 @@ class BitPlaneRank(_StringQueries):
         return self
 
     def _build_counts(self, sigma, block_words) -> None:
-        self.sigma = index_arg(sigma, 1, self.SIGMA, "sigma", ValueError)
+        self.sigma = index_arg(sigma, 1, self.MAX_SIGMA, "sigma", ValueError)
         self.block_words = bw = index_arg(block_words, 1, self.MAX_BLOCK_WORDS, "block_words",
                                           ValueError)
         # The planes as rows, one per sub-block; the last one holds position length.
@@ -273,17 +273,18 @@ class BitPlaneRank(_StringQueries):
         self._low, self._high = planes  # contiguous, so the scalar kernels read them in place
         self._low_bytes, self._high_bytes = (memoryview(p).cast("B")
                                              for p in (self._low, self._high))
-        # The c's in each sub-block, then before each one. The zero padding,
-        # 512 * n_sub - length bits of the last row, matches symbol 0.
+        # The c's in each sub-block, then before each one, for c < sigma; a
+        # symbol >= sigma leaves them summing short of length. The zero
+        # padding, 512 * n_sub - length bits of the last row, matches symbol 0.
         low, high = self._rows
         pops = np.array([_row_popcounts(_match_words(low.copy(), high.copy(), c))
-                         for c in range(self.SIGMA)])
+                         for c in range(self.sigma)])
         pops[0, -1] -= 512 * n_sub - self.length
-        before = np.zeros((self.SIGMA, n_sub + 1), dtype=np.int64)
+        before = np.zeros((self.sigma, n_sub + 1), dtype=np.int64)
         np.cumsum(pops, axis=1, out=before[:, 1:])
-        if before[self.sigma:, -1].any():
+        self._totals = before[:, -1].copy()
+        if self._totals.sum() != self.length:
             raise ValueError(f"planes hold a symbol past the alphabet of size {self.sigma}")
-        self._totals = before[:self.sigma, -1].copy()
         n_blocks = -(-self.length // (512 * bw))
         blocks = before[:, np.minimum(np.arange(n_blocks + 1) * bw, n_sub)]
         # Relative counts stop at 512 * (block_words - 1) and at length; int64,
@@ -291,10 +292,10 @@ class BitPlaneRank(_StringQueries):
         top = min(512 * (bw - 1), self.length)
         self._sub = (before[:, :n_sub] - blocks[:, np.arange(n_sub) // bw]).astype(
             narrow_uint(top) if top < 1 << 32 else np.int64)
-        # The offset rows top out at 4 * length + 3: uint32 while that fits.
-        offset = np.arange(self.SIGMA)[:, None] * (self.length + 1)
+        # The offset rows top out at sigma * (length + 1) - 1: uint32 while that fits.
+        offset = np.arange(self.sigma)[:, None] * (self.length + 1)
         self._counts = (blocks + offset).astype(
-            np.uint32 if 4 * (self.length + 1) <= 1 << 32 else np.int64)
+            np.uint32 if self.sigma * (self.length + 1) <= 1 << 32 else np.int64)
         self._rounds = (min(bw, n_sub) - 1).bit_length()  # bisection rounds inside one block
         # A 2-D memoryview cannot give a row to bisect: one per symbol row.
         self._counts_mv = [memoryview(row) for row in self._counts]

@@ -78,6 +78,20 @@ def test_a_bad_argument_is_a_value_error(call, value):
         call(value)
 
 
+@pytest.mark.parametrize("call,base,most,needs", [
+    (lambda: build_reduction(generate(1, 20, 4), "reduction-ii", "bitplane"), "bitplane", 4, 5),
+    (lambda: build_reduction(generate(1, 20, 5), "reduction-iii", "bitplane"), "bitplane", 4, 5),
+    (lambda: build_dsd(generate(1, 20, 5), "bitplane"), "bitplane", 4, 5),
+    (lambda: build_reduction(DegenerateString(2**32, [5], [0, 1, 1]), "reduction-ii"),
+     "wavelet", 2**32, 2**32 + 1),
+    (lambda: build_dsd(DegenerateString(2**32 + 1, [5], [0, 1])), "wavelet", 2**32, 2**32 + 1),
+])
+def test_a_builder_names_the_alphabet_its_base_takes(call, base, most, needs):
+    with pytest.raises(ValueError, match=f"^{base} base supports alphabets up to {most}, "
+                                         f"needs {needs}$"):
+        call()
+
+
 def test_the_same_calls_take_integers_of_any_type():
     assert DegenerateString(np.int64(3), [0, 1], [0, 2]) == DegenerateString.from_sets(3, [[0, 1]])
     assert generate(1, np.uint8(5), np.int32(4)) == generate(1, 5, 4)

@@ -3,6 +3,7 @@ import pytest
 
 from degenrank.bitvector import PlainBitvector, SparseBitvector
 from degenrank.degenerate import DegenerateString, generate, parse_degenerate
+from degenrank.dsd import build_dsd
 from degenrank.oracle import positions_of, rank_table
 from degenrank.reductions import (
     ReductionI,
@@ -166,6 +167,40 @@ def test_component_accounting():
     assert iii._inner._S.length == x.N
     assert ii._R.length == x.N + x.n0 + 1
     assert iii._inner._R.ones_count == x.n - x.n0 + 1
+
+
+def held_arrays(obj, arrays: dict, parts: list) -> None:
+    """Every array obj holds through its attributes, its lists and its
+    components, keyed by the id of the array that owns the buffer, so that a
+    view counts as its base and each buffer counts once; memoryviews and
+    scalars are skipped. Each component reached is appended to parts."""
+    for value in vars(obj).values():
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, np.ndarray):
+                while isinstance(v.base, np.ndarray):
+                    v = v.base
+                arrays[id(v)] = v
+            elif type(v).__module__.startswith("degenrank."):
+                parts.append(v)
+                held_arrays(v, arrays, parts)
+
+
+@pytest.mark.parametrize("empty", [0.0, 0.1])
+@pytest.mark.parametrize("sigma", [3, 300])
+def test_size_bits_covers_every_array_held(sigma, empty):
+    # sigma 300, so that a sigma-long array outgrows the 64-bit scalar allowances;
+    # sigma 3, so that every structure builds on the bitplane base too
+    x = generate(2, 300, sigma, "uniform", size_probs=[empty, 0.6, 0.3] + [0] * (sigma - 2))
+    structures = all_structures(x) + [build_dsd(x)]
+    if sigma <= 4:
+        structures.append(build_dsd(x, "bitplane"))
+    for st in structures:
+        parts = [st]
+        held_arrays(st, {}, parts)
+        for part in parts:  # the structure, then every layer and bitvector below it
+            arrays = {}
+            held_arrays(part, arrays, [])
+            assert 8 * sum(a.nbytes for a in arrays.values()) <= part.size_bits(), (st, part)
 
 
 def test_scalar_agrees_with_batch():

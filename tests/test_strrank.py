@@ -233,6 +233,19 @@ def test_block_words_space_tradeoff():
     assert sizes[32] >= 2 * n
 
 
+def test_bitplane_count_tables_have_a_row_per_symbol_of_sigma():
+    # over 2**20 symbols a row is 257 uint32 block counts, 2049 uint16
+    # sub-block counts and one int64 total: 41,072 bits
+    rng = np.random.default_rng(5)
+    sizes = {1: 2_139_440, 2: 2_180_512, 3: 2_221_584, 4: 2_262_656}
+    for sigma, size in sizes.items():
+        bp = BitPlaneRank(rng.integers(0, sigma, size=1 << 20), sigma)
+        assert bp._counts.shape == (sigma, 257) and bp._sub.shape == (sigma, 2049)
+        assert bp._totals.shape == (sigma,)
+        assert len(bp._counts_mv) == len(bp._sub_mv) == sigma
+        assert bp.size_bits() == size == sizes[4] - (4 - sigma) * 41_072
+
+
 def test_wavelet_payload_roundtrip():
     rng = np.random.default_rng(61)
     syms = random_symbols(rng, 1000, 6)
